@@ -96,11 +96,37 @@ def _params(text: str) -> np.ndarray:
     return np.linspace(float(bits[0]), float(bits[1]), int(bits[2]))
 
 
+def _count(text: str) -> int:
+    """argparse type for sample and mesh counts: an integer of at least 2."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return n
+
+
 def _write_csv(path, header: str, rows) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt_float(x) for x in row) + "\n")
+
+
+def _export_mesh(mesh, path: str, out: dict) -> str:
+    """Write `mesh` as OBJ to `path` with a `path.csv` sidecar; return the sidecar."""
+    meshing.export_obj(mesh, path)
+    sidecar = path + ".csv"
+    meshing.export_mesh_csv(mesh, sidecar)
+    out["mesh"] = path
+    return sidecar
+
+
+def _export_profile(args, sol, chart, out: dict) -> None:
+    """The --csv profile table and --mesh surface of a rotational or riemann run."""
+    if args.csv:
+        _write_csv(args.csv, "s,r,rp,a,b", zip(sol.s, sol.r, sol.rp, sol.a, sol.b))
+        out["csv"] = args.csv
+    if args.mesh:
+        _export_mesh(meshing.triangulate_chart(chart, args.nu, args.nv, wrap_v=True), args.mesh, out)
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +246,7 @@ def cmd_surface(args) -> dict:
         "umbilic_fraction": float(mesh.umbilic.mean()),
     }
     if args.mesh:
-        meshing.export_obj(mesh, args.mesh)
-        sidecar = args.mesh + ".csv"
-        meshing.export_mesh_csv(mesh, sidecar)
-        out["mesh"] = args.mesh
-        out["sidecar"] = sidecar
+        out["sidecar"] = _export_mesh(mesh, args.mesh, out)
     return _report(args, "surface", out)
 
 
@@ -288,15 +310,7 @@ def cmd_rotational(args) -> dict:
     out["measured_H_min"] = hmin
     out["measured_H_max"] = hmax
     out["measured_H_abs_dev"] = max(abs(hmin - params.H), abs(hmax - params.H))
-    if args.csv:
-        _write_csv(args.csv, "s,r,rp,a,b",
-                   zip(sol.s, sol.r, sol.rp, sol.a, sol.b))
-        out["csv"] = args.csv
-    if args.mesh:
-        mesh = meshing.triangulate_chart(chart, args.nu, args.nv, wrap_v=True)
-        meshing.export_obj(mesh, args.mesh)
-        meshing.export_mesh_csv(mesh, args.mesh + ".csv")
-        out["mesh"] = args.mesh
+    _export_profile(args, sol, chart, out)
     return _report(args, "rotational", out, warnings)
 
 
@@ -331,14 +345,7 @@ def cmd_riemann(args) -> dict:
         "measured_H_abs_max": max(abs(hmin), abs(hmax)),
         "truncated": sol.truncated,
     }
-    if args.csv:
-        _write_csv(args.csv, "s,r,rp,a,b", zip(sol.s, sol.r, sol.rp, sol.a, sol.b))
-        out["csv"] = args.csv
-    if args.mesh:
-        mesh = meshing.triangulate_chart(chart, args.nu, args.nv, wrap_v=True)
-        meshing.export_obj(mesh, args.mesh)
-        meshing.export_mesh_csv(mesh, args.mesh + ".csv")
-        out["mesh"] = args.mesh
+    _export_profile(args, sol, chart, out)
     return _report(args, "riemann", out, warnings)
 
 
@@ -354,10 +361,7 @@ def cmd_cap(args) -> dict:
         "expected_H": 1.0 / args.r,
     }
     if args.mesh:
-        mesh = meshing.disk_graph_mesh(chart, args.R, args.nu, args.nv)
-        meshing.export_obj(mesh, args.mesh)
-        meshing.export_mesh_csv(mesh, args.mesh + ".csv")
-        out["mesh"] = args.mesh
+        _export_mesh(meshing.disk_graph_mesh(chart, args.R, args.nu, args.nv), args.mesh, out)
     if args.csv:
         rows = []
         for x in np.linspace(-args.R, args.R, 41):
@@ -518,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--a", type=float, default=1.0, help="curvature (or parabola coefficient)")
     c.add_argument("--b", type=float, default=0.0, help="phase")
     c.add_argument("--span", default="-1:1")
-    c.add_argument("--n", type=int, default=50)
+    c.add_argument("--n", type=_count, default=50)
     c.add_argument("--out", help="CSV output path")
     c.set_defaults(func=cmd_curve)
 
@@ -528,8 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
                        required=True)
         c.add_argument("--r", type=float, default=1.0)
         c.add_argument("--center", help="x,y,z")
-        c.add_argument("--nu", type=int, default=12 if name == "umbilic" else 33)
-        c.add_argument("--nv", type=int, default=12 if name == "umbilic" else 33)
+        c.add_argument("--nu", type=_count, default=12 if name == "umbilic" else 33)
+        c.add_argument("--nv", type=_count, default=12 if name == "umbilic" else 33)
         if name == "surface":
             c.add_argument("--mesh", help="Wavefront mesh output path")
         c.set_defaults(func=handler)
@@ -543,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--step", type=float, default=1e-3)
     c.add_argument("--csv", help="profile CSV path")
     c.add_argument("--mesh", help="Wavefront mesh output path")
-    c.add_argument("--nu", type=int, default=40)
-    c.add_argument("--nv", type=int, default=64)
+    c.add_argument("--nu", type=_count, default=40)
+    c.add_argument("--nv", type=_count, default=64)
     c.set_defaults(func=cmd_rotational)
 
     c = sub.add_parser("riemann", help="minimal circle-foliated profile with center drift")
@@ -556,8 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--step", type=float, default=1e-3)
     c.add_argument("--csv")
     c.add_argument("--mesh")
-    c.add_argument("--nu", type=int, default=40)
-    c.add_argument("--nv", type=int, default=64)
+    c.add_argument("--nu", type=_count, default=40)
+    c.add_argument("--nv", type=_count, default=64)
     c.set_defaults(func=cmd_riemann)
 
     c = sub.add_parser("cap", help="hyperbolic cap chart and mesh")
@@ -566,8 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rim-at-zero", action="store_true")
     c.add_argument("--mesh")
     c.add_argument("--csv")
-    c.add_argument("--nu", type=int, default=30)
-    c.add_argument("--nv", type=int, default=60)
+    c.add_argument("--nu", type=_count, default=30)
+    c.add_argument("--nv", type=_count, default=60)
     c.set_defaults(func=cmd_cap)
 
     c = sub.add_parser("dirichlet", help="CMC graph Dirichlet solve")

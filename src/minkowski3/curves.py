@@ -317,8 +317,7 @@ def _classify_normal(tp: np.ndarray) -> CausalClass:
 
 
 def _null_partner(unit: np.ndarray, null: np.ndarray, pair_with_null: bool) -> np.ndarray:
-    """The unique lightlike B with either <B,null>=1, <B,unit>=0 (pair_with_null)
-    or <B,null>=1 ... see below.
+    """The unique lightlike B with <B,null> = 1 that completes the frame.
 
     pair_with_null=True : unit=T spacelike, null=N;   <B,B>=0, <B,T>=0, <B,N>=1
     pair_with_null=False: null=T lightlike, unit=N;   <B,B>=0, <B,N>=0, <B,T>=1
@@ -339,6 +338,14 @@ def _null_partner(unit: np.ndarray, null: np.ndarray, pair_with_null: bool) -> n
     return a * t + b * n + c * w
 
 
+#: Frenet case of a spacelike curve, by the causal class of T'
+_SPACELIKE_CASE = {
+    CausalClass.SPACELIKE: FrenetCase.SPACELIKE_SP_N,
+    CausalClass.TIMELIKE: FrenetCase.SPACELIKE_TL_N,
+    CausalClass.LIGHTLIKE: FrenetCase.SPACELIKE_LL_N,
+}
+
+
 def _frame_at(jet: CurveJet, s: float):
     """Frame (T, N, B) and case at s, without torsion."""
     t_vec = jet.velocity(s)
@@ -356,24 +363,14 @@ def _frame_at(jet: CurveJet, s: float):
     if float(np.linalg.norm(tp)) <= 1e-12:
         raise GeometryError("T' vanishes: straight line, no Frenet frame")
     if cc is CausalClass.TIMELIKE:
-        kappa = float(lorentz_norm(tp))
-        n_vec = tp / kappa
-        b_vec = cross(t_vec, n_vec)
-        return t_vec, n_vec, b_vec, FrenetCase.TIMELIKE, kappa
-    nc = _classify_normal(tp)
-    if nc is CausalClass.SPACELIKE:
-        kappa = float(lorentz_norm(tp))
-        n_vec = tp / kappa
-        b_vec = cross(t_vec, n_vec)
-        return t_vec, n_vec, b_vec, FrenetCase.SPACELIKE_SP_N, kappa
-    if nc is CausalClass.TIMELIKE:
-        kappa = float(lorentz_norm(tp))
-        n_vec = tp / kappa
-        b_vec = cross(t_vec, n_vec)
-        return t_vec, n_vec, b_vec, FrenetCase.SPACELIKE_TL_N, kappa
-    n_vec = tp
-    b_vec = _null_partner(t_vec, n_vec, pair_with_null=True)
-    return t_vec, n_vec, b_vec, FrenetCase.SPACELIKE_LL_N, None
+        case = FrenetCase.TIMELIKE  # T' of a timelike curve is always spacelike
+    else:
+        case = _SPACELIKE_CASE[_classify_normal(tp)]
+    if case is FrenetCase.SPACELIKE_LL_N:
+        return t_vec, tp, _null_partner(t_vec, tp, pair_with_null=True), case, None
+    kappa = float(lorentz_norm(tp))
+    n_vec = tp / kappa
+    return t_vec, n_vec, cross(t_vec, n_vec), case, kappa
 
 
 def _frame_derivative(jet: CurveJet, s: float, index: int) -> np.ndarray:
@@ -397,17 +394,11 @@ def frenet(jet: CurveJet, s: float) -> FrenetFrame:
     so torsion carries an O(h_fd^4) stencil error.
     """
     t_vec, n_vec, b_vec, case, kappa = _frame_at(jet, s)
-    np_vec = _frame_derivative(jet, s, 1)
-    if case is FrenetCase.TIMELIKE:
-        tau = float(lorentz_dot(np_vec, b_vec))
-    elif case is FrenetCase.SPACELIKE_SP_N:
-        tau = -float(lorentz_dot(np_vec, b_vec))
-    elif case is FrenetCase.SPACELIKE_TL_N:
-        tau = float(lorentz_dot(np_vec, b_vec))
-    elif case is FrenetCase.SPACELIKE_LL_N:
-        tau = float(lorentz_dot(np_vec, b_vec))  # <N',B> = tau <N,B> = tau
-    else:  # LIGHTLIKE: N' = tau T - B and <T,B>=1 give <N',B> = tau
-        tau = float(lorentz_dot(np_vec, b_vec))
+    # <N',B> = tau in every case (see frenet_matrix) but the spacelike-normal
+    # one, where B is timelike and N' = -kappa T + tau B gives <N',B> = -tau
+    tau = float(lorentz_dot(_frame_derivative(jet, s, 1), b_vec))
+    if case is FrenetCase.SPACELIKE_SP_N:
+        tau = -tau
     return FrenetFrame(t_vec, n_vec, b_vec, case, kappa, tau)
 
 

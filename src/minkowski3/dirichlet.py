@@ -24,8 +24,7 @@ surrogate, refusing targets it cannot certify.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -189,8 +188,8 @@ class GridDomain:
     """
 
     def __init__(self, shape, h: float):
-        if h <= 0:
-            raise GeometryError("grid spacing must be positive")
+        if not (np.isfinite(h) and h > 0):
+            raise GeometryError("grid spacing must be finite and positive")
         self.shape = shape
         self.h = float(h)
         x0, x1, y0, y1 = shape.bbox()
@@ -278,6 +277,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.eps not in (1, -1):
             raise GeometryError("eps must be +1 (Euclidean) or -1 (Lorentzian)")
+        if not np.all(np.isfinite([self.H, self.dH, self.newton_tol])):
+            raise GeometryError("H, dH and newton_tol must be finite")
         if self.dH <= 0:
             raise GeometryError("continuation step must be positive")
         if not 0 < self.delta_guard < 0.5:
@@ -295,8 +296,6 @@ class GraphSolution:
     newton_iters: int
     continuation_steps: int
     delta_guard: float
-    converged: bool = True
-    warnings: list = field(default_factory=list)
 
     def gradient_magnitude(self) -> np.ndarray:
         ux, uy = self.domain.node_gradient(self.u)

@@ -25,7 +25,6 @@ from .core import (
     CausalClass,
     GeometryError,
     as_vec3,
-    causal_class,
 )
 
 __all__ = [
@@ -169,8 +168,3 @@ def orbit(axis: CausalClass, p0, params) -> np.ndarray:
     else:  # pragma: no cover - CausalClass is exhaustive
         raise GeometryError(f"unknown axis type {axis!r}")
     return np.stack([m @ p0 for m in mats])
-
-
-def causal_class_is_preserved(a, v) -> bool:
-    """Check that mapping v by the isometry a keeps its causal character."""
-    return causal_class(_as_mat3(a) @ as_vec3(v)) is causal_class(v)

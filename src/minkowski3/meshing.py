@@ -9,7 +9,7 @@ normal of each face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,23 +47,23 @@ class SurfaceMesh:
 
     def displaced(self, t: float, f: np.ndarray) -> "SurfaceMesh":
         """Normal variation X + t * f * N with the variation field frozen at t=0."""
-        out = SurfaceMesh(
-            self.vertices + t * f[:, None] * self.normals,
-            self.faces,
-            self.uv,
-            self.normals,
-            self.mean_curvature,
-            self.gauss_curvature,
-            self.umbilic,
-            self.boundary,
-        )
-        return out
+        return replace(self, vertices=self.vertices + t * f[:, None] * self.normals)
 
 
 def _vertex_data(chart: SurfaceChart, u: float, v: float):
     n = gauss_map(chart, u, v)
     data = shape_and_curvatures(chart, u, v)
     return chart.position(u, v), n, data.H, data.K, data.umbilic
+
+
+def _chart_mesh(chart: SurfaceChart, uv, faces, boundary) -> SurfaceMesh:
+    """Mesh whose vertex k is the chart point at uv[k], with its normal and curvatures."""
+    verts, norms, hs, ks, umb = zip(*(_vertex_data(chart, u, v) for u, v in uv))
+    return SurfaceMesh(
+        np.asarray(verts), np.asarray(faces, dtype=int), np.asarray(uv),
+        np.asarray(norms), np.asarray(hs), np.asarray(ks),
+        np.asarray(umb, dtype=bool), boundary,
+    )
 
 
 def triangulate_chart(chart: SurfaceChart, nu: int, nv: int,
@@ -78,16 +78,7 @@ def triangulate_chart(chart: SurfaceChart, nu: int, nv: int,
     if wrap_v:
         vs = vs[:-1]
         nv = nv - 1
-    verts, uvs, norms, hs, ks, umb = [], [], [], [], [], []
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            p, n, h, k, um = _vertex_data(chart, u, v)
-            verts.append(p)
-            uvs.append((u, v))
-            norms.append(n)
-            hs.append(h)
-            ks.append(k)
-            umb.append(um)
+    uv = [(u, v) for u in us for v in vs]
     idx = lambda i, j: i * nv + (j % nv if wrap_v else j)
     faces = []
     jmax = nv if wrap_v else nv - 1
@@ -97,7 +88,7 @@ def triangulate_chart(chart: SurfaceChart, nu: int, nv: int,
             c, d = idx(i + 1, j + 1), idx(i, j + 1)
             faces.append((a, b, c))
             faces.append((a, c, d))
-    boundary = np.zeros(len(verts), dtype=bool)
+    boundary = np.zeros(len(uv), dtype=bool)
     for i in (0, nu - 1):
         for j in range(nv):
             boundary[idx(i, j)] = True
@@ -105,11 +96,7 @@ def triangulate_chart(chart: SurfaceChart, nu: int, nv: int,
         for i in range(nu):
             for j in (0, nv - 1):
                 boundary[idx(i, j)] = True
-    return SurfaceMesh(
-        np.asarray(verts), np.asarray(faces, dtype=int), np.asarray(uvs),
-        np.asarray(norms), np.asarray(hs), np.asarray(ks),
-        np.asarray(umb, dtype=bool), boundary,
-    )
+    return _chart_mesh(chart, uv, faces, boundary)
 
 
 def disk_graph_mesh(chart: SurfaceChart, radius: float, n_r: int,
@@ -119,31 +106,18 @@ def disk_graph_mesh(chart: SurfaceChart, radius: float, n_r: int,
     The chart is evaluated at (x, y) = (rho cos th, rho sin th); the center
     gets a single vertex with a triangle fan, the rim is flagged boundary.
     """
-    verts, uvs, norms, hs, ks, umb = [], [], [], [], [], []
-
-    def add(x, y):
-        p, n, h, k, um = _vertex_data(chart, x, y)
-        verts.append(p)
-        uvs.append((x, y))
-        norms.append(n)
-        hs.append(h)
-        ks.append(k)
-        umb.append(um)
-        return len(verts) - 1
-
-    center = add(0.0, 0.0)
+    uv = [(0.0, 0.0)]  # vertex 0 is the center
     rings = []
     for i in range(1, n_r + 1):
         rho = radius * i / n_r
-        ring = []
+        rings.append(list(range(len(uv), len(uv) + n_theta)))
         for j in range(n_theta):
             th = 2 * np.pi * j / n_theta
-            ring.append(add(rho * np.cos(th), rho * np.sin(th)))
-        rings.append(ring)
+            uv.append((rho * np.cos(th), rho * np.sin(th)))
     faces = []
     first = rings[0]
     for j in range(n_theta):
-        faces.append((center, first[j], first[(j + 1) % n_theta]))
+        faces.append((0, first[j], first[(j + 1) % n_theta]))
     for i in range(n_r - 1):
         inner, outer = rings[i], rings[i + 1]
         for j in range(n_theta):
@@ -151,13 +125,9 @@ def disk_graph_mesh(chart: SurfaceChart, radius: float, n_r: int,
             c, d = outer[(j + 1) % n_theta], inner[(j + 1) % n_theta]
             faces.append((a, b, c))
             faces.append((a, c, d))
-    boundary = np.zeros(len(verts), dtype=bool)
+    boundary = np.zeros(len(uv), dtype=bool)
     boundary[rings[-1]] = True
-    return SurfaceMesh(
-        np.asarray(verts), np.asarray(faces, dtype=int), np.asarray(uvs),
-        np.asarray(norms), np.asarray(hs), np.asarray(ks),
-        np.asarray(umb, dtype=bool), boundary,
-    )
+    return _chart_mesh(chart, uv, faces, boundary)
 
 
 def _face_geometry(mesh: SurfaceMesh):

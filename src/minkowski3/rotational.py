@@ -60,6 +60,9 @@ class ProfileODEParams:
     h: float = 1e-3
 
     def __post_init__(self):
+        values = (self.H, self.c, self.d, self.r0, self.rp0, self.s0, self.s1, self.h)
+        if not np.all(np.isfinite(values)):
+            raise GeometryError("profile parameters must be finite")
         if self.h <= 0:
             raise GeometryError("step h must be positive")
         if self.s1 <= self.s0:

@@ -41,7 +41,6 @@ from .curves import CurveJet, FrenetCase, _frame_at, _frame_derivative
 
 __all__ = [
     "SurfaceChart",
-    "FundamentalForms",
     "CurvatureData",
     "SurfaceKind",
     "SurfaceKindTag",
@@ -145,24 +144,6 @@ class SurfaceChart:
 
 
 @dataclass(frozen=True)
-class FundamentalForms:
-    E: float
-    F: float
-    G: float
-    e: float
-    f: float
-    g: float
-
-    @property
-    def first_matrix(self) -> np.ndarray:
-        return np.array([[self.E, self.F], [self.F, self.G]])
-
-    @property
-    def second_matrix(self) -> np.ndarray:
-        return np.array([[self.e, self.f], [self.f, self.g]])
-
-
-@dataclass(frozen=True)
 class CurvatureData:
     H: float
     K: float
@@ -224,12 +205,6 @@ def second_form(chart: SurfaceChart, u: float, v: float) -> tuple[float, float, 
     f = float(lorentz_dot(n, chart.duv(u, v)))
     g = float(lorentz_dot(n, chart.dvv(u, v)))
     return e, f, g
-
-
-def fundamental_forms(chart: SurfaceChart, u: float, v: float) -> FundamentalForms:
-    (E, F, G), _ = first_form(chart, u, v)
-    e, f, g = second_form(chart, u, v)
-    return FundamentalForms(E, F, G, e, f, g)
 
 
 def shape_and_curvatures(chart: SurfaceChart, u: float, v: float) -> CurvatureData:
@@ -519,10 +494,6 @@ def light_cone_chart(domain=((0.5, 2.0), (0.0, 2 * np.pi))) -> SurfaceChart:
 def graph_chart(f, fx=None, fy=None, fxx=None, fxy=None, fyy=None,
                 domain=((-1.0, 1.0), (-1.0, 1.0)), h_fd=None) -> SurfaceChart:
     """Graph z = f(x, y); spacelike where |Df| < 1, timelike where |Df| > 1."""
-    def wrap(g):
-        return None if g is None else g
-
-    fx, fy, fxx, fxy, fyy = map(wrap, (fx, fy, fxx, fxy, fyy))
     hx = h_fd if h_fd is not None else 1e-5 * max(
         domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]
     )

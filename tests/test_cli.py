@@ -165,6 +165,34 @@ class TestDirichletCommand:
         assert "error" in err
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ["dirichlet", "--disk", "1", "--H", "nan"],
+        ["dirichlet", "--disk", "1", "--H", "inf"],
+        ["dirichlet", "--disk", "1", "--H", "1", "--h", "nan"],
+        ["rotational", "--catenoid", "--step", "nan"],
+    ])
+    def test_non_finite_parameter_is_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--kind", "circle", "--n", "0"],
+        ["surface", "--kind", "hyperbolic", "--nu", "0"],
+        ["cap", "--nu", "0", "--mesh", "x.obj"],
+        ["cap", "--nv", "1"],
+    ])
+    def test_count_below_two_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "expected an integer >= 2" in err
+        assert not list(tmp_path.iterdir())
+
+
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, capsys, tmp_path):
         argv = ["dirichlet", "--disk", "1", "--H", "1", "--h", "0.05",

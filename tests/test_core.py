@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -267,3 +269,11 @@ def test_lightlike_dependence_iff_orthogonal(r1, th1, r2, th2, s1, s2):
     elif s1 != s2 or sep > 1e-3:
         # well-separated null directions are never orthogonal
         assert abs(lorentz_dot(u, v)) > 1e-9 * r1 * r2
+
+
+@pytest.mark.parametrize(
+    "module", ["core", "isometry", "curves", "surfaces", "meshing", "rotational", "dirichlet"]
+)
+def test_public_names_resolve(module):
+    mod = importlib.import_module(f"minkowski3.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -51,6 +51,44 @@ def mixed_type_jet():
     )
 
 
+def spacelike_helix_jet(rho: float, a: float) -> CurveJet:
+    """(rho cos(s/c), rho sin(s/c), a s/c), c^2 = rho^2 - a^2: unit-speed
+    spacelike with spacelike normal, torsion -a/c^2."""
+    c = np.sqrt(rho * rho - a * a)
+    return CurveJet(
+        lambda s: np.array([rho * np.cos(s / c), rho * np.sin(s / c), a * s / c]),
+        lambda s: np.array([-rho * np.sin(s / c) / c, rho * np.cos(s / c) / c, a / c]),
+        lambda s: np.array([-rho * np.cos(s / c), -rho * np.sin(s / c), 0.0]) / c ** 2,
+        lambda s: np.array([rho * np.sin(s / c), -rho * np.cos(s / c), 0.0]) / c ** 3,
+        domain=(-1.0, 1.0),
+    )
+
+
+def timelike_normal_helix_jet(b: float, r: float) -> CurveJet:
+    """(b s/c, r sinh(s/c), r cosh(s/c)), c^2 = b^2 + r^2: unit-speed
+    spacelike with timelike normal, torsion -b/c^2."""
+    c = np.sqrt(b * b + r * r)
+    return CurveJet(
+        lambda s: np.array([b * s / c, r * np.sinh(s / c), r * np.cosh(s / c)]),
+        lambda s: np.array([b / c, r * np.cosh(s / c) / c, r * np.sinh(s / c) / c]),
+        lambda s: np.array([0.0, r * np.sinh(s / c), r * np.cosh(s / c)]) / c ** 2,
+        lambda s: np.array([0.0, r * np.cosh(s / c), r * np.sinh(s / c)]) / c ** 3,
+        domain=(-1.0, 1.0),
+    )
+
+
+def null_normal_exp_jet(k: float) -> CurveJet:
+    """(s, e^(ks)/k, e^(ks)/k): unit-speed spacelike with null normal,
+    torsion k."""
+    return CurveJet(
+        lambda s: np.array([s, np.exp(k * s) / k, np.exp(k * s) / k]),
+        lambda s: np.array([1.0, np.exp(k * s), np.exp(k * s)]),
+        lambda s: np.array([0.0, k * np.exp(k * s), k * np.exp(k * s)]),
+        lambda s: np.array([0.0, k * k * np.exp(k * s), k * k * np.exp(k * s)]),
+        domain=(-1.0, 1.0),
+    )
+
+
 class TestClassification:
     def test_piecewise_causal_type(self):
         jet = mixed_type_jet()
@@ -233,18 +271,24 @@ class TestFrenetFrames:
     @pytest.mark.parametrize(
         "builder,s",
         [
-            (lambda: timelike_hyperbola_jet(1.3), 0.2),
-            (lambda: generate_constant_curvature(PlaneCase.SPACELIKE_PLANE, 0.8), 0.4),
-            (lambda: generate_constant_curvature(PlaneCase.TIMELIKE_PLANE_SPACELIKE_CURVE, 1.1), 0.1),
-            (lambda: generate_constant_curvature(PlaneCase.LIGHTLIKE_PLANE, 0.3), 0.2),
-            (lambda: lightlike_helix_jet(), 0.7),
+            # each builder returns (jet, closed-form torsion)
+            (lambda: (timelike_hyperbola_jet(1.3), 0.0), 0.2),
+            (lambda: (generate_constant_curvature(PlaneCase.SPACELIKE_PLANE, 0.8), 0.0), 0.4),
+            (lambda: (generate_constant_curvature(PlaneCase.TIMELIKE_PLANE_SPACELIKE_CURVE, 1.1),
+                      0.0), 0.1),
+            (lambda: (generate_constant_curvature(PlaneCase.LIGHTLIKE_PLANE, 0.3), 0.0), 0.2),
+            (lambda: (lightlike_helix_jet(), -0.5), 0.7),
+            (lambda: (spacelike_helix_jet(1.3, 0.5), -0.5 / 1.44), 0.3),
+            (lambda: (timelike_normal_helix_jet(0.6, 0.8), -0.6), 0.5),
+            (lambda: (null_normal_exp_jet(0.7), 0.7), 0.6),
         ],
     )
     def test_frenet_system_residual(self, builder, s):
         # d(frame)/ds matches the case's derivative matrix times the frame
-        jet = builder()
+        jet, tau = builder()
         h = jet.h_fd
         fr = frenet(jet, s)
+        npt.assert_allclose(fr.tau, tau, atol=1e-8)
         mat = frenet_matrix(fr.case, fr.kappa, fr.tau)
         frame = np.stack([fr.T, fr.N, fr.B])
         for i in range(3):

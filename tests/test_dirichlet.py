@@ -38,6 +38,11 @@ class TestDomains:
         with pytest.raises(GeometryError):
             ConvexPolygon(np.array([[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]]))
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0])
+    def test_grid_spacing_must_be_finite_and_positive(self, h):
+        with pytest.raises(GeometryError):
+            GridDomain(Disk(1.0), h)
+
     def test_exit_fractions_bounded(self):
         dom = GridDomain(Disk(1.0), 0.07)
         assert np.all(dom.theta > 0) and np.all(dom.theta <= 1.0)
@@ -105,6 +110,12 @@ class TestOperatorResidual:
 
 
 class TestSolveDirichlet:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["H", "dH", "newton_tol"])
+    def test_config_rejects_non_finite(self, name, value):
+        with pytest.raises(GeometryError):
+            SolverConfig(**{name: value})
+
     def test_zero_target_returns_zero(self):
         dom = GridDomain(Disk(1.0), 0.05)
         sol = solve_dirichlet(dom, SolverConfig(eps=-1, H=0.0))

@@ -87,6 +87,12 @@ class TestRotationalIntegration:
         with pytest.raises(GeometryError):
             ProfileODEParams(H=0.0, r0=1.0, rp0=0.5, s0=0.0, s1=1.0, h=1e-3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["H", "c", "d", "r0", "rp0", "s0", "s1", "h"])
+    def test_non_finite_parameters_rejected(self, name, value):
+        with pytest.raises(GeometryError):
+            ProfileODEParams(**{name: value})
+
     def test_rejects_center_drift(self):
         with pytest.raises(GeometryError):
             integrate_rotational(

@@ -57,6 +57,17 @@ def dump_json(obj, indent: int = 0) -> str:
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _non_finite(obj) -> bool:
+    """True if a NaN or an infinity sits anywhere in a report."""
+    if isinstance(obj, dict):
+        return any(_non_finite(v) for v in obj.values())
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return any(_non_finite(v) for v in obj)
+    if isinstance(obj, (float, np.floating)):
+        return not np.isfinite(obj)
+    return False
+
+
 def _digest(args: argparse.Namespace) -> str:
     payload = repr(sorted(
         (k, v) for k, v in vars(args).items() if k != "func"
@@ -89,11 +100,44 @@ def _span(text: str) -> tuple[float, float]:
     return a, b
 
 
-def _params(text: str) -> np.ndarray:
-    bits = text.split(":")
-    if len(bits) != 3:
-        raise core.GeometryError("expected start:stop:count")
-    return np.linspace(float(bits[0]), float(bits[1]), int(bits[2]))
+def _params(text: str) -> tuple[float, float, int]:
+    start, stop, count = text.split(":")
+    n = int(count)
+    if n < 1:
+        raise ValueError("count must be at least 1")
+    return float(start), float(stop), n
+
+
+def _polygon(path: str) -> np.ndarray:
+    """Vertices from a file of 'x,y' lines; blank and '#' lines are skipped."""
+    verts = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            x, y = (float(p) for p in line.split(","))
+            verts.append((x, y))
+    return np.asarray(verts)
+
+
+def _readable(parse, expected: str):
+    """argparse type that checks `parse` can read the text and keeps the text
+    itself, so the namespace, and with it the report's input_digest, is unchanged."""
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except (ValueError, OSError) as exc:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from exc
+        return text
+    return check
+
+
+_VEC = _readable(_vec, "three comma-separated numbers x,y,z")
+_PLANE = _readable(lambda text: [_vec(p) for p in text.split(";")], "'x,y,z;x,y,z'")
+_SPAN = _readable(_span, "a span a:b")
+_PARAMS = _readable(_params, "start:stop:count with an integer count >= 1")
+_POLYGON = _readable(_polygon, "a readable file of 'x,y' lines")
 
 
 def _count(text: str) -> int:
@@ -160,7 +204,7 @@ def cmd_orbit(args) -> dict:
         "lightlike": core.CausalClass.LIGHTLIKE,
     }[args.axis]
     p0 = _vec(args.p0)
-    ts = _params(args.params)
+    ts = np.linspace(*_params(args.params))
     pts = isometry.orbit(axis, p0, ts)
     out = {"n_samples": len(pts)}
     x0, y0, z0 = p0
@@ -377,15 +421,7 @@ def cmd_dirichlet(args) -> dict:
     if args.disk is not None:
         shape = dirichlet.Disk(args.disk)
     elif args.polygon is not None:
-        verts = []
-        with open(args.polygon) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                x, y = (float(p) for p in line.split(","))
-                verts.append((x, y))
-        shape = dirichlet.ConvexPolygon(np.asarray(verts))
+        shape = dirichlet.ConvexPolygon(_polygon(args.polygon))
     else:
         raise core.GeometryError("dirichlet needs --disk R or --polygon FILE")
     eps = -1 if args.ambient == "lorentz" else 1
@@ -506,14 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     c = sub.add_parser("classify", help="causal class of a vector or plane")
-    c.add_argument("--vec", help="x,y,z")
-    c.add_argument("--plane", help="two generators 'x,y,z;x,y,z'")
+    c.add_argument("--vec", type=_VEC, help="x,y,z")
+    c.add_argument("--plane", type=_PLANE, help="two generators 'x,y,z;x,y,z'")
     c.set_defaults(func=cmd_classify)
 
     c = sub.add_parser("orbit", help="boost orbit of a point")
     c.add_argument("--axis", choices=["timelike", "spacelike", "lightlike"], required=True)
-    c.add_argument("--p0", required=True, help="x,y,z")
-    c.add_argument("--params", default="0:6.283185307179586:100", help="start:stop:count")
+    c.add_argument("--p0", type=_VEC, required=True, help="x,y,z")
+    c.add_argument("--params", type=_PARAMS, default="0:6.283185307179586:100",
+                   help="start:stop:count")
     c.add_argument("--out", help="CSV output path")
     c.set_defaults(func=cmd_orbit)
 
@@ -521,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kind", choices=sorted(_CURVE_KINDS), required=True)
     c.add_argument("--a", type=float, default=1.0, help="curvature (or parabola coefficient)")
     c.add_argument("--b", type=float, default=0.0, help="phase")
-    c.add_argument("--span", default="-1:1")
+    c.add_argument("--span", type=_SPAN, default="-1:1")
     c.add_argument("--n", type=_count, default=50)
     c.add_argument("--out", help="CSV output path")
     c.set_defaults(func=cmd_curve)
@@ -531,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--kind", choices=["plane", "hyperbolic", "desitter", "catenoid"],
                        required=True)
         c.add_argument("--r", type=float, default=1.0)
-        c.add_argument("--center", help="x,y,z")
+        c.add_argument("--center", type=_VEC, help="x,y,z")
         c.add_argument("--nu", type=_count, default=12 if name == "umbilic" else 33)
         c.add_argument("--nv", type=_count, default=12 if name == "umbilic" else 33)
         if name == "surface":
@@ -543,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--H", type=float, default=0.0)
     c.add_argument("--r0", type=float)
     c.add_argument("--rp0", type=float)
-    c.add_argument("--span", default="0.5:3")
+    c.add_argument("--span", type=_SPAN, default="0.5:3")
     c.add_argument("--step", type=float, default=1e-3)
     c.add_argument("--csv", help="profile CSV path")
     c.add_argument("--mesh", help="Wavefront mesh output path")
@@ -556,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", type=float, default=0.0)
     c.add_argument("--r0", type=float, default=1.0)
     c.add_argument("--rp0", type=float, default=1.5)
-    c.add_argument("--span", default="0:1")
+    c.add_argument("--span", type=_SPAN, default="0:1")
     c.add_argument("--step", type=float, default=1e-3)
     c.add_argument("--csv")
     c.add_argument("--mesh")
@@ -576,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("dirichlet", help="CMC graph Dirichlet solve")
     c.add_argument("--disk", type=float, help="disk radius")
-    c.add_argument("--polygon", help="vertex file, one 'x,y' per line")
+    c.add_argument("--polygon", type=_POLYGON, help="vertex file, one 'x,y' per line")
     c.add_argument("--H", type=float, required=True)
     c.add_argument("--ambient", choices=["lorentz", "euclid"], default="lorentz")
     c.add_argument("--h", type=float, default=0.05)
@@ -602,6 +639,9 @@ def main(argv=None) -> int:
         report = args.func(args)
     except core.GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if _non_finite(report):
+        print("error: the report holds a non-finite number", file=sys.stderr)
         return 1
     print(dump_json(report))
     return 0

@@ -68,8 +68,8 @@ class Disk:
     R: float
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise GeometryError("disk radius must be positive")
+        if not (self.R > 0 and np.isfinite(self.R)):
+            raise GeometryError("disk radius must be finite and positive")
 
     def bbox(self):
         return (-self.R, self.R, -self.R, self.R)
@@ -102,8 +102,8 @@ class ConvexPolygon:
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
-            raise GeometryError("polygon needs at least three 2D vertices")
+        if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3 or not np.all(np.isfinite(v)):
+            raise GeometryError("polygon needs at least three finite 2D vertices")
         # normalize to counterclockwise order
         area2 = 0.0
         for i in range(len(v)):
@@ -136,13 +136,17 @@ class ConvexPolygon:
         v = self.vertices
         return (v[:, 0].min(), v[:, 0].max(), v[:, 1].min(), v[:, 1].max())
 
+    def _edge_dots(self, x, y):
+        """n . (x, y) for every edge normal n, along a new last axis."""
+        x = np.asarray(x, dtype=float)[..., None]
+        y = np.asarray(y, dtype=float)[..., None]
+        return self._normals[:, 0] * x + self._normals[:, 1] * y
+
     def inside(self, x, y):
-        p = np.array([x, y])
-        return bool(np.all(self._normals @ p < self._offsets))
+        return np.all(self._edge_dots(x, y) < self._offsets, axis=-1)
 
     def boundary_distance(self, x, y):
-        p = np.array([x, y])
-        return float(np.min(self._offsets - self._normals @ p))
+        return np.min(self._offsets - self._edge_dots(x, y), axis=-1)
 
     def exit_fraction(self, x, y, dx, dy, h):
         p = np.array([x, y])
@@ -197,53 +201,37 @@ class GridDomain:
         ny = int(np.floor((y1 - y0) / h)) + 3
         xs = x0 - h + h * np.arange(nx)
         ys = y0 - h + h * np.arange(ny)
-        index = -np.ones((nx, ny), dtype=int)
-        coords = []
-        ij = []
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
         # nodes closer to the boundary than _THETA_MIN * h are snapped out of
         # the unknown set; arms from their neighbors then cross the true
         # boundary at well-conditioned fractions
-        snap = _THETA_MIN * h
-        for i in range(nx):
-            for j in range(ny):
-                if shape.inside(xs[i], ys[j]) and shape.boundary_distance(xs[i], ys[j]) > snap:
-                    index[i, j] = len(coords)
-                    coords.append((xs[i], ys[j]))
-                    ij.append((i, j))
-        if not coords:
+        keep = shape.inside(X, Y) & (shape.boundary_distance(X, Y) > _THETA_MIN * h)
+        ij = np.argwhere(keep)  # i-major node order
+        if not len(ij):
             raise GeometryError("grid spacing too coarse for the domain")
-        self.xy = np.asarray(coords)
-        self._ij = np.asarray(ij)
-        self.n = len(coords)
+        self.n = len(ij)
+        self.xy = np.column_stack([xs[ij[:, 0]], ys[ij[:, 1]]])
+        # node index per grid point, padded by one point of -1 on every side
+        index = np.full((nx + 2, ny + 2), -1)
+        index[1:-1, 1:-1][keep] = np.arange(self.n)
+        pi, pj = ij[:, 0] + 1, ij[:, 1] + 1
         dirs = [(1, 0), (-1, 0), (0, 1), (0, -1)]  # E, W, N, S
-        nbr = -np.ones((self.n, 4), dtype=int)
-        theta = np.ones((self.n, 4))
-        for k, (i, j) in enumerate(self._ij):
+        self.nbr = np.column_stack([index[pi + di, pj + dj] for di, dj in dirs])
+        self.boundary_arm = self.nbr < 0
+        self.theta = np.ones((self.n, 4))
+        for k, d in np.argwhere(self.boundary_arm):
             x, y = self.xy[k]
-            for d, (di, dj) in enumerate(dirs):
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nx and 0 <= jj < ny and index[ii, jj] >= 0:
-                    nbr[k, d] = index[ii, jj]
-                else:
-                    t = shape.exit_fraction(x, y, di, dj, h)
-                    theta[k, d] = max(t, _THETA_MIN)
-        self.nbr = nbr
-        self.theta = theta
-        self.boundary_arm = nbr < 0
+            self.theta[k, d] = max(shape.exit_fraction(x, y, *dirs[d], h), _THETA_MIN)
         self.ring = np.any(self.boundary_arm, axis=1)
-        # 5x5-neighborhood color map for the finite-difference Jacobian
-        # (transverse extrapolation at boundary arms gives the residual a
-        #  dependency reach of two nodes per axis)
-        self.n_colors = 25
-        self.color = (self._ij[:, 0] % 5) + 5 * (self._ij[:, 1] % 5)
-        self.color_nbr = -np.ones((self.n, self.n_colors), dtype=int)
-        for k, (i, j) in enumerate(self._ij):
-            for di in (-2, -1, 0, 1, 2):
-                for dj in (-2, -1, 0, 1, 2):
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < nx and 0 <= jj < ny and index[ii, jj] >= 0:
-                        q = index[ii, jj]
-                        self.color_nbr[k, self.color[q]] = q
+        # finite-difference Jacobian coloring: each residual reads only its
+        # node's 3x3 neighborhood, which holds one node of each of 9 colors;
+        # color_nbr[k, c] is that node (or -1), at offset (di, dj) in {-1,0,1}^2
+        self.n_colors = 9
+        self.color = ij[:, 0] % 3 + 3 * (ij[:, 1] % 3)
+        c = np.arange(self.n_colors)
+        di = (c % 3 - ij[:, :1] + 1) % 3 - 1
+        dj = (c // 3 - ij[:, 1:] + 1) % 3 - 1
+        self.color_nbr = index[pi[:, None] + di, pj[:, None] + dj]
 
     def values_with_boundary(self, u: np.ndarray):
         """Per-arm neighbor values (0 on boundary crossings), shape (n, 4)."""

@@ -145,26 +145,34 @@ def orbit(axis: CausalClass, p0, params) -> np.ndarray:
 
     Returns the polyline T_theta(p0) for theta in `params`, shape (n, 3).
     No adaptive sampling is done; orbits feed plotting and CSV output.
-    Raises GeometryError if p0 lies on the axis.
+    Raises GeometryError if p0 lies on the axis, or if a parameter or a
+    sampled point is not finite.
     """
     p0 = as_vec3(p0)
     params = np.asarray(params, dtype=float)
+    if not np.all(np.isfinite(params)):
+        raise GeometryError("orbit parameters must be finite")
     scale = 1.0 + float((p0 * p0).sum())
     if axis is CausalClass.TIMELIKE:
         if p0[0] ** 2 + p0[1] ** 2 <= _ON_AXIS_TOL * scale:
             raise GeometryError("p0 lies on the timelike axis <E3>")
-        mats = [boost_timelike(t) for t in params]
+        boost = boost_timelike
     elif axis is CausalClass.SPACELIKE:
         if p0[1] ** 2 + p0[2] ** 2 <= _ON_AXIS_TOL * scale:
             raise GeometryError("p0 lies on the spacelike axis <E1>")
-        mats = [boost_spacelike(t) for t in params]
+        boost = boost_spacelike
     elif axis is CausalClass.LIGHTLIKE:
         # axis direction (0,1,1)/sqrt(2); reject p0 proportional to it
         proj = 0.5 * (p0[1] + p0[2])
         rest = p0 - proj * np.array([0.0, 1.0, 1.0])
         if float((rest * rest).sum()) <= _ON_AXIS_TOL * scale:
             raise GeometryError("p0 lies on the lightlike axis <E2+E3>")
-        mats = [boost_lightlike(t) for t in params]
+        boost = boost_lightlike
     else:  # pragma: no cover - CausalClass is exhaustive
         raise GeometryError(f"unknown axis type {axis!r}")
-    return np.stack([m @ p0 for m in mats])
+    # large parameters overflow (cosh, t^2); the check below reports them
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts = np.stack([boost(t) @ p0 for t in params])
+    if not np.all(np.isfinite(pts)):
+        raise GeometryError("orbit overflows: a sampled point is not finite")
+    return pts

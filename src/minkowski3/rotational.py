@@ -180,18 +180,14 @@ def _chart_spacelike(sol: ProfileSolution, n_v: int = 64) -> bool:
     """Check W = EG - F^2 > 0 of the induced chart, sampled over v."""
     c, d = sol.params.c, sol.params.d
     vs = np.linspace(0.0, 2 * np.pi, n_v, endpoint=False)
-    for r, rp, _a, _b in zip(sol.r, sol.rp, sol.a, sol.b):
-        ap = c * r * r
-        bp = d * r * r
-        xu = np.stack(
-            [ap + rp * np.cos(vs), bp + rp * np.sin(vs), np.ones_like(vs)], axis=1
-        )
-        e_val = xu[:, 0] ** 2 + xu[:, 1] ** 2 - 1.0
-        f_val = -xu[:, 0] * r * np.sin(vs) + xu[:, 1] * r * np.cos(vs)
-        w = e_val * r * r - f_val ** 2
-        if np.any(w <= 0):
-            return False
-    return True
+    r, rp = sol.r[:, None], sol.rp[:, None]  # samples x angles
+    xu0 = c * r * r + rp * np.cos(vs)
+    xu1 = d * r * r + rp * np.sin(vs)
+    e_val = xu0 ** 2 + xu1 ** 2 - 1.0
+    f_val = -xu0 * r * np.sin(vs) + xu1 * r * np.cos(vs)
+    w = e_val * r * r - f_val ** 2
+    # NaN compares False, so a NaN sample does not fail the check
+    return not np.any(w <= 0)
 
 
 def profile_chart(sol: ProfileSolution) -> SurfaceChart:
@@ -279,6 +275,8 @@ class HyperbolicCap:
     R: float
 
     def __post_init__(self):
+        if not np.isfinite(self.r * self.r + self.R * self.R):
+            raise GeometryError("cap parameters r, R must be finite, with r^2 + R^2 finite")
         if self.r <= 0 or self.R <= 0:
             raise GeometryError("cap parameters r, R must be positive")
 

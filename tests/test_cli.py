@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkowski3.cli import dump_json, main
 
@@ -171,12 +176,37 @@ class TestBadInput:
         ["dirichlet", "--disk", "1", "--H", "inf"],
         ["dirichlet", "--disk", "1", "--H", "1", "--h", "nan"],
         ["rotational", "--catenoid", "--step", "nan"],
+        ["orbit", "--axis", "timelike", "--p0", "1,0,0", "--params", "nan:1:5", "--out", "o.csv"],
+        # cosh overflows to inf in the orbit itself
+        ["orbit", "--axis", "spacelike", "--p0", "0,1,0", "--params", "0:1000:5", "--out", "o.csv"],
+        # the orbit is finite but its conic residual overflows in the report
+        ["orbit", "--axis", "spacelike", "--p0", "0,1,0", "--params", "0:700:5"],
+        ["dirichlet", "--disk", "nan", "--H", "1"],
     ])
-    def test_non_finite_parameter_is_domain_error(self, capsys, argv):
+    def test_non_finite_parameter_is_domain_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--vec", "a,b,c"],
+        ["classify", "--plane", "1,0,0;0,1"],
+        ["curve", "--kind", "circle", "--span", "1", "--out", "c.csv"],
+        ["orbit", "--axis", "timelike", "--p0", "1,0,0", "--params", "0:1:abc", "--out", "o.csv"],
+        ["orbit", "--axis", "timelike", "--p0", "1,0,0", "--params", "0:1:0", "--out", "o.csv"],
+        ["surface", "--kind", "plane", "--center", "1,2", "--mesh", "s.obj"],
+        ["dirichlet", "--polygon", "missing.txt", "--H", "1", "--out", "d.csv"],
+    ])
+    def test_malformed_value_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: argument" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["curve", "--kind", "circle", "--n", "0"],
@@ -191,6 +221,64 @@ class TestBadInput:
         assert out == ""
         assert "expected an integer >= 2" in err
         assert not list(tmp_path.iterdir())
+
+
+TOKENS = ["1", "-0.5", "0", "nan", "inf", "1e308", "abc", "1:2", ",", ""]
+TOKEN = st.sampled_from(TOKENS)
+
+
+def _joined(part, n: int, sep: str):
+    return st.lists(part, min_size=n, max_size=n).map(sep.join)
+
+
+def _arg(opt: str, values, required: bool = False):
+    """`--opt=value` (the `=` keeps values such as '-0.5' or '' attached)."""
+    arg = values.map(lambda v: [f"--{opt}={v}"])
+    return arg if required else st.just([]) | arg
+
+
+def _command(name: str, *args):
+    return st.tuples(*args).map(lambda parts: [name] + [a for part in parts for a in part])
+
+
+# each value is one token or tokens joined in the shape the option expects
+VEC = TOKEN | _joined(TOKEN, 3, ",")
+ARGV = st.one_of(
+    _command("classify", _arg("vec", VEC), _arg("plane", TOKEN | _joined(VEC, 2, ";"))),
+    _command("orbit", _arg("axis", st.sampled_from(["timelike", "spacelike", "lightlike"]), True),
+             _arg("p0", VEC, True), _arg("params", TOKEN | _joined(TOKEN, 3, ":"))),
+    _command("curve", _arg("kind", st.sampled_from(["circle", "hyperbola-spacelike",
+                                                      "hyperbola-timelike", "parabola"]), True),
+             _arg("a", TOKEN), _arg("b", TOKEN), _arg("span", TOKEN | _joined(TOKEN, 2, ":")),
+             _arg("n", TOKEN)),
+    _command("umbilic", _arg("kind", st.sampled_from(["plane", "hyperbolic", "desitter", "catenoid"]), True),
+             _arg("r", TOKEN), _arg("center", VEC), _arg("nu", TOKEN), _arg("nv", TOKEN)),
+    _command("cap", _arg("r", TOKEN), _arg("R", TOKEN), st.sampled_from([[], ["--rim-at-zero"]])),
+)
+
+
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite number {text} in the report")
+    return x
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} in the report")
+
+
+class TestArgvProperty:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(ARGV)
+    def test_every_argv_ends_in_a_documented_exit(self, argv):
+        # pure readers only: no output paths are ever generated
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 0:
+            json.loads(out.getvalue(), parse_float=_finite, parse_constant=_reject_constant)
 
 
 class TestDeterminism:

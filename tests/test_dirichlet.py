@@ -11,6 +11,9 @@ from minkowski3.dirichlet import (
     SolvabilityError,
     SolverConfig,
     SpacelikeViolationError,
+    _THETA_MIN,
+    _jacobian,
+    _OPP,
     cmc_operator_residual,
     exact_cap_values,
     gradient_boundary_check,
@@ -21,6 +24,11 @@ from minkowski3.dirichlet import (
 
 def square(half=0.9):
     return ConvexPolygon(np.array([[half, 0.0], [0.0, half], [-half, 0.0], [0.0, -half]]))
+
+
+def pentagon():
+    return ConvexPolygon(np.array([[0.8, -0.2], [0.5, 0.7], [-0.6, 0.5],
+                                   [-0.7, -0.4], [0.1, -0.8]]))
 
 
 class TestDomains:
@@ -37,6 +45,15 @@ class TestDomains:
     def test_nonconvex_rejected(self):
         with pytest.raises(GeometryError):
             ConvexPolygon(np.array([[0, 0], [2, 0], [2, 2], [1, 0.5], [0, 2]]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Disk(np.nan),
+        lambda: Disk(np.inf),
+        lambda: ConvexPolygon(np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]])),
+    ], ids=["disk-nan", "disk-inf", "polygon-nan"])
+    def test_non_finite_shape_rejected(self, make):
+        with pytest.raises(GeometryError):
+            make()
 
     @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0])
     def test_grid_spacing_must_be_finite_and_positive(self, h):
@@ -58,6 +75,50 @@ class TestDomains:
         # corner: |q-p|^2 / (2 <q-p, n>) there equals a*sqrt(2)
         poly = square(0.9)
         npt.assert_allclose(poly.rolling_radius(), 0.9 * np.sqrt(2), rtol=1e-6)
+
+
+class TestGridInvariants:
+    SHAPES = [Disk(1.0), pentagon()]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["disk", "pentagon"])
+    def test_nodes_are_the_selected_grid_points(self, shape):
+        # every point of the padded bounding-box grid that is inside and more
+        # than _THETA_MIN * h from the boundary, in i-major order
+        h = 0.07
+        x0, x1, y0, y1 = shape.bbox()
+        xs = x0 - h + h * np.arange(int(np.floor((x1 - x0) / h)) + 3)
+        ys = y0 - h + h * np.arange(int(np.floor((y1 - y0) / h)) + 3)
+        expected = [(x, y) for x in xs for y in ys
+                    if shape.inside(x, y) and shape.boundary_distance(x, y) > _THETA_MIN * h]
+        npt.assert_array_equal(GridDomain(shape, h).xy, np.asarray(expected))
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["disk", "pentagon"])
+    def test_neighbours_symmetric_and_full_arms_unit(self, shape):
+        dom = GridDomain(shape, 0.07)
+        k = np.arange(dom.n)
+        for d in range(4):
+            has = dom.nbr[:, d] >= 0
+            npt.assert_array_equal(dom.nbr[dom.nbr[has, d], _OPP[d]], k[has])
+        assert np.all(dom.theta[dom.nbr >= 0] == 1.0)
+
+
+class TestJacobian:
+    @pytest.mark.parametrize("eps", [-1, 1])
+    @pytest.mark.parametrize("shape", [Disk(1.0), pentagon()], ids=["disk", "pentagon"])
+    def test_colored_equals_column_by_column(self, shape, eps):
+        # the colored Jacobian must match single-column perturbation entry for
+        # entry; a color shared by two nodes within one residual's reach breaks it
+        dom = GridDomain(shape, 0.15)
+        # a tent of slope 0.4 vanishing on the boundary keeps every stencil spacelike
+        u = -0.4 * np.array([shape.boundary_distance(x, y) for x, y in dom.xy])
+        base = cmc_operator_residual(dom, u, 1.0, eps)
+        delta = 1e-7 * (1.0 + float(np.max(np.abs(u))))
+        dense = np.empty((dom.n, dom.n))
+        for q in range(dom.n):
+            up = u.copy()
+            up[q] += delta
+            dense[:, q] = (cmc_operator_residual(dom, up, 1.0, eps, check_spacelike=False) - base) / delta
+        npt.assert_array_equal(_jacobian(dom, u, 1.0, eps, base).toarray(), dense)
 
 
 class TestOperatorResidual:
@@ -228,9 +289,7 @@ class TestReports:
         assert rep["interior_max"] == 0.0 and rep["boundary_ring_max"] == 0.0
 
     def test_asymmetric_polygon_gradient_check(self):
-        poly = ConvexPolygon(np.array([[0.8, -0.2], [0.5, 0.7], [-0.6, 0.5],
-                                       [-0.7, -0.4], [0.1, -0.8]]))
-        dom = GridDomain(poly, 0.04)
+        dom = GridDomain(pentagon(), 0.04)
         sol = solve_dirichlet(dom, SolverConfig(eps=-1, H=0.5))
         rep = gradient_boundary_check(sol)
         assert rep["interior_le_boundary"]

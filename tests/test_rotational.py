@@ -126,6 +126,14 @@ class TestRiemannFamily:
         npt.assert_allclose(da, params.c * sol.r[2:-2] ** 2, atol=1e-8)
         npt.assert_allclose(db, params.d * sol.r[2:-2] ** 2, atol=1e-8)
 
+    @pytest.mark.parametrize("c, violated", [(1.0, True), (0.3, False)])
+    def test_chart_spacelike_check(self, c, violated):
+        # with r'^2 > 1 all along (no truncation), fast center drift alone
+        # makes EG - F^2 <= 0 somewhere on the chart
+        sol = integrate_riemann(ProfileODEParams(c=c, r0=1.0, rp0=1.5, s0=0.0, s1=0.1))
+        assert not sol.truncated
+        assert sol.spacelike_violation == violated
+
     def test_rejects_nonzero_h(self):
         with pytest.raises(GeometryError):
             integrate_riemann(
@@ -180,6 +188,12 @@ class TestHyperbolicCaps:
     def test_invalid_parameters(self):
         with pytest.raises(GeometryError):
             HyperbolicCap(-1.0, 1.0)
+
+    @pytest.mark.parametrize("r, R", [(np.nan, 1.0), (1.0, np.inf), (1e308, 1.0)])
+    def test_non_finite_parameters_rejected(self, r, R):
+        # r^2 + R^2 must be finite too, or the rim height overflows
+        with pytest.raises(GeometryError):
+            HyperbolicCap(r, R)
 
 
 class TestFoliatedHyperbolicPlaneReconstruction:

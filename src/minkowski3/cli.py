@@ -206,26 +206,8 @@ def cmd_orbit(args) -> dict:
     p0 = _vec(args.p0)
     ts = np.linspace(*_params(args.params))
     pts = isometry.orbit(axis, p0, ts)
-    out = {"n_samples": len(pts)}
-    x0, y0, z0 = p0
-    if axis is core.CausalClass.TIMELIKE:
-        resid = np.abs(pts[:, 0] ** 2 + pts[:, 1] ** 2 - (x0 ** 2 + y0 ** 2))
-        resid = np.maximum(resid, np.abs(pts[:, 2] - z0))
-        out["conic"] = "circle x^2+y^2=x0^2+y0^2 in {z=z0}"
-    elif axis is core.CausalClass.SPACELIKE:
-        resid = np.abs(pts[:, 1] ** 2 - pts[:, 2] ** 2 - (y0 ** 2 - z0 ** 2))
-        resid = np.maximum(resid, np.abs(pts[:, 0] - x0))
-        out["conic"] = "hyperbola y^2-z^2=y0^2-z0^2 in {x=x0}"
-    else:
-        if abs(z0 + y0) < 1e-12 * (1 + abs(y0) + abs(z0)) and abs(y0) > 1e-12:
-            resid = np.abs(
-                pts[:, 1] - (y0 + x0 ** 2 / (4 * y0) - pts[:, 0] ** 2 / (4 * y0))
-            )
-            out["conic"] = "parabola Y=y+x^2/(4y)-X^2/(4y) in <E1,E2-E3>"
-        else:
-            resid = np.zeros(1)
-            out["conic"] = "orbit plane is a translate of <E1,E2-E3>; no canonical relation checked"
-    out["conic_residual_max"] = float(resid.max())
+    conic, resid = isometry.conic_residual(axis, p0, pts)
+    out = {"n_samples": len(pts), "conic": conic, "conic_residual_max": resid}
     if args.out:
         _write_csv(args.out, "t,x,y,z", [(t, *p) for t, p in zip(ts, pts)])
         out["csv"] = args.out
@@ -317,7 +299,7 @@ def _measured_h_stats(chart, nu=24, nv=24, shrink=0.02):
     dv = shrink * (v1 - v0)
     us = np.linspace(u0 + du, u1 - du, nu)
     vs = np.linspace(v0 + dv, v1 - dv, nv)
-    hs = [surfaces.shape_and_curvatures(chart, u, v).H for u in us for v in vs]
+    hs = surfaces.shape_and_curvatures(chart, np.repeat(us, nv), np.tile(vs, nu)).H
     return float(np.min(hs)), float(np.max(hs))
 
 
@@ -396,7 +378,7 @@ def cmd_riemann(args) -> dict:
 def cmd_cap(args) -> dict:
     chart, cap = rotational.hyperbolic_cap_chart(args.r, args.R, rim_at_zero=args.rim_at_zero)
     rs = np.linspace(0, args.R * 0.95, 12)
-    hs = [surfaces.shape_and_curvatures(chart, x, 0.0).H for x in rs]
+    hs = surfaces.shape_and_curvatures(chart, rs, 0.0).H
     out = {
         "rim_height": cap.rim_height,
         "cap_height": cap.height,
@@ -468,25 +450,25 @@ def _verify_checks():
     def lap_resid(n, which):
         us = np.linspace(-0.8, 0.8, n)
         vs = np.linspace(-0.8, 0.8, n)
-        worst = 0.0
+        pu, pv = np.repeat(us, n), np.tile(vs, n)
         if which == "x":
-            fgrid = np.array(
-                [[core.lorentz_dot(chart.position(u, v), a) for v in vs] for u in us]
-            )
+            field = np.array([chart.position(u, v) for u, v in zip(pu, pv)])
         else:
-            fgrid = np.array(
-                [[core.lorentz_dot(surfaces.gauss_map(chart, u, v), a) for v in vs] for u in us]
-            )
-        for i in range(1, n - 1, max(1, (n - 2) // 8)):
-            for j in range(1, n - 1, max(1, (n - 2) // 8)):
-                lap = surfaces.laplace_beltrami(chart, fgrid, us, vs, i, j)
-                data = surfaces.shape_and_curvatures(chart, us[i], vs[j])
-                nval = core.lorentz_dot(surfaces.gauss_map(chart, us[i], vs[j]), a)
-                if which == "x":
-                    target = 2 * data.H * nval
-                else:
-                    target = (4 * data.H ** 2 + 2 * data.K) * nval
-                worst = max(worst, abs(lap - target))
+            field = surfaces.gauss_map(chart, pu, pv)
+        fgrid = core.lorentz_dot(field, a).reshape(n, n)
+        nodes = range(1, n - 1, max(1, (n - 2) // 8))
+        ii, jj = np.repeat(nodes, len(nodes)), np.tile(nodes, len(nodes))
+        data = surfaces.shape_and_curvatures(chart, us[ii], vs[jj])
+        nvals = core.lorentz_dot(surfaces.gauss_map(chart, us[ii], vs[jj]), a)
+        worst = 0.0
+        for k, (i, j) in enumerate(zip(ii, jj)):
+            lap = surfaces.laplace_beltrami(chart, fgrid, us, vs, i, j)
+            H, K, nval = float(data.H[k]), float(data.K[k]), float(nvals[k])
+            if which == "x":
+                target = 2 * H * nval
+            else:
+                target = (4 * H ** 2 + 2 * K) * nval
+            worst = max(worst, abs(lap - target))
         return worst
 
     for which, label in (("x", "laplacian of <x,a>"), ("n", "laplacian of <N,a>")):
@@ -513,11 +495,12 @@ def _verify_checks():
     worst = 0.0
     for c, name in ((cap_chart, "cap"), (rotational.catenoid_chart(), "catenoid")):
         (u0, u1), (v0, v1) = c.domain
-        for u in np.linspace(u0 + 0.1, u1 - 0.1, 5):
-            for v in np.linspace(v0 + 0.1, v1 - 0.1, 5):
-                hf = surfaces.mean_curvature_foliated(c, u, v)
-                hs = surfaces.shape_and_curvatures(c, u, v).H
-                worst = max(worst, abs(abs(hf) - abs(hs)))
+        us = np.repeat(np.linspace(u0 + 0.1, u1 - 0.1, 5), 5)
+        vs = np.tile(np.linspace(v0 + 0.1, v1 - 0.1, 5), 5)
+        hs = surfaces.shape_and_curvatures(c, us, vs).H
+        for u, v, h in zip(us, vs, hs):
+            hf = surfaces.mean_curvature_foliated(c, u, v)
+            worst = max(worst, abs(abs(hf) - abs(float(h))))
     yield ("foliated |H| identity", bool(worst <= 1e-8), {"max_dev": worst})
 
 

@@ -86,22 +86,42 @@ def as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape[-1:] != (3,):
         raise GeometryError(f"expected 3 coordinates, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise GeometryError("coordinates must be finite")
     return a
 
 
 def lorentz_dot(u, v) -> np.ndarray | float:
     """<u,v> = u1 v1 + u2 v2 - u3 v3.  Broadcasts over leading axes."""
-    u = as_vec3(u)
-    v = as_vec3(v)
-    r = u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
+    r = _lorentz_dot(as_vec3(u), as_vec3(v))
     return r if r.ndim else float(r)
 
 
+def _lorentz_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`lorentz_dot` of arrays already checked by `as_vec3`."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
+
+
+def _squares(v):
+    """(<v,v>, |v|_euclid^2), or GeometryError when either overflows."""
+    v = as_vec3(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = lorentz_dot(v, v)
+        e = _euclid_sq(v)
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(e))):
+        raise GeometryError("vector too large: its squared length overflows")
+    return q, e
+
+
 def lorentz_norm(v) -> np.ndarray | float:
-    """Modulus sqrt(|<v,v>|); zero exactly for lightlike or zero vectors."""
-    q = lorentz_dot(v, v)
+    """Modulus sqrt(|<v,v>|); zero exactly for lightlike or zero vectors.
+
+    Raises GeometryError when <v,v> overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = lorentz_dot(v, v)
+    if not np.all(np.isfinite(q)):
+        raise GeometryError("vector too large: its Lorentz square overflows")
     return np.sqrt(np.abs(q))
 
 
@@ -119,21 +139,30 @@ def cross(u, v) -> np.ndarray:
     Equals the Euclidean cross product reflected through the plane {z=0};
     the result is Lorentz-orthogonal to both factors.
     """
-    u = as_vec3(u)
-    v = as_vec3(v)
-    e = np.cross(u, v)
-    e[..., 2] = -e[..., 2]
+    return _cross(as_vec3(u), as_vec3(v))
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`cross` of arrays already checked by `as_vec3`; the same products
+    and differences as np.cross, with the third component negated."""
+    e = np.empty(np.broadcast(u, v).shape)
+    e[..., 0] = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
+    e[..., 1] = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
+    e[..., 2] = -(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
     return e
 
 
 def causal_class(v) -> CausalClass:
-    """Causal character of a single vector (zero vector counts as spacelike)."""
+    """Causal character of a single vector (zero vector counts as spacelike).
+
+    Raises GeometryError when <v,v> or |v|^2 overflows.
+    """
     v = as_vec3(v)
     if v.ndim != 1:
         raise GeometryError("causal_class expects a single vector")
-    q = lorentz_dot(v, v)
-    if _is_null_product(q, _euclid_sq(v)):
-        if _euclid_sq(v) <= REL_TOL:
+    q, e = _squares(v)
+    if _is_null_product(q, e):
+        if e <= REL_TOL:
             return CausalClass.SPACELIKE  # zero vector, by convention
         return CausalClass.LIGHTLIKE
     return CausalClass.SPACELIKE if q > 0 else CausalClass.TIMELIKE

@@ -46,9 +46,15 @@ __all__ = [
     "height_bound_report",
     "gradient_boundary_check",
     "exact_cap_values",
+    "MAX_GRID_POINTS",
 ]
 
 _THETA_MIN = 1e-3
+
+#: largest grid, in points of the bounding box, that GridDomain builds: about
+#: 2000 x 2000 (the tests, the benchmark and the CLI default use at most
+#: 203 x 203); larger requests are a GeometryError, not an allocation failure
+MAX_GRID_POINTS = 4_000_000
 
 
 class ContinuationStallError(GeometryError):
@@ -196,9 +202,15 @@ class GridDomain:
             raise GeometryError("grid spacing must be finite and positive")
         self.shape = shape
         self.h = float(h)
-        x0, x1, y0, y1 = shape.bbox()
-        nx = int(np.floor((x1 - x0) / h)) + 3
-        ny = int(np.floor((y1 - y0) / h)) + 3
+        x0, x1, y0, y1 = (float(c) for c in shape.bbox())
+        fx = float(np.floor((x1 - x0) / h)) + 3
+        fy = float(np.floor((y1 - y0) / h)) + 3
+        if fx * fy > MAX_GRID_POINTS:
+            raise GeometryError(
+                f"grid of {fx:.4g} x {fy:.4g} points exceeds MAX_GRID_POINTS = "
+                f"{MAX_GRID_POINTS}: use a larger h or a smaller domain"
+            )
+        nx, ny = int(fx), int(fy)
         xs = x0 - h + h * np.arange(nx)
         ys = y0 - h + h * np.arange(ny)
         X, Y = np.meshgrid(xs, ys, indexing="ij")

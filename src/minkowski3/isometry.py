@@ -36,6 +36,7 @@ __all__ = [
     "boost_spacelike",
     "boost_lightlike",
     "orbit",
+    "conic_residual",
 ]
 
 _COMPONENT_TOL = 1e-9
@@ -176,3 +177,35 @@ def orbit(axis: CausalClass, p0, params) -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         raise GeometryError("orbit overflows: a sampled point is not finite")
     return pts
+
+
+def conic_residual(axis: CausalClass, p0, pts) -> tuple[str, float]:
+    """The conic an orbit of p0 lies on, and the largest deviation of `pts`
+    from it: (description, residual).
+
+    Raises GeometryError when the residual overflows, as it does for points
+    far out on a hyperbola or parabola.
+    """
+    x0, y0, z0 = as_vec3(p0)
+    pts = as_vec3(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if axis is CausalClass.TIMELIKE:
+            resid = np.abs(pts[:, 0] ** 2 + pts[:, 1] ** 2 - (x0 ** 2 + y0 ** 2))
+            resid = np.maximum(resid, np.abs(pts[:, 2] - z0))
+            conic = "circle x^2+y^2=x0^2+y0^2 in {z=z0}"
+        elif axis is CausalClass.SPACELIKE:
+            resid = np.abs(pts[:, 1] ** 2 - pts[:, 2] ** 2 - (y0 ** 2 - z0 ** 2))
+            resid = np.maximum(resid, np.abs(pts[:, 0] - x0))
+            conic = "hyperbola y^2-z^2=y0^2-z0^2 in {x=x0}"
+        elif abs(z0 + y0) < 1e-12 * (1 + abs(y0) + abs(z0)) and abs(y0) > 1e-12:
+            resid = np.abs(
+                pts[:, 1] - (y0 + x0 ** 2 / (4 * y0) - pts[:, 0] ** 2 / (4 * y0))
+            )
+            conic = "parabola Y=y+x^2/(4y)-X^2/(4y) in <E1,E2-E3>"
+        else:
+            resid = np.zeros(1)
+            conic = "orbit plane is a translate of <E1,E2-E3>; no canonical relation checked"
+        worst = float(resid.max())
+    if not np.isfinite(worst):
+        raise GeometryError("orbit conic residual overflows")
+    return conic, worst

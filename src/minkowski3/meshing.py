@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import GeometryError, cross, lorentz_dot
-from .surfaces import SurfaceChart, gauss_map, shape_and_curvatures
+from .surfaces import SurfaceChart, _values, gauss_map, shape_and_curvatures
 
 __all__ = [
     "SurfaceMesh",
@@ -50,20 +50,21 @@ class SurfaceMesh:
         return replace(self, vertices=self.vertices + t * f[:, None] * self.normals)
 
 
-def _vertex_data(chart: SurfaceChart, u: float, v: float):
-    n = gauss_map(chart, u, v)
-    data = shape_and_curvatures(chart, u, v)
-    return chart.position(u, v), n, data.H, data.K, data.umbilic
-
-
-def _chart_mesh(chart: SurfaceChart, uv, faces, boundary) -> SurfaceMesh:
+def _chart_mesh(chart: SurfaceChart, uv: np.ndarray, faces, boundary) -> SurfaceMesh:
     """Mesh whose vertex k is the chart point at uv[k], with its normal and curvatures."""
-    verts, norms, hs, ks, umb = zip(*(_vertex_data(chart, u, v) for u, v in uv))
-    return SurfaceMesh(
-        np.asarray(verts), np.asarray(faces, dtype=int), np.asarray(uv),
-        np.asarray(norms), np.asarray(hs), np.asarray(ks),
-        np.asarray(umb, dtype=bool), boundary,
-    )
+    us, vs = uv[:, 0], uv[:, 1]
+    normals = gauss_map(chart, us, vs)
+    data = shape_and_curvatures(chart, us, vs)
+    verts = _values(chart.position, us, vs)
+    return SurfaceMesh(verts, faces, uv, normals, data.H, data.K, data.umbilic, boundary)
+
+
+def _quads(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Triangles (a, b, c), (a, c, d) of the quads a = inner[j], b = outer[j],
+    c = outer[j + 1], d = inner[j + 1] over the columns j of two index rows."""
+    a, b = inner[..., :-1], outer[..., :-1]
+    c, d = outer[..., 1:], inner[..., 1:]
+    return np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3)
 
 
 def triangulate_chart(chart: SurfaceChart, nu: int, nv: int,
@@ -78,25 +79,16 @@ def triangulate_chart(chart: SurfaceChart, nu: int, nv: int,
     if wrap_v:
         vs = vs[:-1]
         nv = nv - 1
-    uv = [(u, v) for u in us for v in vs]
-    idx = lambda i, j: i * nv + (j % nv if wrap_v else j)
-    faces = []
-    jmax = nv if wrap_v else nv - 1
-    for i in range(nu - 1):
-        for j in range(jmax):
-            a, b = idx(i, j), idx(i + 1, j)
-            c, d = idx(i + 1, j + 1), idx(i, j + 1)
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-    boundary = np.zeros(len(uv), dtype=bool)
-    for i in (0, nu - 1):
-        for j in range(nv):
-            boundary[idx(i, j)] = True
+    uv = np.column_stack([np.repeat(us, nv), np.tile(vs, nu)])
+    idx = np.arange(nu * nv).reshape(nu, nv)
+    if wrap_v:
+        idx = np.concatenate([idx, idx[:, :1]], axis=1)
+    faces = _quads(idx[:-1], idx[1:])
+    boundary = np.zeros((nu, nv), dtype=bool)
+    boundary[[0, -1], :] = True
     if not wrap_v:
-        for i in range(nu):
-            for j in (0, nv - 1):
-                boundary[idx(i, j)] = True
-    return _chart_mesh(chart, uv, faces, boundary)
+        boundary[:, [0, -1]] = True
+    return _chart_mesh(chart, uv, faces, boundary.ravel())
 
 
 def disk_graph_mesh(chart: SurfaceChart, radius: float, n_r: int,
@@ -107,27 +99,19 @@ def disk_graph_mesh(chart: SurfaceChart, radius: float, n_r: int,
     gets a single vertex with a triangle fan, the rim is flagged boundary.
     """
     uv = [(0.0, 0.0)]  # vertex 0 is the center
-    rings = []
     for i in range(1, n_r + 1):
         rho = radius * i / n_r
-        rings.append(list(range(len(uv), len(uv) + n_theta)))
         for j in range(n_theta):
             th = 2 * np.pi * j / n_theta
             uv.append((rho * np.cos(th), rho * np.sin(th)))
-    faces = []
-    first = rings[0]
-    for j in range(n_theta):
-        faces.append((0, first[j], first[(j + 1) % n_theta]))
-    for i in range(n_r - 1):
-        inner, outer = rings[i], rings[i + 1]
-        for j in range(n_theta):
-            a, b = inner[j], outer[j]
-            c, d = outer[(j + 1) % n_theta], inner[(j + 1) % n_theta]
-            faces.append((a, b, c))
-            faces.append((a, c, d))
+    # ring i holds vertices 1 + i * n_theta + j; column n_theta closes it
+    rings = 1 + np.arange(n_r * n_theta).reshape(n_r, n_theta)
+    rings = np.concatenate([rings, rings[:, :1]], axis=1)
+    fan = np.column_stack([np.zeros(n_theta, dtype=int), rings[0, :-1], rings[0, 1:]])
+    faces = np.concatenate([fan, _quads(rings[:-1], rings[1:])])
     boundary = np.zeros(len(uv), dtype=bool)
     boundary[rings[-1]] = True
-    return _chart_mesh(chart, uv, faces, boundary)
+    return _chart_mesh(chart, np.asarray(uv), faces, boundary)
 
 
 def _face_geometry(mesh: SurfaceMesh):

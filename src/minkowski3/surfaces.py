@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -32,16 +33,17 @@ from .core import (
     CausalClass,
     CausalTypeError,
     GeometryError,
+    _cross,
+    _lorentz_dot,
     as_vec3,
-    cross,
     lorentz_dot,
-    lorentz_norm,
 )
 from .curves import CurveJet, FrenetCase, _frame_at, _frame_derivative
 
 __all__ = [
     "SurfaceChart",
     "CurvatureData",
+    "CurvatureBatch",
     "SurfaceKind",
     "SurfaceKindTag",
     "first_form",
@@ -65,6 +67,8 @@ UMBILIC_TOL = 1e-8
 
 #: tolerance on EG - F^2 (relative) below which a point counts as lightlike
 _DEGENERATE_TOL = 1e-12
+
+_EYE2 = np.eye(2)
 
 
 class SurfaceChart:
@@ -154,108 +158,192 @@ class CurvatureData:
     causal: CausalClass
 
 
-def _first_coeffs(chart: SurfaceChart, u: float, v: float):
-    xu = chart.du(u, v)
-    xv = chart.dv(u, v)
+@dataclass(frozen=True)
+class CurvatureBatch:
+    """Curvature data of n chart points, each field stacked along axis 0.
+
+    `principal` is (n, 2) and NaN where the shape operator does not
+    diagonalize; `spacelike` is False at timelike points.  `point(k)` is
+    the `CurvatureData` of point k.
+    """
+
+    H: np.ndarray
+    K: np.ndarray
+    shape_matrix: np.ndarray
+    principal: np.ndarray
+    diagonalizable: np.ndarray
+    umbilic: np.ndarray
+    spacelike: np.ndarray
+
+    def point(self, k: int) -> CurvatureData:
+        principal = None
+        if self.diagonalizable[k]:
+            principal = (float(self.principal[k, 0]), float(self.principal[k, 1]))
+        causal = CausalClass.SPACELIKE if self.spacelike[k] else CausalClass.TIMELIKE
+        return CurvatureData(float(self.H[k]), float(self.K[k]), self.shape_matrix[k], principal,
+                             bool(self.diagonalizable[k]), bool(self.umbilic[k]), causal)
+
+
+# ---------------------------------------------------------------------------
+# The curvature kernel.  Every function below takes 1-D arrays (us, vs) of
+# parameter points, calls the scalar evaluators once per point and partial,
+# and does the algebra on the stacked (n, 3) values.  The public functions
+# accept scalars (a batch of one, returning the per-point types) or 1-D
+# arrays (broadcast against each other).
+
+
+def _batch(u, v):
+    """(us, vs, scalar): the parameters as 1-D float arrays of equal length."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if u.ndim == 0 and v.ndim == 0:
+        return u.reshape(1), v.reshape(1), True
+    us, vs = np.broadcast_arrays(np.atleast_1d(u), np.atleast_1d(v))
+    if us.ndim != 1:
+        raise GeometryError("chart parameters must be scalars or 1-D arrays")
+    return us, vs, False
+
+
+def _values(evaluate, us, vs) -> np.ndarray:
+    """One scalar evaluator call per point, stacked to shape (n, 3)."""
+    return np.array([evaluate(u, v) for u, v in zip(us, vs)], dtype=float).reshape(len(us), 3)
+
+
+def _first_coeffs(chart: SurfaceChart, us, vs, lightlike: Optional[str] = None):
+    """X_u, X_v, E, F, G, W = EG - F^2 and the lightlike mask at every point.
+
+    Raises at the first point, in input order, that is not an immersion
+    (GeometryError) or, when a `lightlike` message is given, that is
+    lightlike (CausalTypeError).
+    """
+    xu = _values(chart.du, us, vs)
+    xv = _values(chart.dv, us, vs)
     # immersion check with the Euclidean Gram determinant
-    ge = np.array([[xu @ xu, xu @ xv], [xu @ xv, xv @ xv]])
-    if np.linalg.det(ge) <= REL_TOL * (1.0 + ge[0, 0]) * (1.0 + ge[1, 1]):
-        raise GeometryError(f"chart is not an immersion at (u,v)=({u:g},{v:g})")
-    E = float(lorentz_dot(xu, xu))
-    F = float(lorentz_dot(xu, xv))
-    G = float(lorentz_dot(xv, xv))
-    return xu, xv, E, F, G
-
-
-def _point_class(E: float, F: float, G: float, xu, xv) -> CausalClass:
+    uu, uv, vv = np.vecdot(xu, xu), np.vecdot(xu, xv), np.vecdot(xv, xv)
+    gram = np.array([uu, uv, uv, vv]).T.reshape(-1, 2, 2)
+    pu, pv = 1.0 + uu, 1.0 + vv
+    flat = np.linalg.det(gram) <= REL_TOL * pu * pv
+    E = _lorentz_dot(xu, xu)
+    F = _lorentz_dot(xu, xv)
+    G = _lorentz_dot(xv, xv)
     w = E * G - F * F
-    scale = (1.0 + float(xu @ xu)) * (1.0 + float(xv @ xv))
-    if abs(w) <= _DEGENERATE_TOL * scale:
+    null = np.abs(w) <= _DEGENERATE_TOL * (pu * pv)
+    bad = flat | null if lightlike else flat
+    if bad.any():
+        k = int(np.argmax(bad))
+        if flat[k]:
+            raise GeometryError(f"chart is not an immersion at (u,v)=({us[k]:g},{vs[k]:g})")
+        raise CausalTypeError(lightlike)
+    return xu, xv, E, F, G, w, null
+
+
+def _unit_normals(chart: SurfaceChart, us, vs, lightlike: str) -> np.ndarray:
+    xu, xv, _, _, _, w, _ = _first_coeffs(chart, us, vs, lightlike)
+    n = _cross(xu, xv)
+    n = n / np.sqrt(np.abs(_lorentz_dot(n, n)))[:, None]  # lorentz_norm
+    # future-directed on spacelike points
+    return n * np.where((w > 0) & (n[:, 2] < 0), -1.0, 1.0)[:, None]
+
+
+def _second_coeffs(chart: SurfaceChart, us, vs):
+    n = _unit_normals(chart, us, vs, "no unit normal at a lightlike point")
+    e = _lorentz_dot(n, _values(chart.duu, us, vs))
+    f = _lorentz_dot(n, _values(chart.duv, us, vs))
+    g = _lorentz_dot(n, _values(chart.dvv, us, vs))
+    return e, f, g
+
+
+def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
+    _, _, E, F, G, w, _ = _first_coeffs(
+        chart, us, vs, "curvature data undefined at a lightlike point")
+    # the second form evaluates X_u and X_v again for its normal, as
+    # second_form does on its own; perfbench asserts ten evaluator calls per
+    # mesh vertex, so this stays until that test changes (ROADMAP item 3)
+    e, f, g = _second_coeffs(chart, us, vs)
+    imat = np.array([E, F, F, G]).T.reshape(-1, 2, 2)
+    iimat = np.array([e, f, f, g]).T.reshape(-1, 2, 2)
+    a = np.linalg.solve(imat, iimat)
+    tr = (e * G - 2 * f * F + g * E) / w
+    det = (e * g - f * f) / w
+    space = w > 0
+    sign = np.where(space, -1.0, 1.0)
+    half = 0.5 * tr
+    H = sign * half
+    K = sign * det
+    umbilic = H * H + K <= UMBILIC_TOL * (1.0 + H * H)
+    # A is self-adjoint for a definite first form, so spacelike spectra are real
+    real = space.copy()
+    scalar = np.zeros_like(space)
+    principal = np.full((len(us), 2), np.nan)
+    timelike = ~space
+    if timelike.any():
+        at, ht = a[timelike], half[timelike]
+        quarter = 0.25 * tr[timelike] * tr[timelike]
+        disc = quarter - det[timelike]  # discriminant of A's characteristic polynomial
+        hscale = 1.0 + quarter
+        ascale = 1.0 + np.abs(at).reshape(-1, 4).max(axis=1)
+        umbilic[timelike] = (np.abs(at - ht[:, None, None] * _EYE2).reshape(-1, 4).max(axis=1)
+                         <= UMBILIC_TOL * ascale)
+        real[timelike] = disc > UMBILIC_TOL * hscale
+        # a repeated eigenvalue is diagonalizable only when A is scalar
+        repeated = ~real[timelike] & ~(disc < -UMBILIC_TOL * hscale)
+        offdiag = np.maximum(np.abs(at[:, 0, 1]), np.abs(at[:, 1, 0]))
+        scalar[timelike] = repeated & (offdiag <= UMBILIC_TOL * ascale)
+        principal[scalar] = half[scalar, None]
+    if real.any():
+        principal[real] = np.sort(np.linalg.eigvals(a[real]).real, axis=1)
+    return CurvatureBatch(H, K, a, principal, real | scalar, umbilic, space)
+
+
+def _causal(null: bool, w: float) -> CausalClass:
+    if null:
         return CausalClass.LIGHTLIKE
     return CausalClass.SPACELIKE if w > 0 else CausalClass.TIMELIKE
 
 
-def first_form(chart: SurfaceChart, u: float, v: float):
-    """First-form coefficients and causal type: ((E, F, G), CausalClass)."""
-    xu, xv, E, F, G = _first_coeffs(chart, u, v)
-    return (E, F, G), _point_class(E, F, G, xu, xv)
+def first_form(chart: SurfaceChart, u, v):
+    """First-form coefficients and causal type: ((E, F, G), CausalClass).
+
+    For arrays of points, E, F, G are arrays and the classes an object array.
+    """
+    us, vs, scalar = _batch(u, v)
+    _, _, E, F, G, w, null = _first_coeffs(chart, us, vs)
+    if scalar:
+        return (float(E[0]), float(F[0]), float(G[0])), _causal(null[0], w[0])
+    return (E, F, G), np.array([_causal(*p) for p in zip(null, w)], dtype=object)
 
 
-def gauss_map(chart: SurfaceChart, u: float, v: float) -> np.ndarray:
+def gauss_map(chart: SurfaceChart, u, v) -> np.ndarray:
     """Unit normal X_u x X_v / |X_u x X_v|; future-directed on spacelike points.
 
-    Raises CausalTypeError at lightlike points, where the normal direction
+    Shape (3,) for a point, (n, 3) for arrays of points.  Raises
+    CausalTypeError at lightlike points, where the normal direction
     degenerates into the tangent plane.
     """
-    xu, xv, E, F, G = _first_coeffs(chart, u, v)
-    cls = _point_class(E, F, G, xu, xv)
-    if cls is CausalClass.LIGHTLIKE:
-        raise CausalTypeError("no unit normal at a lightlike point")
-    n = cross(xu, xv)
-    n = n / lorentz_norm(n)
-    if cls is CausalClass.SPACELIKE and n[2] < 0:
-        n = -n
-    return n
+    us, vs, scalar = _batch(u, v)
+    n = _unit_normals(chart, us, vs, "no unit normal at a lightlike point")
+    return n[0] if scalar else n
 
 
-def second_form(chart: SurfaceChart, u: float, v: float) -> tuple[float, float, float]:
+def second_form(chart: SurfaceChart, u, v):
     """Second-form coefficients (e, f, g) = <N, X_uu>, <N, X_uv>, <N, X_vv>."""
-    n = gauss_map(chart, u, v)
-    e = float(lorentz_dot(n, chart.duu(u, v)))
-    f = float(lorentz_dot(n, chart.duv(u, v)))
-    g = float(lorentz_dot(n, chart.dvv(u, v)))
+    us, vs, scalar = _batch(u, v)
+    e, f, g = _second_coeffs(chart, us, vs)
+    if scalar:
+        return float(e[0]), float(f[0]), float(g[0])
     return e, f, g
 
 
-def shape_and_curvatures(chart: SurfaceChart, u: float, v: float) -> CurvatureData:
+def shape_and_curvatures(chart: SurfaceChart, u, v):
     """Shape operator I^(-1) II with H, K, principal data and umbilicity.
 
     Spacelike points always diagonalize (A is self-adjoint for a definite
     metric); timelike points may not, in which case `principal` is None.
+    A point gives a `CurvatureData`, arrays of points a `CurvatureBatch`.
     """
-    xu, xv, E, F, G = _first_coeffs(chart, u, v)
-    cls = _point_class(E, F, G, xu, xv)
-    if cls is CausalClass.LIGHTLIKE:
-        raise CausalTypeError("curvature data undefined at a lightlike point")
-    e, f, g = second_form(chart, u, v)
-    w = E * G - F * F
-    imat = np.array([[E, F], [F, G]])
-    iimat = np.array([[e, f], [f, g]])
-    a = np.linalg.solve(imat, iimat)
-    tr = (e * G - 2 * f * F + g * E) / w
-    det = (e * g - f * f) / w
-    if cls is CausalClass.SPACELIKE:
-        H = -0.5 * tr
-        K = -det
-    else:
-        H = 0.5 * tr
-        K = det
-    disc = 0.25 * tr * tr - det  # discriminant of A's characteristic polynomial
-    hscale = 1.0 + 0.25 * tr * tr
-    offdiag = max(abs(a[0, 1]), abs(a[1, 0]))
-    ascale = 1.0 + float(np.max(np.abs(a)))
-    if cls is CausalClass.SPACELIKE:
-        umbilic = H * H + K <= UMBILIC_TOL * (1.0 + H * H)
-        # A is self-adjoint for the definite first form, so its spectrum is real
-        lam = sorted(np.linalg.eigvals(a).real)
-        principal = (float(lam[0]), float(lam[1]))
-        diagonalizable = True
-    else:
-        umbilic = bool(
-            np.max(np.abs(a - 0.5 * tr * np.eye(2))) <= UMBILIC_TOL * ascale
-        )
-        if disc > UMBILIC_TOL * hscale:
-            ev = sorted(np.linalg.eigvals(a).real)
-            principal = (float(ev[0]), float(ev[1]))
-            diagonalizable = True
-        elif disc < -UMBILIC_TOL * hscale:
-            principal = None  # complex eigenvalues
-            diagonalizable = False
-        else:
-            # repeated eigenvalue: diagonalizable only when A is scalar
-            diagonalizable = offdiag <= UMBILIC_TOL * ascale
-            principal = (0.5 * tr, 0.5 * tr) if diagonalizable else None
-    return CurvatureData(float(H), float(K), a, principal, diagonalizable, bool(umbilic), cls)
+    us, vs, scalar = _batch(u, v)
+    data = _curvatures(chart, us, vs)
+    return data.point(0) if scalar else data
 
 
 class SurfaceKindTag(Enum):
@@ -287,21 +375,17 @@ def classify_totally_umbilical(chart: SurfaceChart, samples,
     (+r^2).  Raises GeometryError when some sample is not umbilic or the
     fitted data are inconsistent beyond `tol`.
     """
-    pts = []
-    normals = []
-    fvals = []
-    for (u, v) in samples:
-        data = shape_and_curvatures(chart, u, v)
-        if not data.umbilic:
-            raise GeometryError(f"non-umbilic sample at (u,v)=({u:g},{v:g})")
-        n = gauss_map(chart, u, v)
-        pts.append(chart.position(u, v))
-        normals.append(n)
-        # A = -f * Id at umbilic points, so f = -trace(A)/2
-        fvals.append(-0.5 * float(np.trace(data.shape_matrix)))
-    pts = np.stack(pts)
-    normals = np.stack(normals)
-    fvals = np.asarray(fvals)
+    us, vs = np.asarray(list(samples), dtype=float).reshape(-1, 2).T
+    if not len(us):
+        raise GeometryError("umbilic classification needs at least one sample")
+    data = shape_and_curvatures(chart, us, vs)
+    if not data.umbilic.all():
+        k = int(np.argmin(data.umbilic))
+        raise GeometryError(f"non-umbilic sample at (u,v)=({us[k]:g},{vs[k]:g})")
+    normals = gauss_map(chart, us, vs)
+    pts = _values(chart.position, us, vs)
+    # A = -f * Id at umbilic points, so f = -trace(A)/2
+    fvals = -0.5 * np.trace(data.shape_matrix, axis1=1, axis2=2)
     f_mean = float(np.mean(fvals))
     pscale = 1.0 + float(np.max(np.abs(pts)))
     if abs(f_mean) <= tol:
@@ -324,7 +408,7 @@ def classify_totally_umbilical(chart: SurfaceChart, samples,
     if resid > tol:
         raise GeometryError("umbilic samples do not share a center point")
     rel = pts - center
-    q = np.array([lorentz_dot(p, p) for p in rel])
+    q = lorentz_dot(rel, rel)
     q_mean = float(np.mean(q))
     resid = max(resid, float(np.ptp(q)) / (1.0 + abs(q_mean)))
     if resid > tol:
@@ -343,8 +427,9 @@ def mean_curvature_foliated(chart: SurfaceChart, u: float, v: float) -> float:
     the future-directed normal; |H| always agrees with the shape-operator
     route, and the two are reconciled in tests.
     """
-    xu, xv, E, F, G = _first_coeffs(chart, u, v)
-    w = E * G - F * F
+    us, vs, _ = _batch(u, v)
+    xu, xv, E, F, G, w, _ = (x[0] for x in _first_coeffs(chart, us, vs))
+    E, F, G, w = float(E), float(F), float(G), float(w)
     if w <= 0:
         raise CausalTypeError("the foliated identity requires a spacelike point")
 
@@ -362,13 +447,41 @@ def mean_curvature_foliated(chart: SurfaceChart, u: float, v: float) -> float:
 # ---------------------------------------------------------------------------
 # Laplace-Beltrami on a parameter grid
 
-def _metric_inverse_weights(chart: SurfaceChart, u: float, v: float):
-    _, _, E, F, G = _first_coeffs(chart, u, v)
-    det = E * G - F * F
-    if abs(det) <= _DEGENERATE_TOL:
+def _metric_inverse_weights(chart: SurfaceChart, us, vs):
+    """sqrt|g| g^11, sqrt|g| g^12, sqrt|g| g^22 and sqrt|g| at every point."""
+    _, _, E, F, G, det, _ = _first_coeffs(chart, us, vs)
+    if np.any(np.abs(det) <= _DEGENERATE_TOL):
         raise GeometryError("degenerate metric in Laplace-Beltrami stencil")
-    s = np.sqrt(abs(det))
-    return s * G / det, -s * F / det, s * E / det, s  # sqrt|g| g^11, g^12, g^22, sqrt|g|
+    s = np.sqrt(np.abs(det))
+    return s * G / det, -s * F / det, s * E / det, s
+
+
+def _laplace_interior(chart: SurfaceChart, f, us, vs, hu: float, hv: float) -> np.ndarray:
+    """Laplace-Beltrami of f at the interior nodes of the grid us x vs.
+
+    The metric is evaluated once per u half node (between (i, j) and
+    (i+1, j)), v half node and interior node, in one kernel call; the flux
+    stencil is then array slicing.  Returns shape (len(us) - 2, len(vs) - 2).
+    """
+    nu, nv = f.shape
+    mu, mv = nu - 2, nv - 2
+    uh = 0.5 * (us[:-1] + us[1:])
+    vh = 0.5 * (vs[:-1] + vs[1:])
+    pu = np.concatenate([np.repeat(uh, mv), np.repeat(us[1:-1], nv - 1), np.repeat(us[1:-1], mv)])
+    pv = np.concatenate([np.tile(vs[1:-1], nu - 1), np.tile(vh, mu), np.tile(vs[1:-1], mu)])
+    g11, g12, g22, s = _metric_inverse_weights(chart, pu, pv)
+    ku = (nu - 1) * mv
+    kv = ku + mu * (nv - 1)
+    # fluxes through the u half nodes, shape (nu - 1, mv)
+    fu = (f[1:, 1:-1] - f[:-1, 1:-1]) / hu
+    fv = (f[:-1, 2:] + f[1:, 2:] - f[:-1, :-2] - f[1:, :-2]) / (4 * hv)
+    flux_u = g11[:ku].reshape(nu - 1, mv) * fu + g12[:ku].reshape(nu - 1, mv) * fv
+    # fluxes through the v half nodes, shape (mu, nv - 1)
+    fv = (f[1:-1, 1:] - f[1:-1, :-1]) / hv
+    fu = (f[2:, :-1] + f[2:, 1:] - f[:-2, :-1] - f[:-2, 1:]) / (4 * hu)
+    flux_v = g12[ku:kv].reshape(mu, nv - 1) * fu + g22[ku:kv].reshape(mu, nv - 1) * fv
+    div = (flux_u[1:] - flux_u[:-1]) / hu + (flux_v[:, 1:] - flux_v[:, :-1]) / hv
+    return div / s[kv:].reshape(mu, mv)
 
 
 def laplace_beltrami(chart: SurfaceChart, f_grid, us, vs, i: int, j: int) -> float:
@@ -383,42 +496,39 @@ def laplace_beltrami(chart: SurfaceChart, f_grid, us, vs, i: int, j: int) -> flo
     vs = np.asarray(vs, dtype=float)
     if not (1 <= i < len(us) - 1 and 1 <= j < len(vs) - 1):
         raise GeometryError("Laplace-Beltrami stencil needs an interior node")
-    hu = us[1] - us[0]
-    hv = vs[1] - vs[0]
-
-    def flux_u(ih: int, jj: int) -> float:
-        # half node between (ih, jj) and (ih+1, jj)
-        g11, g12, _, _ = _metric_inverse_weights(chart, 0.5 * (us[ih] + us[ih + 1]), vs[jj])
-        fu = (f[ih + 1, jj] - f[ih, jj]) / hu
-        fv = (f[ih, jj + 1] + f[ih + 1, jj + 1] - f[ih, jj - 1] - f[ih + 1, jj - 1]) / (4 * hv)
-        return g11 * fu + g12 * fv
-
-    def flux_v(ii: int, jh: int) -> float:
-        _, g12, g22, _ = _metric_inverse_weights(chart, us[ii], 0.5 * (vs[jh] + vs[jh + 1]))
-        fv = (f[ii, jh + 1] - f[ii, jh]) / hv
-        fu = (f[ii + 1, jh] + f[ii + 1, jh + 1] - f[ii - 1, jh] - f[ii - 1, jh + 1]) / (4 * hu)
-        return g12 * fu + g22 * fv
-
-    _, _, _, s0 = _metric_inverse_weights(chart, us[i], vs[j])
-    div = (flux_u(i, j) - flux_u(i - 1, j)) / hu + (flux_v(i, j) - flux_v(i, j - 1)) / hv
-    return float(div / s0)
+    block = f[i - 1:i + 2, j - 1:j + 2]
+    lap = _laplace_interior(chart, block, us[i - 1:i + 2], vs[j - 1:j + 2],
+                            us[1] - us[0], vs[1] - vs[0])
+    return float(lap[0, 0])
 
 
 def laplace_beltrami_grid(chart: SurfaceChart, f_grid, us, vs) -> np.ndarray:
     """Laplace-Beltrami at every interior node; boundary ring entries are NaN."""
     f = np.asarray(f_grid, dtype=float)
+    us = np.asarray(us, dtype=float)
+    vs = np.asarray(vs, dtype=float)
     out = np.full_like(f, np.nan)
-    for i in range(1, f.shape[0] - 1):
-        for j in range(1, f.shape[1] - 1):
-            out[i, j] = laplace_beltrami(chart, f, us, vs, i, j)
+    if min(f.shape) > 2:
+        out[1:-1, 1:-1] = _laplace_interior(chart, f, us, vs, us[1] - us[0], vs[1] - vs[0])
     return out
 
 
 # ---------------------------------------------------------------------------
 # Catalog charts
 
+def _center(p0) -> np.ndarray:
+    """A catalog chart's base point; GeometryError when |p0|^2 overflows,
+    since sample fits then sum and square coordinates near the float limit."""
+    p0 = as_vec3(p0)
+    with np.errstate(over="ignore"):
+        sq = float(p0 @ p0)
+    if not np.isfinite(sq):
+        raise GeometryError("center too large: its squared length overflows")
+    return p0
+
+
 def plane_chart(p0, e1, e2, domain=((-1.0, 1.0), (-1.0, 1.0))) -> SurfaceChart:
-    p0, e1, e2 = as_vec3(p0), as_vec3(e1), as_vec3(e2)
+    p0, e1, e2 = _center(p0), as_vec3(e1), as_vec3(e2)
     z = np.zeros(3)
     return SurfaceChart(
         lambda u, v: p0 + u * e1 + v * e2,
@@ -440,7 +550,7 @@ def hyperbolic_plane_chart(r: float, p0=(0.0, 0.0, 0.0),
     r = float(r)
     if r <= 0:
         raise GeometryError("radius must be positive")
-    p0 = as_vec3(p0)
+    p0 = _center(p0)
 
     def w(u, v):
         return np.sqrt(r * r + u * u + v * v)
@@ -466,7 +576,7 @@ def de_sitter_chart(r: float, p0=(0.0, 0.0, 0.0),
     r = float(r)
     if r <= 0:
         raise GeometryError("radius must be positive")
-    p0 = as_vec3(p0)
+    p0 = _center(p0)
     return SurfaceChart(
         lambda u, v: p0 + r * np.array([np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), np.sinh(u)]),
         lambda u, v: r * np.array([np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), np.cosh(u)]),
@@ -533,12 +643,19 @@ def null_scroll_chart(jet: CurveJet, u_range=(-0.5, 0.5),
     if v_range is None:
         v_range = jet.domain
 
+    # each partial needs the frame at v, and X_vv the torsion at v and v +- h:
+    # both are computed once per v and the frame vectors handed out read-only
+    @lru_cache(maxsize=4096)
     def frame(v: float):
         t_vec, n_vec, b_vec, case, _ = _frame_at(jet, v)
         if case is not FrenetCase.LIGHTLIKE:
             raise CausalTypeError("null scroll needs a lightlike base curve")
-        return t_vec, n_vec, b_vec
+        frozen = tuple(np.array(x) for x in (t_vec, n_vec, b_vec))
+        for x in frozen:
+            x.setflags(write=False)
+        return frozen
 
+    @lru_cache(maxsize=4096)
     def tau_at(v: float) -> float:
         _, _, b_vec = frame(v)
         np_vec = _frame_derivative(jet, v, 1)

@@ -1,0 +1,252 @@
+"""The batched curvature kernel against the pointwise API, bit for bit.
+
+Meshes, Laplace-Beltrami grids and batched `shape_and_curvatures` calls
+evaluate many points at once; each of their numbers must equal what the
+scalar calls give at the same point, and their errors must be the ones the
+scalar call raises at the first bad point.
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+from minkowski3 import rotational
+from minkowski3.core import CausalTypeError, GeometryError
+from minkowski3.curves import CurveJet
+from minkowski3.meshing import disk_graph_mesh, triangulate_chart
+from minkowski3.surfaces import (
+    CurvatureBatch,
+    SurfaceChart,
+    de_sitter_chart,
+    first_form,
+    gauss_map,
+    graph_chart,
+    hyperbolic_plane_chart,
+    laplace_beltrami,
+    laplace_beltrami_grid,
+    light_cone_chart,
+    null_scroll_chart,
+    shape_and_curvatures,
+)
+
+from conftest import random_pp_motion, scaled_null_helix_jet
+
+
+def profile():
+    params = rotational.ProfileODEParams(H=0.5, r0=1.0, rp0=1.5, s0=0.0, s1=0.5, h=1e-3)
+    return rotational.profile_chart(rotational.integrate_rotational(params))
+
+
+def cap_mesh():
+    chart, _ = rotational.hyperbolic_cap_chart(1.2, 0.9)
+    return chart, disk_graph_mesh(chart, 0.9, 5, 12)
+
+
+MESHES = {
+    "hyperbolic": lambda: (c := hyperbolic_plane_chart(1.3, (0.2, -0.1, 0.4)),
+                           triangulate_chart(c, 9, 8)),
+    "de-sitter": lambda: (c := de_sitter_chart(0.8, (0.1, 0.3, -0.2)),
+                          triangulate_chart(c, 7, 9, wrap_v=True)),
+    "catenoid": lambda: (c := rotational.catenoid_chart(), triangulate_chart(c, 6, 9, wrap_v=True)),
+    "cap": cap_mesh,
+    "fd-graph": lambda: (c := graph_chart(lambda x, y: np.sqrt(1.5 + x * x + y * y)),
+                         triangulate_chart(c, 7, 7)),
+    "null-scroll": lambda: (c := null_scroll_chart(scaled_null_helix_jet(1.2), u_range=(-0.4, 0.4),
+                                                   v_range=(-1.0, 1.0)),
+                            triangulate_chart(c, 6, 7)),
+    "profile": lambda: (c := profile(), triangulate_chart(c, 6, 8, wrap_v=True)),
+    "transformed": lambda: (
+        c := hyperbolic_plane_chart(0.9).transformed(random_pp_motion(np.random.default_rng(5))),
+        triangulate_chart(c, 7, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+def test_mesh_equals_pointwise(name):
+    chart, mesh = MESHES[name]()
+    pointwise = [shape_and_curvatures(chart, u, v) for u, v in mesh.uv]
+    assert np.array_equal(mesh.vertices, np.array([chart.position(u, v) for u, v in mesh.uv]))
+    assert np.array_equal(mesh.normals, np.array([gauss_map(chart, u, v) for u, v in mesh.uv]))
+    assert np.array_equal(mesh.mean_curvature, [d.H for d in pointwise])
+    assert np.array_equal(mesh.gauss_curvature, [d.K for d in pointwise])
+    assert np.array_equal(mesh.umbilic, [d.umbilic for d in pointwise])
+
+    batch = shape_and_curvatures(chart, mesh.uv[:, 0], mesh.uv[:, 1])
+    assert isinstance(batch, CurvatureBatch) and batch.H.shape == (len(mesh.uv),)
+    assert np.array_equal(batch.shape_matrix, [d.shape_matrix for d in pointwise])
+    assert np.array_equal(batch.diagonalizable, [d.diagonalizable for d in pointwise])
+    assert np.array_equal(batch.spacelike, [d.causal.value == "spacelike" for d in pointwise])
+    principal = [d.principal if d.principal is not None else (np.nan, np.nan) for d in pointwise]
+    assert np.array_equal(batch.principal, principal, equal_nan=True)
+    for k, d in enumerate(pointwise):
+        p = batch.point(k)
+        assert (p.H, p.K, p.principal, p.diagonalizable, p.umbilic, p.causal) == \
+            (d.H, d.K, d.principal, d.diagonalizable, d.umbilic, d.causal)
+
+
+def test_null_scroll_batch_is_not_diagonalizable():
+    chart, mesh = MESHES["null-scroll"]()
+    batch = shape_and_curvatures(chart, mesh.uv[:, 0], mesh.uv[:, 1])
+    off_locus = np.abs(mesh.uv[:, 0]) > 1e-9
+    assert not batch.diagonalizable[off_locus].any()
+    assert np.isnan(batch.principal[off_locus]).all()
+
+
+def loop_faces(nu, nv, wrap_v):
+    """The structured triangulation written as explicit loops."""
+    idx = lambda i, j: i * nv + (j % nv if wrap_v else j)
+    faces = []
+    for i in range(nu - 1):
+        for j in range(nv if wrap_v else nv - 1):
+            a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
+            faces += [(a, b, c), (a, c, d)]
+    boundary = [i in (0, nu - 1) or (not wrap_v and j in (0, nv - 1))
+                for i in range(nu) for j in range(nv)]
+    return np.array(faces), np.array(boundary)
+
+
+@pytest.mark.parametrize("wrap_v", [False, True])
+def test_indexed_faces_equal_loops(wrap_v):
+    mesh = triangulate_chart(hyperbolic_plane_chart(1.0), 5, 7, wrap_v=wrap_v)
+    faces, boundary = loop_faces(5, 6 if wrap_v else 7, wrap_v)
+    assert mesh.faces.dtype == faces.dtype and np.array_equal(mesh.faces, faces)
+    assert np.array_equal(mesh.boundary, boundary)
+
+
+def test_disk_faces_equal_loops():
+    n_r, n_t = 4, 7
+    mesh = disk_graph_mesh(rotational.hyperbolic_cap_chart(1.0, 1.0)[0], 1.0, n_r, n_t)
+    rings = [list(range(1 + i * n_t, 1 + (i + 1) * n_t)) for i in range(n_r)]
+    faces = [(0, rings[0][j], rings[0][(j + 1) % n_t]) for j in range(n_t)]
+    for inner, outer in zip(rings, rings[1:]):
+        for j in range(n_t):
+            a, b, c, d = inner[j], outer[j], outer[(j + 1) % n_t], inner[(j + 1) % n_t]
+            faces += [(a, b, c), (a, c, d)]
+    assert np.array_equal(mesh.faces, faces)
+    assert np.array_equal(np.flatnonzero(mesh.boundary), rings[-1])
+
+
+def loop_laplace(chart, f, us, vs, i, j):
+    """The flux stencil at one node, written out point by point."""
+    hu, hv = us[1] - us[0], vs[1] - vs[0]
+
+    def weights(u, v):
+        (E, F, G), _ = first_form(chart, u, v)
+        det = E * G - F * F
+        s = np.sqrt(abs(det))
+        return s * G / det, -s * F / det, s * E / det, s
+
+    def flux_u(ih, jj):
+        g11, g12, _, _ = weights(0.5 * (us[ih] + us[ih + 1]), vs[jj])
+        fu = (f[ih + 1, jj] - f[ih, jj]) / hu
+        fv = (f[ih, jj + 1] + f[ih + 1, jj + 1] - f[ih, jj - 1] - f[ih + 1, jj - 1]) / (4 * hv)
+        return g11 * fu + g12 * fv
+
+    def flux_v(ii, jh):
+        _, g12, g22, _ = weights(us[ii], 0.5 * (vs[jh] + vs[jh + 1]))
+        fv = (f[ii, jh + 1] - f[ii, jh]) / hv
+        fu = (f[ii + 1, jh] + f[ii + 1, jh + 1] - f[ii - 1, jh] - f[ii - 1, jh + 1]) / (4 * hu)
+        return g12 * fu + g22 * fv
+
+    div = (flux_u(i, j) - flux_u(i - 1, j)) / hu + (flux_v(i, j) - flux_v(i, j - 1)) / hv
+    return float(div / weights(us[i], vs[j])[3])
+
+
+@pytest.mark.parametrize("chart", [
+    hyperbolic_plane_chart(1.1, (0.1, 0.2, 0.3), domain=((-0.8, 0.8), (-0.8, 0.8))),
+    de_sitter_chart(1.3, domain=((-0.9, 0.9), (0.0, 3.0))),
+], ids=["hyperbolic", "de-sitter"])
+def test_laplace_grid_equals_every_node(chart):
+    us, vs = chart.grid(9, 11)  # unequal steps hu != hv
+    f = np.random.default_rng(3).standard_normal((9, 11))
+    grid = laplace_beltrami_grid(chart, f, us, vs)
+    inner = [(i, j) for i in range(1, 8) for j in range(1, 10)]
+    nodes = [laplace_beltrami(chart, f, us, vs, i, j) for i, j in inner]
+    assert np.array_equal(grid[1:-1, 1:-1].ravel(), nodes)
+    assert nodes == [loop_laplace(chart, f, us, vs, i, j) for i, j in inner]
+    assert np.isnan(grid[[0, -1], :]).all() and np.isnan(grid[:, [0, -1]]).all()
+
+
+def test_first_form_classifies_lightlike_points():
+    (E, F, G), classes = first_form(light_cone_chart(), [0.5, 1.0], [0.0, 1.0])
+    assert [c.value for c in classes] == ["lightlike", "lightlike"]
+    (E, F, G), classes = first_form(mixed_chart(), [0.5, 0.5, 0.5], [0.0, 1.0, 2.0])
+    assert [c.value for c in classes] == ["spacelike", "lightlike", "timelike"]
+    assert np.array_equal(E, [1.0, 0.0, -3.0]) and np.array_equal(G, [0.25] * 3)
+
+
+def raised(fn, *args):
+    with pytest.raises(GeometryError) as info:
+        fn(*args)
+    return info.value
+
+
+@pytest.mark.parametrize("chart,error", [
+    (light_cone_chart(), CausalTypeError),
+    (SurfaceChart(lambda u, v: np.array([u, u, 0.0])), GeometryError),
+], ids=["light-cone", "not-immersed"])
+def test_mesh_raises_the_scalar_error(chart, error):
+    # the mesh's first vertex is the corner of the parameter rectangle
+    (u0, _), (v0, _) = chart.domain
+    mesh_err = raised(triangulate_chart, chart, 4, 4)
+    point_err = raised(gauss_map, chart, u0, v0)
+    assert type(mesh_err) is type(point_err) is error
+    assert str(mesh_err) == str(point_err)
+
+
+def mixed_chart():
+    """Not an immersion where u = 0; lightlike where v = +-1 (u != 0)."""
+    return SurfaceChart(
+        lambda u, v: np.array([u, u * v, 0.0]),
+        lambda u, v: np.array([1.0, 0.0, v]),
+        lambda u, v: np.array([0.0, u, 0.0]),
+        lambda u, v: np.zeros(3),
+        lambda u, v: np.zeros(3),
+        lambda u, v: np.zeros(3),
+        domain=((-1.0, 1.0), (-2.0, 2.0)),
+    )
+
+
+@pytest.mark.parametrize("fn", [gauss_map, shape_and_curvatures])
+@pytest.mark.parametrize("points", [
+    [(0.5, 0.0), (0.5, 1.0), (0.0, 0.2)],  # lightlike point first
+    [(0.5, 0.0), (0.0, 0.2), (0.5, 1.0)],  # non-immersed point first
+])
+def test_batch_raises_for_the_first_bad_point(fn, points):
+    chart = mixed_chart()
+    us, vs = np.array(points).T
+    scalar_errs = []
+    for u, v in points:
+        try:
+            fn(chart, u, v)
+        except GeometryError as exc:
+            scalar_errs.append(exc)
+    first = scalar_errs[0]
+    with pytest.raises(type(first), match=re.escape(str(first))) as info:
+        fn(chart, us, vs)
+    assert type(info.value) is type(first)
+
+
+def test_null_scroll_memo_hands_out_read_only_frames():
+    chart = null_scroll_chart(scaled_null_helix_jet(1.1))
+    b = chart.du(0.1, 0.3)
+    with pytest.raises(ValueError):
+        b[0] = 5.0
+    assert np.array_equal(chart.du(0.2, 0.3), b)
+
+
+def test_null_scroll_memo_leaves_the_jet_arrays_alone():
+    # a jet that hands out the same array objects on every call
+    base = scaled_null_helix_jet(1.1)
+    seen = {}
+
+    def shared(fn):
+        return lambda s: seen.setdefault((fn, float(s)), fn(s))
+
+    jet = CurveJet(shared(base.position), shared(base.velocity), shared(base.acceleration),
+                   shared(base.jerk), domain=base.domain)
+    mesh = triangulate_chart(null_scroll_chart(jet, u_range=(-0.4, 0.4), v_range=(-1.0, 1.0)), 4, 4)
+    assert seen and all(a.flags.writeable for a in seen.values())
+    ref = triangulate_chart(null_scroll_chart(base, u_range=(-0.4, 0.4), v_range=(-1.0, 1.0)), 4, 4)
+    assert np.array_equal(mesh.mean_curvature, ref.mean_curvature)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,24 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error:")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        # huge but finite: each fails where the value is built, before any
+        # numpy overflow warning
+        ["classify", "--vec", "0,0,1e308"],
+        ["umbilic", "--kind", "plane", "--center", "1,0,1e308"],
+        ["orbit", "--axis", "spacelike", "--p0", "0,1,0", "--params", "0:700:5"],
+        ["dirichlet", "--disk", "1e200", "--H", "1"],
+    ])
+    def test_huge_input_is_one_error_line(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "non-finite" not in err and "Traceback" not in err
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--vec", "a,b,c"],

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -88,6 +89,13 @@ class TestCausalClass:
         v = 1e8 * (E2 + E3)
         assert causal_class(v) is CausalClass.LIGHTLIKE
 
+    @pytest.mark.parametrize("v", [[0.0, 0.0, 1e308], [1e200, 0.0, 1e200], [1.3e154, 0.0, 1.3e154]])
+    def test_overflowing_square_rejected(self, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="overflows"):
+                causal_class(v)
+
 
 class TestSubspaces:
     @pytest.mark.parametrize(
@@ -152,6 +160,28 @@ class TestNorm:
 
     def test_lightlike_is_zero(self):
         assert lorentz_norm(E2 + E3) == 0.0
+
+    def test_overflowing_square_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="overflows"):
+                lorentz_norm([[1.0, 0.0, 0.0], [0.0, 0.0, 1e308]])
+            # <v,v> = 0 is finite even where |v|^2 is not
+            assert lorentz_norm([1.3e154, 0.0, 1.3e154]) == 0.0
+
+
+class TestCrossMatchesNumpy:
+    def test_bit_identical_to_reflected_np_cross(self, rng):
+        u = rng.normal(size=(500, 3)) * rng.uniform(1e-3, 1e3, size=(500, 1))
+        v = rng.normal(size=(500, 3))
+        ref = np.cross(u, v)
+        ref[:, 2] = -ref[:, 2]
+        assert np.array_equal(cross(u, v), ref)
+        assert np.array_equal(cross(u[3], v[3]), ref[3])
+        # broadcasting a single vector against a stack
+        ref = np.cross(u[0], v)
+        ref[:, 2] = -ref[:, 2]
+        assert np.array_equal(cross(u[0], v), ref)
 
 
 class TestCross:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from minkowski3.core import GeometryError
 from minkowski3.dirichlet import (
     ContinuationStallError,
     ConvexPolygon,
+    MAX_GRID_POINTS,
     Disk,
     GridDomain,
     SolvabilityError,
@@ -59,6 +62,18 @@ class TestDomains:
     def test_grid_spacing_must_be_finite_and_positive(self, h):
         with pytest.raises(GeometryError):
             GridDomain(Disk(1.0), h)
+
+    @pytest.mark.parametrize("shape,h", [
+        (Disk(1e200), 0.05),
+        (Disk(1e308), 0.05),
+        (Disk(1.0), 1e-300),
+        (Disk(1.0), 2.0 / np.sqrt(MAX_GRID_POINTS)),  # just past the bound
+    ], ids=["disk-1e200", "disk-1e308", "h-1e-300", "just-over"])
+    def test_grid_size_bounded(self, shape, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="MAX_GRID_POINTS"):
+                GridDomain(shape, h)
 
     def test_exit_fractions_bounded(self):
         dom = GridDomain(Disk(1.0), 0.07)

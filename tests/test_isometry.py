@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +13,7 @@ from minkowski3.isometry import (
     boost_spacelike,
     boost_timelike,
     component,
+    conic_residual,
     is_lorentz,
     orbit,
 )
@@ -174,3 +177,28 @@ class TestOrbits:
             orbit(CausalClass.SPACELIKE, [3.0, 0.0, 0.0], [0.1])
         with pytest.raises(GeometryError):
             orbit(CausalClass.LIGHTLIKE, [0.0, 2.0, 2.0], [0.1])
+
+
+class TestConicResidual:
+    @pytest.mark.parametrize("axis,p0,conic", [
+        (CausalClass.TIMELIKE, [1.0, 0.5, 2.0], "circle"),
+        (CausalClass.SPACELIKE, [0.3, 0.0, 1.0], "hyperbola"),
+        (CausalClass.LIGHTLIKE, [1.0, 1.0, -1.0], "parabola"),
+        (CausalClass.LIGHTLIKE, [1.0, 2.0, 0.5], "no canonical relation"),
+    ])
+    def test_orbits_lie_on_their_conic(self, axis, p0, conic):
+        pts = orbit(axis, p0, np.linspace(-2, 2, 41))
+        name, resid = conic_residual(axis, p0, pts)
+        assert conic in name
+        assert 0.0 <= resid <= 1e-12
+
+    def test_off_conic_points_measured(self):
+        pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        assert conic_residual(CausalClass.TIMELIKE, [1.0, 0.0, 0.0], pts)[1] == 3.0
+
+    def test_overflow_rejected_without_warnings(self):
+        pts = orbit(CausalClass.SPACELIKE, [0.0, 1.0, 0.0], np.linspace(0, 700, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="overflows"):
+                conic_residual(CausalClass.SPACELIKE, [0.0, 1.0, 0.0], pts)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -359,3 +361,17 @@ class TestImmersionValidation:
         )
         with pytest.raises(GeometryError):
             first_form(chart, 0.1, 0.1)
+
+
+class TestCatalogCenters:
+    @pytest.mark.parametrize("make", [
+        lambda c: plane_chart(c, E1, E2),
+        lambda c: hyperbolic_plane_chart(1.0, c),
+        lambda c: de_sitter_chart(1.0, c),
+    ], ids=["plane", "hyperbolic", "de-sitter"])
+    def test_center_with_overflowing_square_rejected(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="center too large"):
+                make([1.0, 0.0, 1e308])
+        make([1.0, 0.0, 1e100])  # large but squarable

@@ -148,13 +148,6 @@ def _count(text: str) -> int:
     return n
 
 
-def _write_csv(path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_float(x) for x in row) + "\n")
-
-
 def _export_mesh(mesh, path: str, out: dict) -> str:
     """Write `mesh` as OBJ to `path` with a `path.csv` sidecar; return the sidecar."""
     meshing.export_obj(mesh, path)
@@ -167,7 +160,7 @@ def _export_mesh(mesh, path: str, out: dict) -> str:
 def _export_profile(args, sol, chart, out: dict) -> None:
     """The --csv profile table and --mesh surface of a rotational or riemann run."""
     if args.csv:
-        _write_csv(args.csv, "s,r,rp,a,b", zip(sol.s, sol.r, sol.rp, sol.a, sol.b))
+        core.write_csv(args.csv, "s,r,rp,a,b", zip(sol.s, sol.r, sol.rp, sol.a, sol.b))
         out["csv"] = args.csv
     if args.mesh:
         _export_mesh(meshing.triangulate_chart(chart, args.nu, args.nv, wrap_v=True), args.mesh, out)
@@ -198,18 +191,14 @@ def cmd_classify(args) -> dict:
 
 
 def cmd_orbit(args) -> dict:
-    axis = {
-        "timelike": core.CausalClass.TIMELIKE,
-        "spacelike": core.CausalClass.SPACELIKE,
-        "lightlike": core.CausalClass.LIGHTLIKE,
-    }[args.axis]
+    axis = core.CausalClass(args.axis)
     p0 = _vec(args.p0)
     ts = np.linspace(*_params(args.params))
     pts = isometry.orbit(axis, p0, ts)
     conic, resid = isometry.conic_residual(axis, p0, pts)
     out = {"n_samples": len(pts), "conic": conic, "conic_residual_max": resid}
     if args.out:
-        _write_csv(args.out, "t,x,y,z", [(t, *p) for t, p in zip(ts, pts)])
+        core.write_csv(args.out, "t,x,y,z", [(t, *p) for t, p in zip(ts, pts)])
         out["csv"] = args.out
     return _report(args, "orbit", out)
 
@@ -233,10 +222,11 @@ def cmd_curve(args) -> dict:
         fr = curves.frenet(jet, t)
         kts.append((fr.kappa, fr.tau))
         cases.add(fr.case.name)
+    kappas = [k for k, _ in kts if k is not None]
     out = {
         "case": sorted(cases),
-        "kappa_min": min(k for k, _ in kts if k is not None) if any(k is not None for k, _ in kts) else None,
-        "kappa_max": max(k for k, _ in kts if k is not None) if any(k is not None for k, _ in kts) else None,
+        "kappa_min": min(kappas) if kappas else None,
+        "kappa_max": max(kappas) if kappas else None,
         "tau_abs_max": max(abs(t) for _, t in kts),
     }
     if args.out:
@@ -394,7 +384,7 @@ def cmd_cap(args) -> dict:
             for y in np.linspace(-args.R, args.R, 41):
                 if x * x + y * y <= args.R ** 2:
                     rows.append((x, y, float(chart.position(x, y)[2])))
-        _write_csv(args.csv, "x,y,z", rows)
+        core.write_csv(args.csv, "x,y,z", rows)
         out["csv"] = args.csv
     return _report(args, "cap", out)
 
@@ -431,13 +421,10 @@ def cmd_dirichlet(args) -> dict:
         cap_err = np.abs(sol.u - u_exact)
         out["error_vs_cap_max"] = float(cap_err.max())
     if args.out:
-        g = sol.gradient_magnitude()
+        cols = {"x": dom.xy[:, 0], "y": dom.xy[:, 1], "u": sol.u, "|Du|": sol.gradient_magnitude()}
         if cap_err is not None:
-            rows = zip(dom.xy[:, 0], dom.xy[:, 1], sol.u, g, cap_err)
-            _write_csv(args.out, "x,y,u,|Du|,err_cap", rows)
-        else:
-            rows = zip(dom.xy[:, 0], dom.xy[:, 1], sol.u, g)
-            _write_csv(args.out, "x,y,u,|Du|", rows)
+            cols["err_cap"] = cap_err
+        core.write_csv(args.out, ",".join(cols), zip(*cols.values()))
         out["csv"] = args.out
     return _report(args, "dirichlet", out)
 
@@ -619,9 +606,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = args.func(args)
+        # one numeric policy for every subcommand: an overflow, invalid or
+        # divide-by-zero operation is a domain error; underflow is harmless
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            report = args.func(args)
     except core.GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: numeric overflow in {args.subcommand}: {exc}", file=sys.stderr)
         return 1
     if _non_finite(report):
         print("error: the report holds a non-finite number", file=sys.stderr)

@@ -47,6 +47,7 @@ __all__ = [
     "E2",
     "E3",
     "METRIC",
+    "write_csv",
 ]
 
 #: relative tolerance used for all "is this Lorentz product zero" decisions
@@ -259,3 +260,12 @@ def future_directed(v) -> bool:
     if cc is CausalClass.SPACELIKE:
         raise CausalTypeError("future/past makes sense only for timelike or lightlike vectors")
     return bool(v[2] > 0)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """CSV file of `header` and one line per row of numbers, each printed with
+    17 significant digits (NaN as `nan`), so identical runs write identical bytes."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")

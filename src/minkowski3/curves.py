@@ -40,6 +40,7 @@ from .core import (
     hyperbolic_angle,
     lorentz_dot,
     lorentz_norm,
+    write_csv,
 )
 
 __all__ = [
@@ -560,19 +561,12 @@ def bertrand_fit(kappa_tau_samples, residual_tol: float = 1e-6) -> Optional[Bert
 
 
 def export_curve_csv(jet: CurveJet, ts, path, kappa_tau=None) -> None:
-    """Write a polyline CSV with columns t,x,y,z[,kappa,tau]."""
+    """Write a polyline CSV with columns t,x,y,z[,kappa,tau]; a missing kappa is nan."""
     ts = np.asarray(ts, dtype=float)
-    with open(path, "w") as fh:
-        if kappa_tau is None:
-            fh.write("t,x,y,z\n")
-            for t in ts:
-                p = jet.position(t)
-                fh.write(f"{t:.17g},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g}\n")
-        else:
-            fh.write("t,x,y,z,kappa,tau\n")
-            for t, (k, tau) in zip(ts, kappa_tau):
-                p = jet.position(t)
-                kv = float("nan") if k is None else k
-                fh.write(
-                    f"{t:.17g},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},{kv:.17g},{tau:.17g}\n"
-                )
+    if kappa_tau is None:
+        write_csv(path, "t,x,y,z", ((t, *jet.position(t)) for t in ts))
+    else:
+        write_csv(path, "t,x,y,z,kappa,tau", (
+            (t, *jet.position(t), np.nan if k is None else k, tau)
+            for t, (k, tau) in zip(ts, kappa_tau)
+        ))

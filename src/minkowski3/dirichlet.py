@@ -56,6 +56,8 @@ _THETA_MIN = 1e-3
 #: 203 x 203); larger requests are a GeometryError, not an allocation failure
 MAX_GRID_POINTS = 4_000_000
 
+_OPP = (1, 0, 3, 2)  # opposite arm index: W of E, E of W, S of N, N of S
+
 
 class ContinuationStallError(GeometryError):
     """Continuation step halving exhausted without Newton convergence."""
@@ -110,33 +112,21 @@ class ConvexPolygon:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3 or not np.all(np.isfinite(v)):
             raise GeometryError("polygon needs at least three finite 2D vertices")
-        # normalize to counterclockwise order
-        area2 = 0.0
-        for i in range(len(v)):
-            x0, y0 = v[i]
-            x1, y1 = v[(i + 1) % len(v)]
-            area2 += x0 * y1 - x1 * y0
-        if area2 < 0:
+        # normalize to counterclockwise order by the shoelace sum, accumulated
+        # in vertex order (cumsum adds in sequence, so the sign is that of a loop)
+        nxt = np.roll(v, -1, axis=0)
+        if np.cumsum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1])[-1] < 0:
             v = v[::-1].copy()
-        crosses = []
-        for i in range(len(v)):
-            a = v[(i + 1) % len(v)] - v[i]
-            b = v[(i + 2) % len(v)] - v[(i + 1) % len(v)]
-            crosses.append(a[0] * b[1] - a[1] * b[0])
-        if min(crosses) <= 0:
+        d = np.roll(v, -1, axis=0) - v  # edge k runs from vertex k to vertex k + 1
+        crosses = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
+        if not np.all(crosses > 0):
             raise GeometryError("polygon must be strictly convex")
         object.__setattr__(self, "vertices", v)
-        # outward edge normals and offsets: n . x <= b inside
-        n = []
-        b = []
-        for i in range(len(v)):
-            d = v[(i + 1) % len(v)] - v[i]
-            nn = np.array([d[1], -d[0]])
-            nn = nn / np.linalg.norm(nn)
-            n.append(nn)
-            b.append(float(nn @ v[i]))
+        # outward edge normals and offsets: n . x <= b inside; norm and dot stay
+        # per edge, since their array forms round differently
+        n = [nn / np.linalg.norm(nn) for nn in np.column_stack([d[:, 1], -d[:, 0]])]
         object.__setattr__(self, "_normals", np.asarray(n))
-        object.__setattr__(self, "_offsets", np.asarray(b))
+        object.__setattr__(self, "_offsets", np.asarray([float(nn @ p) for nn, p in zip(n, v)]))
 
     def bbox(self):
         v = self.vertices
@@ -235,6 +225,10 @@ class GridDomain:
             x, y = self.xy[k]
             self.theta[k, d] = max(shape.exit_fraction(x, y, *dirs[d], h), _THETA_MIN)
         self.ring = np.any(self.boundary_arm, axis=1)
+        # per arm: the node across it and the neighbor behind it (across the
+        # opposite arm), each the node itself where the arm leaves the domain
+        self.across = np.where(self.boundary_arm, np.arange(self.n)[:, None], self.nbr)
+        self.behind = self.across[:, _OPP]
         # finite-difference Jacobian coloring: each residual reads only its
         # node's 3x3 neighborhood, which holds one node of each of 9 colors;
         # color_nbr[k, c] is that node (or -1), at offset (di, dj) in {-1,0,1}^2
@@ -247,10 +241,7 @@ class GridDomain:
 
     def values_with_boundary(self, u: np.ndarray):
         """Per-arm neighbor values (0 on boundary crossings), shape (n, 4)."""
-        vals = np.zeros((self.n, 4))
-        mask = self.nbr >= 0
-        vals[mask] = u[self.nbr[mask]]
-        return vals
+        return np.append(u, 0.0)[self.nbr]  # index -1 picks the appended 0
 
     def node_gradient(self, u: np.ndarray):
         """Unequal-arm O(h^2) central derivatives (ux, uy) at every node."""
@@ -302,14 +293,6 @@ class GraphSolution:
         return np.hypot(ux, uy)
 
 
-def _flux(a, b, eps):
-    m = 1.0 + eps * (a * a + b * b)
-    return a / np.sqrt(m)
-
-
-_OPP = (1, 0, 3, 2)  # opposite arm index: W of E, E of W, S of N, N of S
-
-
 def _half_data(dom: GridDomain, u: np.ndarray):
     """Primary and transverse derivative per arm half-point, shape (n, 4).
 
@@ -321,24 +304,12 @@ def _half_data(dom: GridDomain, u: np.ndarray):
     vals = dom.values_with_boundary(u)
     h = dom.h
     ux, uy = dom.node_gradient(u)
-    sgn = np.array([1.0, -1.0, 1.0, -1.0])
-    prim = np.empty((dom.n, 4))
-    trans = np.empty((dom.n, 4))
-    for d in range(4):
-        prim[:, d] = sgn[d] * (vals[:, d] - u) / (dom.theta[:, d] * h)
-        own = uy if d < 2 else ux
-        nb = dom.nbr[:, d]
-        other = np.where(nb >= 0, own[nb], own)
-        avg = 0.5 * (own + other)
-        opp = dom.nbr[:, _OPP[d]]
-        slope = np.where(
-            opp >= 0,
-            (own - own[opp]) / (dom.theta[:, _OPP[d]] * h),
-            0.0,
-        )
-        extrap = own + 0.5 * dom.theta[:, d] * h * slope
-        trans[:, d] = np.where(nb >= 0, avg, extrap)
-    return prim, trans
+    prim = np.array([1.0, -1.0, 1.0, -1.0]) * (vals - u[:, None]) / (dom.theta * h)
+    own = np.column_stack([uy, uy, ux, ux])  # each arm's transverse derivative
+    avg = 0.5 * (own + np.take_along_axis(own, dom.across, axis=0))
+    slope = (own - np.take_along_axis(own, dom.behind, axis=0)) / (dom.theta[:, _OPP] * h)
+    extrap = own + 0.5 * dom.theta * h * slope
+    return prim, np.where(dom.boundary_arm, extrap, avg)
 
 
 def cmc_operator_residual(dom: GridDomain, u: np.ndarray, H: float, eps: int,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GeometryError, cross, lorentz_dot
+from .core import GeometryError, cross, lorentz_dot, write_csv
 from .surfaces import SurfaceChart, _values, gauss_map, shape_and_curvatures
 
 __all__ = [
@@ -189,13 +189,6 @@ def export_obj(mesh: SurfaceMesh, path) -> None:
 
 def export_mesh_csv(mesh: SurfaceMesh, path) -> None:
     """Sidecar CSV with per-vertex u,v,x,y,z,H,K,umbilic."""
-    with open(path, "w") as fh:
-        fh.write("u,v,x,y,z,H,K,umbilic\n")
-        for (u, v), p, h, k, um in zip(
-            mesh.uv, mesh.vertices, mesh.mean_curvature,
-            mesh.gauss_curvature, mesh.umbilic,
-        ):
-            fh.write(
-                f"{u:.17g},{v:.17g},{p[0]:.17g},{p[1]:.17g},{p[2]:.17g},"
-                f"{h:.17g},{k:.17g},{int(um)}\n"
-            )
+    write_csv(path, "u,v,x,y,z,H,K,umbilic", np.column_stack([
+        mesh.uv, mesh.vertices, mesh.mean_curvature, mesh.gauss_curvature, mesh.umbilic,
+    ]))

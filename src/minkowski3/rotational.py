@@ -24,7 +24,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
 from .core import GeometryError
-from .surfaces import SurfaceChart, graph_chart
+from .surfaces import SurfaceChart, hyperbolic_plane_chart
 
 __all__ = [
     "ProfileODEParams",
@@ -123,23 +123,26 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
     def at_guard(y):
         return y[0] <= GUARD or y[1] * y[1] - 1.0 <= GUARD
 
-    for k in range(n):
-        y = ys[k]
-        if at_guard(y):
-            truncated = True
-            last = k
-            break
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y_next = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # reject the step (not just the next one) if it leaves the admissible set
-        if not np.all(np.isfinite(y_next)) or at_guard(y_next):
-            truncated = True
-            last = k
-            break
-        ys[k + 1] = y_next
+    # a step that blows up may overflow in its stages: the non-finite y_next
+    # is rejected below, so overflow here is not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n):
+            y = ys[k]
+            if at_guard(y):
+                truncated = True
+                last = k
+                break
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y_next = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            # reject the step (not just the next one) if it leaves the admissible set
+            if not np.all(np.isfinite(y_next)) or at_guard(y_next):
+                truncated = True
+                last = k
+                break
+            ys[k + 1] = y_next
     ys = ys[: last + 1]
     s = params.s0 + h * np.arange(last + 1)
     r, rp, a, b = ys.T
@@ -298,17 +301,4 @@ def hyperbolic_cap_chart(r: float, R: float, rim_at_zero: bool = False):
     """
     cap = HyperbolicCap(r, R)
     shift = cap.rim_height if rim_at_zero else 0.0
-
-    def w(x, y):
-        return np.sqrt(r * r + x * x + y * y)
-
-    chart = graph_chart(
-        lambda x, y: w(x, y) - shift,
-        fx=lambda x, y: x / w(x, y),
-        fy=lambda x, y: y / w(x, y),
-        fxx=lambda x, y: (y * y + r * r) / w(x, y) ** 3,
-        fxy=lambda x, y: -x * y / w(x, y) ** 3,
-        fyy=lambda x, y: (x * x + r * r) / w(x, y) ** 3,
-        domain=((-R, R), (-R, R)),
-    )
-    return chart, cap
+    return hyperbolic_plane_chart(r, (0.0, 0.0, -shift), domain=((-R, R), (-R, R))), cap

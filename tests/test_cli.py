@@ -199,6 +199,10 @@ class TestBadInput:
         ["umbilic", "--kind", "plane", "--center", "1,0,1e308"],
         ["orbit", "--axis", "spacelike", "--p0", "0,1,0", "--params", "0:700:5"],
         ["dirichlet", "--disk", "1e200", "--H", "1"],
+        # squares overflow inside the computation: the numeric policy of main
+        ["surface", "--kind", "desitter", "--r", "1e300", "--nu", "3", "--nv", "3"],
+        ["cap", "--r", "1e150", "--R", "1e150"],
+        ["classify", "--plane", "1e308,0,0;0,1,0"],
     ])
     def test_huge_input_is_one_error_line(self, capsys, argv):
         with warnings.catch_warnings(record=True) as caught:
@@ -262,6 +266,10 @@ def _command(name: str, *args):
 
 # each value is one token or tokens joined in the shape the option expects
 VEC = TOKEN | _joined(TOKEN, 3, ",")
+COUNT = TOKEN | st.sampled_from(["2", "3", "5"])
+SMALL = st.sampled_from([t for t in TOKENS if t != "1e308"])
+SPAN = st.sampled_from(["0.5:0.7", "0:0.2", "0.1:0.3", "0.2:0", "0:nan", "inf:1", "abc"])
+STEP = st.sampled_from(["0.01", "0.02", "0.05", "0", "nan", "1e308", "abc"])
 ARGV = st.one_of(
     _command("classify", _arg("vec", VEC), _arg("plane", TOKEN | _joined(VEC, 2, ";"))),
     _command("orbit", _arg("axis", st.sampled_from(["timelike", "spacelike", "lightlike"]), True),
@@ -273,6 +281,17 @@ ARGV = st.one_of(
     _command("umbilic", _arg("kind", st.sampled_from(["plane", "hyperbolic", "desitter", "catenoid"]), True),
              _arg("r", TOKEN), _arg("center", VEC), _arg("nu", TOKEN), _arg("nv", TOKEN)),
     _command("cap", _arg("r", TOKEN), _arg("R", TOKEN), st.sampled_from([[], ["--rim-at-zero"]])),
+    # the solvers get small sizes, short spans and no huge H (which continues for long)
+    _command("surface", _arg("kind", st.sampled_from(["plane", "hyperbolic", "desitter", "catenoid"]), True),
+             _arg("r", TOKEN), _arg("center", VEC), _arg("nu", COUNT), _arg("nv", COUNT)),
+    _command("rotational", st.sampled_from([[], ["--catenoid"]]), _arg("H", TOKEN), _arg("r0", TOKEN),
+             _arg("rp0", TOKEN | st.just("1.5")), _arg("span", SPAN, True), _arg("step", STEP, True),
+             _arg("nu", COUNT), _arg("nv", COUNT)),
+    _command("riemann", _arg("c", TOKEN), _arg("d", TOKEN), _arg("r0", TOKEN), _arg("rp0", TOKEN),
+             _arg("span", SPAN, True), _arg("step", STEP, True), _arg("nu", COUNT), _arg("nv", COUNT)),
+    _command("dirichlet", _arg("disk", TOKEN, True), _arg("H", SMALL, True),
+             _arg("ambient", st.sampled_from(["lorentz", "euclid"])), _arg("dH", TOKEN),
+             _arg("h", st.sampled_from(["0.25", "0.5", "1", "0", "-0.5", "nan", "1e308", "abc"]), True)),
 )
 
 
@@ -288,16 +307,21 @@ def _reject_constant(name: str):
 
 
 class TestArgvProperty:
-    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(ARGV)
     def test_every_argv_ends_in_a_documented_exit(self, argv):
         # pure readers only: no output paths are ever generated
-        with contextlib.redirect_stdout(io.StringIO()) as out, \
-                contextlib.redirect_stderr(io.StringIO()):
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            warnings.simplefilter("always")
             code = main(argv)
         assert code in (0, 1, 2)
+        assert [str(w.message) for w in caught] == [] and "Warning" not in err.getvalue()
         if code == 0:
             json.loads(out.getvalue(), parse_float=_finite, parse_constant=_reject_constant)
+        if code == 1:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
 
 
 class TestDeterminism:

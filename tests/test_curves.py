@@ -472,6 +472,20 @@ class TestPlanarityTorsion:
             npt.assert_allclose(fr.tau, -1.0 / (2 * c * c), atol=1e-9)
 
 
+def test_csv_export_text(tmp_path):
+    jet = CurveJet(lambda t: np.array([t, t * t, -0.0]), domain=(-1.0, 1.0))
+    path = tmp_path / "curve.csv"
+    export_curve_csv(jet, [0.1, -0.5], path)
+    assert path.read_text() == "t,x,y,z\n0.10000000000000001,0.10000000000000001,0.010000000000000002,-0\n-0.5,-0.5,0.25,-0\n"
+    # a null-normal row has no curvature and prints nan
+    export_curve_csv(jet, [0.1, -0.5], path, kappa_tau=[(None, 1 / 3), (2.0, -1e-300)])
+    assert path.read_text() == (
+        "t,x,y,z,kappa,tau\n"
+        "0.10000000000000001,0.10000000000000001,0.010000000000000002,-0,nan,0.33333333333333331\n"
+        "-0.5,-0.5,0.25,-0,2,-1e-300\n"
+    )
+
+
 def test_csv_export(tmp_path):
     jet = timelike_hyperbola_jet(1.0)
     ts = np.linspace(-0.5, 0.5, 5)

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from minkowski3 import dirichlet
 from minkowski3.core import GeometryError
 from minkowski3.dirichlet import (
     ContinuationStallError,
@@ -115,6 +116,105 @@ class TestGridInvariants:
             has = dom.nbr[:, d] >= 0
             npt.assert_array_equal(dom.nbr[dom.nbr[has, d], _OPP[d]], k[has])
         assert np.all(dom.theta[dom.nbr >= 0] == 1.0)
+
+
+def loop_values_with_boundary(dom, u):
+    """Neighbor value per arm, 0 where the arm leaves the domain, by masks."""
+    vals = np.zeros((dom.n, 4))
+    mask = dom.nbr >= 0
+    vals[mask] = u[dom.nbr[mask]]
+    return vals
+
+
+def loop_half_data(dom, u):
+    """Half-point derivatives arm by arm, with the neighbor masks made per call."""
+    vals = loop_values_with_boundary(dom, u)
+    h = dom.h
+    ux, uy = dom.node_gradient(u)
+    sgn = np.array([1.0, -1.0, 1.0, -1.0])
+    prim = np.empty((dom.n, 4))
+    trans = np.empty((dom.n, 4))
+    for d in range(4):
+        prim[:, d] = sgn[d] * (vals[:, d] - u) / (dom.theta[:, d] * h)
+        own = uy if d < 2 else ux
+        nb = dom.nbr[:, d]
+        avg = 0.5 * (own + np.where(nb >= 0, own[nb], own))
+        opp = dom.nbr[:, _OPP[d]]
+        slope = np.where(opp >= 0, (own - own[opp]) / (dom.theta[:, _OPP[d]] * h), 0.0)
+        extrap = own + 0.5 * dom.theta[:, d] * h * slope
+        trans[:, d] = np.where(nb >= 0, avg, extrap)
+    return prim, trans
+
+
+class TestArmStencil:
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    @pytest.mark.parametrize("shape", [Disk(1.0), pentagon()], ids=["disk", "pentagon"])
+    def test_equals_the_per_arm_loop(self, shape, h, monkeypatch):
+        dom = GridDomain(shape, h)
+        rng = np.random.default_rng(7)
+        tent = -0.4 * np.array([shape.boundary_distance(x, y) for x, y in dom.xy])
+        for u in (tent, tent + rng.uniform(-0.01, 0.01, dom.n), rng.uniform(-1.0, 1.0, dom.n)):
+            assert np.array_equal(dom.values_with_boundary(u), loop_values_with_boundary(dom, u))
+            for new, old in zip(dirichlet._half_data(dom, u), loop_half_data(dom, u)):
+                assert np.array_equal(new, old)
+            residuals = [cmc_operator_residual(dom, u, 1.0, eps, check_spacelike=False) for eps in (-1, 1)]
+            with monkeypatch.context() as m:
+                m.setattr(dirichlet, "_half_data", loop_half_data)
+                for eps, r in zip((-1, 1), residuals):
+                    assert np.array_equal(r, cmc_operator_residual(dom, u, 1.0, eps, check_spacelike=False))
+
+
+def loop_polygon(vertices):
+    """(vertices, normals, offsets) built vertex by vertex, or None if not strictly convex."""
+    v = np.asarray(vertices, dtype=float)
+    area2 = 0.0
+    for i in range(len(v)):
+        x0, y0 = v[i]
+        x1, y1 = v[(i + 1) % len(v)]
+        area2 += x0 * y1 - x1 * y0
+    if area2 < 0:
+        v = v[::-1].copy()
+    crosses = []
+    for i in range(len(v)):
+        a = v[(i + 1) % len(v)] - v[i]
+        b = v[(i + 2) % len(v)] - v[(i + 1) % len(v)]
+        crosses.append(a[0] * b[1] - a[1] * b[0])
+    if min(crosses) <= 0:
+        return None
+    n, b = [], []
+    for i in range(len(v)):
+        d = v[(i + 1) % len(v)] - v[i]
+        nn = np.array([d[1], -d[0]])
+        nn = nn / np.linalg.norm(nn)
+        n.append(nn)
+        b.append(float(nn @ v[i]))
+    return v, np.asarray(n), np.asarray(b)
+
+
+class TestPolygonConstruction:
+    def test_equals_the_vertex_loops(self):
+        rng = np.random.default_rng(11)
+        built = rejected = 0
+        for trial in range(300):
+            k = int(rng.integers(3, 10))
+            if trial % 3 == 2:  # arbitrary points: mostly not convex
+                verts = rng.normal(size=(k, 2))
+            else:
+                ang = np.sort(rng.uniform(0.0, 2 * np.pi, k))
+                verts = rng.uniform(0.5, 2.0) * np.c_[np.cos(ang), rng.uniform(0.3, 1.0) * np.sin(ang)]
+                verts = verts + rng.normal(size=2)
+            for vs in (verts, verts[::-1]):
+                expected = loop_polygon(vs)
+                if expected is None:
+                    rejected += 1
+                    with pytest.raises(GeometryError, match="strictly convex"):
+                        ConvexPolygon(vs)
+                    continue
+                built += 1
+                poly = ConvexPolygon(vs)
+                for got, want in zip((poly.vertices, poly._normals, poly._offsets), expected):
+                    assert np.array_equal(got, want)
+        assert built > 300 and rejected > 100
 
 
 class TestJacobian:

@@ -4,6 +4,7 @@ import pytest
 
 from minkowski3.core import GeometryError, E1, E2
 from minkowski3.meshing import (
+    SurfaceMesh,
     cone_volume,
     disk_graph_mesh,
     export_mesh_csv,
@@ -91,6 +92,24 @@ class TestFirstVariation:
 
 
 class TestExport:
+    def test_sidecar_text(self, tmp_path):
+        mesh = SurfaceMesh(
+            vertices=np.array([[1 / 3, 0.0, -0.0], [2.0, -1e-300, 1e20]]),
+            faces=np.zeros((0, 3), dtype=int),
+            uv=np.array([[0.1, -0.5], [0.0, 1.0]]),
+            normals=np.zeros((2, 3)),
+            mean_curvature=np.array([0.5, -2.0]),
+            gauss_curvature=np.array([-0.25, 1e-17]),
+            umbilic=np.array([True, False]),
+            boundary=np.array([False, True]),
+        )
+        export_mesh_csv(mesh, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text() == (
+            "u,v,x,y,z,H,K,umbilic\n"
+            "0.10000000000000001,-0.5,0.33333333333333331,0,-0,0.5,-0.25,1\n"
+            "0,1,2,-1e-300,1e+20,-2,1.0000000000000001e-17,0\n"
+        )
+
     def test_obj_and_sidecar(self, tmp_path):
         mesh = triangulate_chart(hyperbolic_cap_chart(1.0, 1.0)[0], 5, 5)
         obj = tmp_path / "m.obj"

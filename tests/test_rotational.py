@@ -101,6 +101,15 @@ class TestRotationalIntegration:
 
 
 class TestRiemannFamily:
+    def test_blow_up_is_truncated_when_overflow_raises(self):
+        # with c = 1 the radius blows up within s < 1 and an RK4 stage overflows;
+        # the CLI's numeric policy raises on overflow, yet the profile must
+        # still stop at its last finite step, as without that policy
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = integrate_riemann(ProfileODEParams(c=1.0))
+        assert sol.truncated and len(sol.s) == 905
+        assert np.all(np.isfinite(sol.r)) and sol.r[-1] > 1e30
+
     def test_degenerates_to_catenoid(self):
         sol = integrate_riemann(catenoid_params())
         assert np.max(np.abs(sol.r - np.sinh(sol.s))) <= 1e-6
@@ -178,6 +187,24 @@ class TestHyperbolicCaps:
         chart, cap = hyperbolic_cap_chart(1.0, 1.0, rim_at_zero=True)
         npt.assert_allclose(chart.position(1.0, 0.0)[2], 0.0, atol=1e-14)
         npt.assert_allclose(chart.position(0.0, 0.0)[2], -cap.height, rtol=1e-12)
+
+    @pytest.mark.parametrize("rim_at_zero", [False, True])
+    def test_evaluators_are_the_closed_forms(self, rim_at_zero):
+        r, R = 1.3, 0.9
+        chart, cap = hyperbolic_cap_chart(r, R, rim_at_zero=rim_at_zero)
+        shift = cap.rim_height if rim_at_zero else 0.0
+        for x, y in ((0.0, 0.0), (0.4, -0.7), (-0.9, 0.9), (1 / 3, 0.1)):
+            w = np.sqrt(r * r + x * x + y * y)
+            expected = {
+                "position": [x, y, w - shift],
+                "du": [1.0, 0.0, x / w],
+                "dv": [0.0, 1.0, y / w],
+                "duu": [0.0, 0.0, (y * y + r * r) / w ** 3],
+                "duv": [0.0, 0.0, -x * y / w ** 3],
+                "dvv": [0.0, 0.0, (x * x + r * r) / w ** 3],
+            }
+            for name, value in expected.items():
+                assert np.array_equal(getattr(chart, name)(x, y), value), name
 
     def test_unbounded_heights(self):
         # fixed H = 1/r: heights grow strictly and without bound in R

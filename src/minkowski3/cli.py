@@ -103,8 +103,8 @@ def _span(text: str) -> tuple[float, float]:
 def _params(text: str) -> tuple[float, float, int]:
     start, stop, count = text.split(":")
     n = int(count)
-    if n < 1:
-        raise ValueError("count must be at least 1")
+    if not 1 <= n <= core.MAX_POINTS:
+        raise ValueError("count must be at least 1 and at most core.MAX_POINTS")
     return float(start), float(stop), n
 
 
@@ -136,15 +136,16 @@ def _readable(parse, expected: str):
 _VEC = _readable(_vec, "three comma-separated numbers x,y,z")
 _PLANE = _readable(lambda text: [_vec(p) for p in text.split(";")], "'x,y,z;x,y,z'")
 _SPAN = _readable(_span, "a span a:b")
-_PARAMS = _readable(_params, "start:stop:count with an integer count >= 1")
+_PARAMS = _readable(_params, f"start:stop:count with an integer count in 1..{core.MAX_POINTS}")
 _POLYGON = _readable(_polygon, "a readable file of 'x,y' lines")
 
 
 def _count(text: str) -> int:
-    """argparse type for sample and mesh counts: an integer of at least 2."""
+    """argparse type for sample and mesh counts: an integer from 2 to core.MAX_POINTS."""
     n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    if not 2 <= n <= core.MAX_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 2 and <= {core.MAX_POINTS}, got {text!r}")
     return n
 
 
@@ -268,6 +269,8 @@ def cmd_surface(args) -> dict:
 
 def cmd_umbilic(args) -> dict:
     chart = _surface_chart(args)
+    if args.nu * args.nv > core.MAX_POINTS:
+        raise core.GeometryError(f"--nu x --nv samples exceed MAX_POINTS = {core.MAX_POINTS}")
     (u0, u1), (v0, v1) = chart.domain
     us = np.linspace(u0 + 0.1 * (u1 - u0), u1 - 0.1 * (u1 - u0), args.nu)
     vs = np.linspace(v0 + 0.1 * (v1 - v0), v1 - 0.1 * (v1 - v0), args.nv)
@@ -283,13 +286,14 @@ def cmd_umbilic(args) -> dict:
     return _report(args, "umbilic", out)
 
 
-def _measured_h_stats(chart, nu=24, nv=24, shrink=0.02):
+def _measured_h_stats(chart):
+    """Least and greatest H over 24 x 24 samples inset by 2% of each side."""
     (u0, u1), (v0, v1) = chart.domain
-    du = shrink * (u1 - u0)
-    dv = shrink * (v1 - v0)
-    us = np.linspace(u0 + du, u1 - du, nu)
-    vs = np.linspace(v0 + dv, v1 - dv, nv)
-    hs = surfaces.shape_and_curvatures(chart, np.repeat(us, nv), np.tile(vs, nu)).H
+    du = 0.02 * (u1 - u0)
+    dv = 0.02 * (v1 - v0)
+    us = np.linspace(u0 + du, u1 - du, 24)
+    vs = np.linspace(v0 + dv, v1 - dv, 24)
+    hs = surfaces.shape_and_curvatures(chart, np.repeat(us, 24), np.tile(vs, 24)).H
     return float(np.min(hs)), float(np.max(hs))
 
 
@@ -338,7 +342,7 @@ def cmd_riemann(args) -> dict:
     )
     sol = rotational.integrate_riemann(params)
     warnings = []
-    if sol.spacelike_violation:
+    if sol.truncated or not rotational.chart_spacelike(sol):
         warnings.append("chart fails the spacelike condition somewhere")
     # drift relation a' = c r^2, b' = d r^2 checked by a five-point stencil
     def deriv(arr):

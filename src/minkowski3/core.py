@@ -29,6 +29,7 @@ import numpy as np
 
 __all__ = [
     "REL_TOL",
+    "MAX_POINTS",
     "GeometryError",
     "CausalTypeError",
     "AmbiguousCaseError",
@@ -52,6 +53,10 @@ __all__ = [
 
 #: relative tolerance used for all "is this Lorentz product zero" decisions
 REL_TOL = 1e-12
+
+#: most points an array sized from input may hold (profile steps, mesh vertices,
+#: CLI counts, Dirichlet grids); a larger request is an error, not an allocation
+MAX_POINTS = 4_000_000
 
 E1 = np.array([1.0, 0.0, 0.0])
 E2 = np.array([0.0, 1.0, 0.0])

@@ -145,8 +145,8 @@ def classify_curve(jet: CurveJet, t: float) -> CausalClass:
     return causal_class(jet.velocity(t))
 
 
-def _check_constant_class(jet: CurveJet, expected, n: int = 129) -> None:
-    ts = np.linspace(jet.domain[0], jet.domain[1], n)
+def _check_constant_class(jet: CurveJet, expected) -> None:
+    ts = np.linspace(jet.domain[0], jet.domain[1], 129)
     for t in ts:
         c = causal_class(jet.velocity(t))
         if c not in expected:
@@ -374,16 +374,15 @@ def _frame_at(jet: CurveJet, s: float):
     return t_vec, n_vec, cross(t_vec, n_vec), case, kappa
 
 
-def _frame_derivative(jet: CurveJet, s: float, index: int) -> np.ndarray:
-    """d/ds of the frame field (0=T, 1=N, 2=B) by a five-point stencil."""
+def _normal_derivative(jet: CurveJet, s: float) -> np.ndarray:
+    """N'(s) by a five-point stencil of the frame's normal field."""
     h = jet.h_fd
 
-    def field(u: float) -> np.ndarray:
-        fr = _frame_at(jet, u)
-        return fr[index]
+    def normal(u: float) -> np.ndarray:
+        return _frame_at(jet, u)[1]
 
     return (
-        -field(s + 2 * h) + 8.0 * field(s + h) - 8.0 * field(s - h) + field(s - 2 * h)
+        -normal(s + 2 * h) + 8.0 * normal(s + h) - 8.0 * normal(s - h) + normal(s - 2 * h)
     ) / (12.0 * h)
 
 
@@ -397,7 +396,7 @@ def frenet(jet: CurveJet, s: float) -> FrenetFrame:
     t_vec, n_vec, b_vec, case, kappa = _frame_at(jet, s)
     # <N',B> = tau in every case (see frenet_matrix) but the spacelike-normal
     # one, where B is timelike and N' = -kappa T + tau B gives <N',B> = -tau
-    tau = float(lorentz_dot(_frame_derivative(jet, s, 1), b_vec))
+    tau = float(lorentz_dot(_normal_derivative(jet, s), b_vec))
     if case is FrenetCase.SPACELIKE_SP_N:
         tau = -tau
     return FrenetFrame(t_vec, n_vec, b_vec, case, kappa, tau)
@@ -470,18 +469,15 @@ def generate_constant_curvature(plane_case: PlaneCase, a: float, b: float = 0.0,
         dx = lambda s: np.array([-np.sin(a * s + b), np.cos(a * s + b), 0.0])
         ddx = lambda s: np.array([-a * np.cos(a * s + b), -a * np.sin(a * s + b), 0.0])
         dddx = lambda s: np.array([a * a * np.sin(a * s + b), -a * a * np.cos(a * s + b), 0.0])
-    elif plane_case is PlaneCase.TIMELIKE_PLANE_SPACELIKE_CURVE:
+    elif plane_case is not PlaneCase.LIGHTLIKE_PLANE:
+        # the two hyperbolas are one curve with y and z swapped
+        spacelike = plane_case is PlaneCase.TIMELIKE_PLANE_SPACELIKE_CURVE
+        f, g = (np.sinh, np.cosh) if spacelike else (np.cosh, np.sinh)
         r = 1.0 / a
-        x = lambda s: np.array([0.0, r * np.sinh(a * s + b), r * np.cosh(a * s + b)])
-        dx = lambda s: np.array([0.0, np.cosh(a * s + b), np.sinh(a * s + b)])
-        ddx = lambda s: np.array([0.0, a * np.sinh(a * s + b), a * np.cosh(a * s + b)])
-        dddx = lambda s: np.array([0.0, a * a * np.cosh(a * s + b), a * a * np.sinh(a * s + b)])
-    elif plane_case is PlaneCase.TIMELIKE_PLANE_TIMELIKE_CURVE:
-        r = 1.0 / a
-        x = lambda s: np.array([0.0, r * np.cosh(a * s + b), r * np.sinh(a * s + b)])
-        dx = lambda s: np.array([0.0, np.sinh(a * s + b), np.cosh(a * s + b)])
-        ddx = lambda s: np.array([0.0, a * np.cosh(a * s + b), a * np.sinh(a * s + b)])
-        dddx = lambda s: np.array([0.0, a * a * np.sinh(a * s + b), a * a * np.cosh(a * s + b)])
+        x = lambda s: np.array([0.0, r * f(a * s + b), r * g(a * s + b)])
+        dx = lambda s: np.array([0.0, g(a * s + b), f(a * s + b)])
+        ddx = lambda s: np.array([0.0, a * f(a * s + b), a * g(a * s + b)])
+        dddx = lambda s: np.array([0.0, a * a * g(a * s + b), a * a * f(a * s + b)])
     else:
         c = a
         x = lambda s: np.array([s, c * s + 0.5 * s * s, c * s + 0.5 * s * s])
@@ -541,12 +537,12 @@ class BertrandFit(NamedTuple):
     helix_degenerate: bool
 
 
-def bertrand_fit(kappa_tau_samples, residual_tol: float = 1e-6) -> Optional[BertrandFit]:
+def bertrand_fit(kappa_tau_samples) -> Optional[BertrandFit]:
     """Least-squares constants with A*kappa_i + B*tau_i = 1, or None.
 
     Returns the minimum-norm solution when the fit is underdetermined
     (e.g. constant kappa, tau).  The fit is accepted only if the maximum
-    residual |A*kappa_i + B*tau_i - 1| is at most `residual_tol`.
+    residual |A*kappa_i + B*tau_i - 1| is at most 1e-6.
     """
     arr = np.asarray(kappa_tau_samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 3:
@@ -554,7 +550,7 @@ def bertrand_fit(kappa_tau_samples, residual_tol: float = 1e-6) -> Optional[Bert
     rhs = np.ones(len(arr))
     sol, _res, _rank, sv = np.linalg.lstsq(arr, rhs, rcond=None)
     resid = arr @ sol - rhs
-    if float(np.max(np.abs(resid))) > residual_tol:
+    if float(np.max(np.abs(resid))) > 1e-6:
         return None
     helix = bool(sv[-1] <= 1e-9 * max(sv[0], 1e-300))
     return BertrandFit(float(sol[0]), float(sol[1]), helix)

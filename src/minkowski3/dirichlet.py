@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .core import GeometryError
+from .core import MAX_POINTS, GeometryError
 
 __all__ = [
     "Disk",
@@ -47,14 +47,16 @@ __all__ = [
     "gradient_boundary_check",
     "exact_cap_values",
     "MAX_GRID_POINTS",
+    "MAX_NEWTON_ITERS",
 ]
 
 _THETA_MIN = 1e-3
 
-#: largest grid, in points of the bounding box, that GridDomain builds: about
-#: 2000 x 2000 (the tests, the benchmark and the CLI default use at most
-#: 203 x 203); larger requests are a GeometryError, not an allocation failure
-MAX_GRID_POINTS = 4_000_000
+#: largest grid, in points of the bounding box, that GridDomain builds
+MAX_GRID_POINTS = MAX_POINTS
+
+#: Newton iterations per continuation step before the step is halved
+MAX_NEWTON_ITERS = 40
 
 _OPP = (1, 0, 3, 2)  # opposite arm index: W of E, E of W, S of N, N of S
 
@@ -159,16 +161,16 @@ class ConvexPolygon:
     def max_boundary_radius(self):
         return float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
-    def rolling_radius(self, n_samples: int = 64):
-        """Smallest radius of a disc that can touch every boundary point while
-        containing the polygon; 1/rolling_radius plays the role of the
-        boundary curvature in the Euclidean solvability screen."""
+    def rolling_radius(self):
+        """Smallest radius of a disc that can touch every boundary point (64
+        per edge) while containing the polygon; 1/rolling_radius plays the
+        role of the boundary curvature in the Euclidean solvability screen."""
         v = self.vertices
         worst = 0.0
         for i in range(len(v)):
             p0, p1 = v[i], v[(i + 1) % len(v)]
             nn = -self._normals[i]  # inward
-            for t in np.linspace(0.0, 1.0, n_samples):
+            for t in np.linspace(0.0, 1.0, 64):
                 p = p0 + t * (p1 - p0)
                 for q in v:
                     d = q - p
@@ -262,7 +264,6 @@ class SolverConfig:
     H: float = 1.0
     dH: float = 0.1
     newton_tol: float = 1e-10
-    max_iter: int = 40
     delta_guard: float = 0.01
 
     def __post_init__(self):
@@ -383,7 +384,7 @@ def _newton(dom: GridDomain, u0: np.ndarray, H: float, cfg: SolverConfig):
     rnorm = float(np.max(np.abs(r)))
     iters = 0
     while rnorm > cfg.newton_tol:
-        if iters >= cfg.max_iter:
+        if iters >= MAX_NEWTON_ITERS:
             return None, iters
         jac = _jacobian(dom, u, H, cfg.eps, r)
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import GeometryError, cross, lorentz_dot, write_csv
+from .core import MAX_POINTS, GeometryError, cross, lorentz_dot, write_csv
 from .surfaces import SurfaceChart, _values, gauss_map, shape_and_curvatures
 
 __all__ = [
@@ -75,6 +75,8 @@ def triangulate_chart(chart: SurfaceChart, nu: int, nv: int,
     charts such as surfaces of revolution); boundary vertices are then the
     two u-extremes only.
     """
+    if nu * nv > MAX_POINTS:
+        raise GeometryError(f"mesh of {nu} x {nv} points exceeds MAX_POINTS = {MAX_POINTS}")
     us, vs = chart.grid(nu, nv)
     if wrap_v:
         vs = vs[:-1]
@@ -98,6 +100,8 @@ def disk_graph_mesh(chart: SurfaceChart, radius: float, n_r: int,
     The chart is evaluated at (x, y) = (rho cos th, rho sin th); the center
     gets a single vertex with a triangle fan, the rim is flagged boundary.
     """
+    if n_r * n_theta > MAX_POINTS:
+        raise GeometryError(f"mesh of {n_r} x {n_theta} points exceeds MAX_POINTS = {MAX_POINTS}")
     uv = [(0.0, 0.0)]  # vertex 0 is the center
     for i in range(1, n_r + 1):
         rho = radius * i / n_r

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 
-from .core import GeometryError
+from .core import MAX_POINTS, GeometryError
 from .surfaces import SurfaceChart, hyperbolic_plane_chart
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "catenoid_profile",
     "integrate_rotational",
     "integrate_riemann",
+    "chart_spacelike",
     "profile_chart",
     "hyperbolic_cap_chart",
 ]
@@ -67,6 +68,8 @@ class ProfileODEParams:
             raise GeometryError("step h must be positive")
         if self.s1 <= self.s0:
             raise GeometryError("span must be increasing")
+        if not (self.s1 - self.s0) / self.h <= MAX_POINTS:
+            raise GeometryError(f"(s1 - s0) / h exceeds MAX_POINTS = {MAX_POINTS} steps")
         if self.r0 <= 0:
             raise GeometryError("initial radius must be positive")
         if self.rp0 * self.rp0 <= 1.0 + GUARD:
@@ -85,7 +88,6 @@ class ProfileSolution:
     residual_max: float = 0.0
     #: True when the integration stopped early at the guard band
     truncated: bool = False
-    spacelike_violation: bool = False
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -154,7 +156,6 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
         s=s, r=r, rp=rp, a=a, b=b, params=params,
         residual_max=float(resid.max()) if len(resid) else 0.0,
         truncated=truncated,
-        spacelike_violation=truncated,
         diagnostics={"steps": int(last)},
     )
     return sol
@@ -174,15 +175,13 @@ def integrate_riemann(params: ProfileODEParams) -> ProfileSolution:
     """
     if params.H != 0.0:
         raise GeometryError("center drift is only minimal: set H = 0")
-    sol = _integrate(params)
-    sol.spacelike_violation = sol.truncated or not _chart_spacelike(sol)
-    return sol
+    return _integrate(params)
 
 
-def _chart_spacelike(sol: ProfileSolution, n_v: int = 64) -> bool:
-    """Check W = EG - F^2 > 0 of the induced chart, sampled over v."""
+def chart_spacelike(sol: ProfileSolution) -> bool:
+    """Check W = EG - F^2 > 0 of the induced chart, sampled at 64 angles."""
     c, d = sol.params.c, sol.params.d
-    vs = np.linspace(0.0, 2 * np.pi, n_v, endpoint=False)
+    vs = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
     r, rp = sol.r[:, None], sol.rp[:, None]  # samples x angles
     xu0 = c * r * r + rp * np.cos(vs)
     xu1 = d * r * r + rp * np.sin(vs)
@@ -191,6 +190,21 @@ def _chart_spacelike(sol: ProfileSolution, n_v: int = 64) -> bool:
     w = e_val * r * r - f_val ** 2
     # NaN compares False, so a NaN sample does not fail the check
     return not np.any(w <= 0)
+
+
+def _circle_chart(r, a, b, domain) -> SurfaceChart:
+    """Chart X(u, v) = (a + r cos v, b + r sin v, u) and its partials, with
+    each of r(u), a(u), b(u) given as (f, f', f'')."""
+    (r0, r1, r2), (a0, a1, a2), (b0, b1, b2) = r, a, b
+    return SurfaceChart(
+        lambda u, v: np.array([a0(u) + r0(u) * np.cos(v), b0(u) + r0(u) * np.sin(v), u]),
+        lambda u, v: np.array([a1(u) + r1(u) * np.cos(v), b1(u) + r1(u) * np.sin(v), 1.0]),
+        lambda u, v: np.array([-r0(u) * np.sin(v), r0(u) * np.cos(v), 0.0]),
+        lambda u, v: np.array([a2(u) + r2(u) * np.cos(v), b2(u) + r2(u) * np.sin(v), 0.0]),
+        lambda u, v: np.array([-r1(u) * np.sin(v), r1(u) * np.cos(v), 0.0]),
+        lambda u, v: np.array([-r0(u) * np.cos(v), -r0(u) * np.sin(v), 0.0]),
+        domain=domain,
+    )
 
 
 def profile_chart(sol: ProfileSolution) -> SurfaceChart:
@@ -209,27 +223,8 @@ def profile_chart(sol: ProfileSolution) -> SurfaceChart:
     b_sp = CubicHermiteSpline(sol.s, sol.b, d * sol.r ** 2)
     r1, a1, b1 = r_sp.derivative(), a_sp.derivative(), b_sp.derivative()
     r2, a2, b2 = r1.derivative(), a1.derivative(), b1.derivative()
-
-    def x(u, v):
-        return np.array([a_sp(u) + r_sp(u) * np.cos(v), b_sp(u) + r_sp(u) * np.sin(v), u])
-
-    def xu(u, v):
-        return np.array([a1(u) + r1(u) * np.cos(v), b1(u) + r1(u) * np.sin(v), 1.0])
-
-    def xv(u, v):
-        return np.array([-r_sp(u) * np.sin(v), r_sp(u) * np.cos(v), 0.0])
-
-    def xuu(u, v):
-        return np.array([a2(u) + r2(u) * np.cos(v), b2(u) + r2(u) * np.sin(v), 0.0])
-
-    def xuv(u, v):
-        return np.array([-r1(u) * np.sin(v), r1(u) * np.cos(v), 0.0])
-
-    def xvv(u, v):
-        return np.array([-r_sp(u) * np.cos(v), -r_sp(u) * np.sin(v), 0.0])
-
     dom = ((float(sol.s[0]), float(sol.s[-1])), (0.0, 2 * np.pi))
-    return SurfaceChart(x, xu, xv, xuu, xuv, xvv, domain=dom)
+    return _circle_chart((r_sp, r1, r2), (a_sp, a1, a2), (b_sp, b1, b2), dom)
 
 
 def catenoid_profile(s: float) -> tuple[float, float]:
@@ -243,29 +238,12 @@ def catenoid_profile(s: float) -> tuple[float, float]:
     return float(np.sinh(s)), 0.0
 
 
-def catenoid_chart(span=(0.5, 3.0)) -> SurfaceChart:
-    """Analytic chart X(u, v) = (sinh u cos v, sinh u sin v, u)."""
-    sh, ch = np.sinh, np.cosh
-
-    def x(u, v):
-        return np.array([sh(u) * np.cos(v), sh(u) * np.sin(v), u])
-
-    def xu(u, v):
-        return np.array([ch(u) * np.cos(v), ch(u) * np.sin(v), 1.0])
-
-    def xv(u, v):
-        return np.array([-sh(u) * np.sin(v), sh(u) * np.cos(v), 0.0])
-
-    def xuu(u, v):
-        return np.array([sh(u) * np.cos(v), sh(u) * np.sin(v), 0.0])
-
-    def xuv(u, v):
-        return np.array([-ch(u) * np.sin(v), ch(u) * np.cos(v), 0.0])
-
-    def xvv(u, v):
-        return np.array([-sh(u) * np.cos(v), -sh(u) * np.sin(v), 0.0])
-
-    return SurfaceChart(x, xu, xv, xuu, xuv, xvv, domain=(span, (0.0, 2 * np.pi)))
+def catenoid_chart() -> SurfaceChart:
+    """Analytic chart X(u, v) = (sinh u cos v, sinh u sin v, u), 0.5 <= u <= 3:
+    the circle chart with r = sinh u and centers on the axis."""
+    # -0.0 + x == x for every x, -0.0 included, so a + r cos v is r cos v bit for bit
+    axis = (lambda u: -0.0,) * 3
+    return _circle_chart((np.sinh, np.cosh, np.sinh), axis, axis, ((0.5, 3.0), (0.0, 2 * np.pi)))
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .core import (
     as_vec3,
     lorentz_dot,
 )
-from .curves import CurveJet, FrenetCase, _frame_at, _frame_derivative
+from .curves import CurveJet, FrenetCase, _frame_at, frenet
 
 __all__ = [
     "SurfaceChart",
@@ -65,10 +65,26 @@ __all__ = [
 #: umbilicity tolerance: H^2 + K <= UMBILIC_TOL * (1 + H^2) on spacelike points
 UMBILIC_TOL = 1e-8
 
+#: tolerance on the fitted data of `classify_totally_umbilical`
+UMBILIC_FIT_TOL = 1e-6
+
 #: tolerance on EG - F^2 (relative) below which a point counts as lightlike
 _DEGENERATE_TOL = 1e-12
 
 _EYE2 = np.eye(2)
+
+
+def _difference_partials(f, h: float):
+    """Central differences (f_u, f_v, f_uu, f_uv, f_vv) of f(u, v) with step h."""
+    return (
+        lambda u, v: (f(u + h, v) - f(u - h, v)) / (2 * h),
+        lambda u, v: (f(u, v + h) - f(u, v - h)) / (2 * h),
+        lambda u, v: (f(u + h, v) - 2 * f(u, v) + f(u - h, v)) / (h * h),
+        lambda u, v: (
+            f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h) + f(u - h, v - h)
+        ) / (4 * h * h),
+        lambda u, v: (f(u, v + h) - 2 * f(u, v) + f(u, v - h)) / (h * h),
+    )
 
 
 class SurfaceChart:
@@ -86,29 +102,11 @@ class SurfaceChart:
             raise GeometryError("parameter rectangle must be nondegenerate")
         self.domain = ((float(u0), float(u1)), (float(v0), float(v1)))
         self.h_fd = float(h_fd) if h_fd is not None else 1e-4 * max(u1 - u0, v1 - v0)
-        h = self.h_fd
         self._x = x
-        if xu is None:
-            xu = lambda u, v: (self.position(u + h, v) - self.position(u - h, v)) / (2 * h)
-        if xv is None:
-            xv = lambda u, v: (self.position(u, v + h) - self.position(u, v - h)) / (2 * h)
-        if xuu is None:
-            xuu = lambda u, v: (
-                self.position(u + h, v) - 2 * self.position(u, v) + self.position(u - h, v)
-            ) / (h * h)
-        if xvv is None:
-            xvv = lambda u, v: (
-                self.position(u, v + h) - 2 * self.position(u, v) + self.position(u, v - h)
-            ) / (h * h)
-        if xuv is None:
-            xuv = lambda u, v: (
-                self.position(u + h, v + h)
-                - self.position(u + h, v - h)
-                - self.position(u - h, v + h)
-                + self.position(u - h, v - h)
-            ) / (4 * h * h)
-        self._xu, self._xv = xu, xv
-        self._xuu, self._xuv, self._xvv = xuu, xuv, xvv
+        # `position` is looked up at each call, so a method replaced on the class is differenced
+        diffs = _difference_partials(lambda u, v: self.position(u, v), self.h_fd)
+        self._xu, self._xv, self._xuu, self._xuv, self._xvv = (
+            d if p is None else p for p, d in zip((xu, xv, xuu, xuv, xvv), diffs))
 
     def position(self, u, v):
         return as_vec3(self._x(u, v))
@@ -258,7 +256,7 @@ def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
         chart, us, vs, "curvature data undefined at a lightlike point")
     # the second form evaluates X_u and X_v again for its normal, as
     # second_form does on its own; perfbench asserts ten evaluator calls per
-    # mesh vertex, so this stays until that test changes (ROADMAP item 3)
+    # mesh vertex, so this stays until that test changes (ROADMAP item 4)
     e, f, g = _second_coeffs(chart, us, vs)
     imat = np.array([E, F, F, G]).T.reshape(-1, 2, 2)
     iimat = np.array([e, f, f, g]).T.reshape(-1, 2, 2)
@@ -364,8 +362,7 @@ class SurfaceKind:
     residual: float = 0.0
 
 
-def classify_totally_umbilical(chart: SurfaceChart, samples,
-                               tol: float = 1e-6) -> SurfaceKind:
+def classify_totally_umbilical(chart: SurfaceChart, samples) -> SurfaceKind:
     """Recognize a totally umbilical chart as a plane, hyperbolic plane or
     de Sitter surface, fitting (radius, center) from the samples.
 
@@ -373,7 +370,7 @@ def classify_totally_umbilical(chart: SurfaceChart, samples,
     otherwise X - N/f is a constant center p0 and the sign of
     <X - p0, X - p0> separates the hyperbolic plane (-r^2) from de Sitter
     (+r^2).  Raises GeometryError when some sample is not umbilic or the
-    fitted data are inconsistent beyond `tol`.
+    fitted data are inconsistent beyond `UMBILIC_FIT_TOL`.
     """
     us, vs = np.asarray(list(samples), dtype=float).reshape(-1, 2).T
     if not len(us):
@@ -388,13 +385,13 @@ def classify_totally_umbilical(chart: SurfaceChart, samples,
     fvals = -0.5 * np.trace(data.shape_matrix, axis1=1, axis2=2)
     f_mean = float(np.mean(fvals))
     pscale = 1.0 + float(np.max(np.abs(pts)))
-    if abs(f_mean) <= tol:
+    if abs(f_mean) <= UMBILIC_FIT_TOL:
         n_mean = normals.mean(axis=0)
         n_mean = n_mean / np.linalg.norm(n_mean)
         spread = float(np.max(np.linalg.norm(normals - normals[0], axis=1)))
         offsets = pts @ n_mean
         resid = max(spread, float(np.ptp(offsets)) / pscale)
-        if resid > tol:
+        if resid > UMBILIC_FIT_TOL:
             raise GeometryError("umbilic factor is zero but the normal is not constant")
         return SurfaceKind(
             SurfaceKindTag.PLANE,
@@ -405,13 +402,13 @@ def classify_totally_umbilical(chart: SurfaceChart, samples,
     centers = pts - normals / fvals[:, None]
     center = centers.mean(axis=0)
     resid = float(np.max(np.linalg.norm(centers - center, axis=1))) / pscale
-    if resid > tol:
+    if resid > UMBILIC_FIT_TOL:
         raise GeometryError("umbilic samples do not share a center point")
     rel = pts - center
     q = lorentz_dot(rel, rel)
     q_mean = float(np.mean(q))
     resid = max(resid, float(np.ptp(q)) / (1.0 + abs(q_mean)))
-    if resid > tol:
+    if resid > UMBILIC_FIT_TOL:
         raise GeometryError("inconsistent Lorentzian distance to the fitted center")
     radius = float(np.sqrt(abs(q_mean)))
     tag = SurfaceKindTag.HYPERBOLIC_PLANE if q_mean < 0 else SurfaceKindTag.DE_SITTER
@@ -602,23 +599,12 @@ def light_cone_chart(domain=((0.5, 2.0), (0.0, 2 * np.pi))) -> SurfaceChart:
 
 
 def graph_chart(f, fx=None, fy=None, fxx=None, fxy=None, fyy=None,
-                domain=((-1.0, 1.0), (-1.0, 1.0)), h_fd=None) -> SurfaceChart:
-    """Graph z = f(x, y); spacelike where |Df| < 1, timelike where |Df| > 1."""
-    hx = h_fd if h_fd is not None else 1e-5 * max(
-        domain[0][1] - domain[0][0], domain[1][1] - domain[1][0]
-    )
-    if fx is None:
-        fx = lambda u, v: (f(u + hx, v) - f(u - hx, v)) / (2 * hx)
-    if fy is None:
-        fy = lambda u, v: (f(u, v + hx) - f(u, v - hx)) / (2 * hx)
-    if fxx is None:
-        fxx = lambda u, v: (f(u + hx, v) - 2 * f(u, v) + f(u - hx, v)) / (hx * hx)
-    if fyy is None:
-        fyy = lambda u, v: (f(u, v + hx) - 2 * f(u, v) + f(u, v - hx)) / (hx * hx)
-    if fxy is None:
-        fxy = lambda u, v: (
-            f(u + hx, v + hx) - f(u + hx, v - hx) - f(u - hx, v + hx) + f(u - hx, v - hx)
-        ) / (4 * hx * hx)
+                domain=((-1.0, 1.0), (-1.0, 1.0))) -> SurfaceChart:
+    """Graph z = f(x, y); spacelike where |Df| < 1, timelike where |Df| > 1.
+    Partials not given are central differences of step 1e-5 of the larger side."""
+    h = 1e-5 * max(domain[0][1] - domain[0][0], domain[1][1] - domain[1][0])
+    fx, fy, fxx, fxy, fyy = (d if p is None else p for p, d in zip(
+        (fx, fy, fxx, fxy, fyy), _difference_partials(f, h)))
     return SurfaceChart(
         lambda u, v: np.array([u, v, f(u, v)]),
         lambda u, v: np.array([1.0, 0.0, fx(u, v)]),
@@ -657,9 +643,7 @@ def null_scroll_chart(jet: CurveJet, u_range=(-0.5, 0.5),
 
     @lru_cache(maxsize=4096)
     def tau_at(v: float) -> float:
-        _, _, b_vec = frame(v)
-        np_vec = _frame_derivative(jet, v, 1)
-        return float(lorentz_dot(np_vec, b_vec))
+        return frenet(jet, v).tau
 
     def x(u, v):
         _, _, b_vec = frame(v)

@@ -130,6 +130,15 @@ class TestRotationalCommands:
         assert rep["outputs"]["measured_H_abs_max"] <= 1e-4
         assert rep["outputs"]["center_drift_residual"] <= 1e-8
 
+    @pytest.mark.parametrize("c, warned", [(1.0, True), (0.3, False)])
+    def test_riemann_warns_where_chart_is_not_spacelike(self, capsys, c, warned):
+        # the profile does not truncate; fast center drift alone breaks EG - F^2 > 0
+        code, out, _ = run(capsys, "riemann", "--c", str(c), "--span", "0:0.1")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["outputs"]["truncated"] is False
+        assert (rep["warnings"] == ["chart fails the spacelike condition somewhere"]) is warned
+
     def test_cap_run(self, capsys):
         code, out, _ = run(capsys, "cap", "--r", "2", "--R", "3")
         assert code == 0
@@ -213,6 +222,30 @@ class TestBadInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "non-finite" not in err and "Traceback" not in err
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("argv, code", [
+        # sizes above core.MAX_POINTS: RK4 steps and samples are domain errors,
+        # counts that argparse reads are usage errors
+        (["rotational", "--catenoid", "--span", "0.5:1e308"], 1),
+        (["riemann", "--span", "0:1e308", "--step", "1"], 1),
+        (["umbilic", "--kind", "plane", "--nu", "4000000", "--nv", "4000000"], 1),
+        (["surface", "--kind", "hyperbolic", "--nu", "3000", "--nv", "3000"], 1),
+        (["cap", "--nu", "3000", "--nv", "3000", "--mesh", "c.obj"], 1),
+        (["orbit", "--axis", "timelike", "--p0", "1,0,0", "--params", "0:1:100000000000000"], 2),
+        (["curve", "--kind", "circle", "--n", "100000000000000"], 2),
+        (["surface", "--kind", "hyperbolic", "--nu", "10000000", "--nv", "10000000"], 2),
+    ])
+    def test_size_above_bound_is_one_error_line(self, capsys, monkeypatch, tmp_path, argv, code):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, out, err = run(capsys, *argv)
+        assert got == code
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        assert "Traceback" not in err and "4000000" in err
+        assert [str(w.message) for w in caught] == []
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["classify", "--vec", "a,b,c"],

@@ -382,6 +382,32 @@ class TestConstantCurvatureGenerators:
         with pytest.raises(GeometryError):
             generate_constant_curvature(PlaneCase.SPACELIKE_PLANE, 0.0)
 
+    @pytest.mark.parametrize("a, b", [(1.3, 0.0), (-0.7, 0.1), (2.0, -0.4)])
+    def test_hyperbolas_are_the_closed_forms(self, a, b):
+        r = 1.0 / a
+        sh = lambda s: np.sinh(a * s + b)
+        ch = lambda s: np.cosh(a * s + b)
+        expected = {
+            PlaneCase.TIMELIKE_PLANE_SPACELIKE_CURVE: (
+                lambda s: [0.0, r * sh(s), r * ch(s)],
+                lambda s: [0.0, ch(s), sh(s)],
+                lambda s: [0.0, a * sh(s), a * ch(s)],
+                lambda s: [0.0, a * a * ch(s), a * a * sh(s)],
+            ),
+            PlaneCase.TIMELIKE_PLANE_TIMELIKE_CURVE: (
+                lambda s: [0.0, r * ch(s), r * sh(s)],
+                lambda s: [0.0, sh(s), ch(s)],
+                lambda s: [0.0, a * ch(s), a * sh(s)],
+                lambda s: [0.0, a * a * sh(s), a * a * ch(s)],
+            ),
+        }
+        for case, forms in expected.items():
+            jet = generate_constant_curvature(case, a, b)
+            for s in (-1.0, -0.3, 0.0, 0.25, 1.0):
+                got = (jet.position(s), jet.velocity(s), jet.acceleration(s), jet.jerk(s))
+                for g, form in zip(got, forms):
+                    assert g.tobytes() == np.array(form(s)).tobytes(), (case, s)
+
 
 class TestAngleTheorem:
     @pytest.mark.parametrize("a", [1.0, 3.0])

@@ -358,9 +358,10 @@ class TestSolveDirichlet:
         sol = solve_dirichlet(dom, SolverConfig(eps=-1, H=5.0))
         assert _half_gradient_max(dom, sol.u) < 1.0 - 0.5 * sol.delta_guard
 
-    def test_continuation_stall_reported(self):
+    def test_continuation_stall_reported(self, monkeypatch):
+        monkeypatch.setattr(dirichlet, "MAX_NEWTON_ITERS", 0)
         dom = GridDomain(Disk(1.0), 0.1)
-        cfg = SolverConfig(eps=-1, H=1.0, max_iter=0)
+        cfg = SolverConfig(eps=-1, H=1.0)
         with pytest.raises(ContinuationStallError):
             solve_dirichlet(dom, cfg)
 

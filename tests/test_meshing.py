@@ -14,7 +14,7 @@ from minkowski3.meshing import (
     triangulate_chart,
 )
 from minkowski3.rotational import catenoid_chart, hyperbolic_cap_chart
-from minkowski3.surfaces import plane_chart
+from minkowski3.surfaces import SurfaceChart, plane_chart
 
 
 def bump(mesh, radius):
@@ -57,6 +57,18 @@ class TestMeshGeometry:
         assert len(mesh.vertices) == 12 * 23
         assert len(mesh.faces) == 2 * 11 * 23
         assert mesh.boundary.sum() == 2 * 23
+
+
+class TestMeshSize:
+    def test_too_many_points_raise_before_any_evaluation(self):
+        def unreachable(u, v):
+            raise AssertionError("evaluator called")
+
+        chart = SurfaceChart(*[unreachable] * 6)
+        with pytest.raises(GeometryError, match="MAX_POINTS"):
+            triangulate_chart(chart, 3000, 3000)
+        with pytest.raises(GeometryError, match="MAX_POINTS"):
+            disk_graph_mesh(chart, 1.0, 3000, 3000)
 
 
 class TestFirstVariation:

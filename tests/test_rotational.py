@@ -1,8 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 
-from minkowski3.core import GeometryError, lorentz_dot
+from minkowski3.core import MAX_POINTS, GeometryError, lorentz_dot
 from minkowski3.isometry import boost_timelike
 from minkowski3.meshing import triangulate_chart
 from minkowski3.rotational import (
@@ -10,6 +11,7 @@ from minkowski3.rotational import (
     ProfileODEParams,
     catenoid_chart,
     catenoid_profile,
+    chart_spacelike,
     hyperbolic_cap_chart,
     integrate_riemann,
     integrate_rotational,
@@ -45,6 +47,25 @@ class TestCatenoidProfile:
             for v in (0.0, 2.0):
                 assert abs(shape_and_curvatures(chart, u, v).H) <= 1e-8
 
+    def test_evaluators_are_the_closed_forms(self):
+        chart = catenoid_chart()
+        assert chart.domain == ((0.5, 3.0), (0.0, 2 * np.pi))
+        sh, ch = np.sinh, np.cosh
+        for u in (0.5, 0.7, 1.5, 3.0):
+            for v in (0.0, -0.0, 0.3, np.pi / 2, np.pi, 4.4, 2 * np.pi):
+                expected = {
+                    "position": [sh(u) * np.cos(v), sh(u) * np.sin(v), u],
+                    "du": [ch(u) * np.cos(v), ch(u) * np.sin(v), 1.0],
+                    "dv": [-sh(u) * np.sin(v), sh(u) * np.cos(v), 0.0],
+                    "duu": [sh(u) * np.cos(v), sh(u) * np.sin(v), 0.0],
+                    "duv": [-ch(u) * np.sin(v), ch(u) * np.cos(v), 0.0],
+                    "dvv": [-sh(u) * np.cos(v), -sh(u) * np.sin(v), 0.0],
+                }
+                for name, value in expected.items():
+                    # bit for bit, signed zeros included
+                    got = getattr(chart, name)(u, v)
+                    assert got.tobytes() == np.array(value).tobytes(), (name, u, v)
+
 
 class TestRotationalIntegration:
     def test_matches_sinh(self):
@@ -79,9 +100,18 @@ class TestRotationalIntegration:
         params = ProfileODEParams(H=0.0, r0=0.5, rp0=-float(np.cosh(c)),
                                   s0=0.0, s1=2.0, h=1e-3)
         sol = integrate_rotational(params)
-        assert sol.truncated and sol.spacelike_violation
+        assert sol.truncated
         assert np.all(np.isfinite(sol.r))
         assert np.all(sol.r > 0)
+
+    @pytest.mark.parametrize("kwargs", [{"s1": 1e308}, {"h": 1e-300},
+                                        {"s0": -1e308, "s1": 1e308}])
+    def test_step_count_bounded(self, kwargs):
+        # (s1 - s0) / h is the RK4 step count: above MAX_POINTS, or infinite,
+        # it fails where the parameters are built, before any array exists
+        with pytest.raises(GeometryError, match="MAX_POINTS"):
+            ProfileODEParams(**kwargs)
+        ProfileODEParams(s1=MAX_POINTS * 1e-3)  # exactly at the bound is allowed
 
     def test_inadmissible_initial_slope(self):
         with pytest.raises(GeometryError):
@@ -118,7 +148,7 @@ class TestRiemannFamily:
         params = ProfileODEParams(H=0.0, c=0.3, d=0.0, r0=1.0, rp0=1.5,
                                   s0=0.0, s1=1.0, h=1e-3)
         sol = integrate_riemann(params)
-        assert not sol.spacelike_violation
+        assert not sol.truncated and chart_spacelike(sol)
         assert sol.residual_max <= 1e-8
         chart = profile_chart(sol)
         for u in np.linspace(0.05, 0.95, 7):
@@ -141,13 +171,40 @@ class TestRiemannFamily:
         # makes EG - F^2 <= 0 somewhere on the chart
         sol = integrate_riemann(ProfileODEParams(c=c, r0=1.0, rp0=1.5, s0=0.0, s1=0.1))
         assert not sol.truncated
-        assert sol.spacelike_violation == violated
+        assert chart_spacelike(sol) is not violated
 
     def test_rejects_nonzero_h(self):
         with pytest.raises(GeometryError):
             integrate_riemann(
                 ProfileODEParams(H=0.5, c=0.3, r0=1.0, rp0=1.5, s0=0, s1=1, h=1e-3)
             )
+
+
+class TestProfileChart:
+    @pytest.mark.parametrize("c, d", [(0.0, 0.0), (0.3, 0.2)])
+    def test_evaluators_are_the_spline_formulas(self, c, d):
+        sol = integrate_riemann(ProfileODEParams(c=c, d=d, r0=1.0, rp0=1.5, s0=0.0, s1=0.5,
+                                                 h=1e-2))
+        chart = profile_chart(sol)
+        # the reference: one Hermite spline per function and its derivatives
+        r_sp = CubicHermiteSpline(sol.s, sol.r, sol.rp)
+        a_sp = CubicHermiteSpline(sol.s, sol.a, c * sol.r ** 2)
+        b_sp = CubicHermiteSpline(sol.s, sol.b, d * sol.r ** 2)
+        r1, a1, b1 = r_sp.derivative(), a_sp.derivative(), b_sp.derivative()
+        r2, a2, b2 = r1.derivative(), a1.derivative(), b1.derivative()
+        for u in (0.0, 0.123, 0.25, 0.5):
+            for v in (0.0, 1.3, np.pi, 5.0):
+                expected = {
+                    "position": [a_sp(u) + r_sp(u) * np.cos(v), b_sp(u) + r_sp(u) * np.sin(v), u],
+                    "du": [a1(u) + r1(u) * np.cos(v), b1(u) + r1(u) * np.sin(v), 1.0],
+                    "dv": [-r_sp(u) * np.sin(v), r_sp(u) * np.cos(v), 0.0],
+                    "duu": [a2(u) + r2(u) * np.cos(v), b2(u) + r2(u) * np.sin(v), 0.0],
+                    "duv": [-r1(u) * np.sin(v), r1(u) * np.cos(v), 0.0],
+                    "dvv": [-r_sp(u) * np.cos(v), -r_sp(u) * np.sin(v), 0.0],
+                }
+                for name, value in expected.items():
+                    got = getattr(chart, name)(u, v)
+                    assert got.tobytes() == np.array(value, dtype=float).tobytes(), (name, u, v)
 
 
 class TestBoostInvariance:

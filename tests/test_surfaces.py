@@ -31,6 +31,7 @@ from minkowski3.surfaces import (
     second_form,
     shape_and_curvatures,
 )
+from minkowski3.curves import frenet
 from minkowski3.rotational import catenoid_chart, hyperbolic_cap_chart
 
 from conftest import lightlike_helix_jet, random_pp_motion, scaled_null_helix_jet
@@ -118,6 +119,44 @@ class TestGaussMap:
             gauss_map(light_cone_chart(), 1.0, 0.5)
 
 
+def old_difference_partials(f, h):
+    """The central differences that graph_chart and SurfaceChart each wrote out."""
+    return {
+        "du": lambda u, v: (f(u + h, v) - f(u - h, v)) / (2 * h),
+        "dv": lambda u, v: (f(u, v + h) - f(u, v - h)) / (2 * h),
+        "duu": lambda u, v: (f(u + h, v) - 2 * f(u, v) + f(u - h, v)) / (h * h),
+        "dvv": lambda u, v: (f(u, v + h) - 2 * f(u, v) + f(u, v - h)) / (h * h),
+        "duv": lambda u, v: (
+            f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h) + f(u - h, v - h)
+        ) / (4 * h * h),
+    }
+
+
+class TestDifferencePartials:
+    POINTS = [(0.0, 0.0), (0.3, -0.7), (-0.45, 0.2), (1 / 3, 0.9)]
+
+    def test_graph_chart(self):
+        f = lambda x, y: np.sqrt(1.5 + x * x + y * y) + 0.1 * x * y * y
+        domain = ((-1.0, 1.0), (-2.0, 1.5))
+        chart = graph_chart(f, domain=domain)
+        ref = old_difference_partials(f, 1e-5 * 3.5)
+        for u, v in self.POINTS:
+            for name, slot in (("du", 0), ("dv", 1)):
+                assert getattr(chart, name)(u, v)[slot] == 1.0
+                assert getattr(chart, name)(u, v)[2] == ref[name](u, v), name
+            for name in ("duu", "duv", "dvv"):
+                assert getattr(chart, name)(u, v)[2] == ref[name](u, v), name
+
+    @pytest.mark.parametrize("h_fd", [None, 1e-3])
+    def test_surface_chart(self, h_fd):
+        x = lambda u, v: np.array([np.sin(u) * v, u * u - v, np.exp(0.3 * u * v)])
+        chart = SurfaceChart(x, domain=((-1.0, 1.0), (-0.5, 1.5)), h_fd=h_fd)
+        ref = old_difference_partials(chart.position, 2e-4 if h_fd is None else h_fd)
+        for u, v in self.POINTS:
+            for name, partial in ref.items():
+                assert np.array_equal(getattr(chart, name)(u, v), partial(u, v)), name
+
+
 class TestSecondForm:
     def test_plane_vanishes(self):
         chart = plane_chart([1, 2, 3], E1, E2 + 0.3 * E1)
@@ -178,6 +217,13 @@ class TestShapeAndCurvatures:
         assert not data.umbilic
         npt.assert_allclose(data.H ** 2, data.K, atol=1e-9)
         assert data.causal is CausalClass.TIMELIKE
+
+    @pytest.mark.parametrize("jet", [lightlike_helix_jet(), scaled_null_helix_jet(1.5)])
+    def test_null_scroll_xuv_is_torsion_times_normal(self, jet):
+        chart = null_scroll_chart(jet, u_range=(-0.4, 0.4), v_range=(-1, 1))
+        for u, v in ((0.25, 0.3), (-0.1, -0.8), (0.0, 0.0)):
+            fr = frenet(jet, v)
+            assert np.array_equal(chart.duv(u, v), -fr.tau * fr.N)
 
     def test_null_scroll_varying_pitch(self):
         c = 1.5

@@ -26,7 +26,6 @@ from enum import Enum
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import (
     REL_TOL,
@@ -160,6 +159,8 @@ _IVP_OPTS = dict(rtol=1e-12, atol=1e-14, dense_output=True, method="RK45")
 
 def _monotone_map(rate: Callable[[float], float], t0: float, domain):
     """Solve s(t) with ds/dt = rate > 0, s(t0) = 0; return (s_lo, s_hi, t_of_s)."""
+    from scipy.integrate import solve_ivp
+
     t_lo, t_hi = domain
 
     def f_t(t, _y):

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .core import MAX_POINTS, GeometryError
 
@@ -344,8 +342,16 @@ def _half_gradient_max(dom: GridDomain, u: np.ndarray) -> float:
     return float(np.sqrt(np.max(prim * prim + trans * trans)))
 
 
-def _jacobian(dom: GridDomain, u: np.ndarray, H: float, eps: int,
-              base: np.ndarray) -> sp.csr_matrix:
+def splu(a):
+    """`scipy.sparse.linalg.splu`, loaded on the first call; returns its SuperLU."""
+    from scipy.sparse.linalg import splu as factor
+    return factor(a)
+
+
+def _jacobian(dom: GridDomain, u: np.ndarray, H: float, eps: int, base: np.ndarray):
+    """Finite-difference Jacobian of the residual at u, as a scipy.sparse CSR matrix."""
+    import scipy.sparse as sp
+
     delta = 1e-7 * (1.0 + float(np.max(np.abs(u))))
     rows_all, cols_all, data_all = [], [], []
     for c in range(dom.n_colors):

@@ -21,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .core import MAX_POINTS, GeometryError
-from .surfaces import SurfaceChart, hyperbolic_plane_chart
+from .surfaces import SurfaceChart, _memo_exact, hyperbolic_plane_chart
 
 __all__ = [
     "ProfileODEParams",
@@ -213,8 +212,11 @@ def profile_chart(sol: ProfileSolution) -> SurfaceChart:
     r, a, b are cubic Hermite interpolants of the integrated samples, so
     the measured curvature of the chart reflects the numerical solution
     (second derivatives come from the interpolant, not from the governing
-    identity).
+    identity).  Each spline is memoized on u: a mesh evaluates it at every
+    vertex and partial, but only once per distinct u.
     """
+    from scipy.interpolate import CubicHermiteSpline
+
     if len(sol.s) < 4:
         raise GeometryError("profile too short to interpolate")
     c, d = sol.params.c, sol.params.d
@@ -224,7 +226,8 @@ def profile_chart(sol: ProfileSolution) -> SurfaceChart:
     r1, a1, b1 = r_sp.derivative(), a_sp.derivative(), b_sp.derivative()
     r2, a2, b2 = r1.derivative(), a1.derivative(), b1.derivative()
     dom = ((float(sol.s[0]), float(sol.s[-1])), (0.0, 2 * np.pi))
-    return _circle_chart((r_sp, r1, r2), (a_sp, a1, a2), (b_sp, b1, b2), dom)
+    r, a, b = (tuple(map(_memo_exact, fs)) for fs in ((r_sp, r1, r2), (a_sp, a1, a2), (b_sp, b1, b2)))
+    return _circle_chart(r, a, b, dom)
 
 
 def catenoid_profile(s: float) -> tuple[float, float]:

@@ -21,9 +21,9 @@ trace formula follows the normal convention above (H = +trace(A)/2).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -72,6 +72,31 @@ UMBILIC_FIT_TOL = 1e-6
 _DEGENERATE_TOL = 1e-12
 
 _EYE2 = np.eye(2)
+
+
+def _memo_exact(fn):
+    """`fn` of one float, memoized on the float's bits.
+
+    A cache keyed by value would let 0.0 and -0.0, which compare equal but
+    can give different results, share one entry, so the answer at either
+    would depend on which was asked first.  The key is the bits alone, so x
+    need not be hashable (a 0-d array will do), and `fn` gets the caller's
+    own x.  Every caller gets the same result object and must not mutate it.
+    """
+    cache = {}
+
+    def memo(x):
+        key = struct.pack("d", x)
+        try:
+            return cache[key]
+        except KeyError:
+            pass
+        if len(cache) >= 4096:
+            cache.clear()
+        value = cache[key] = fn(x)
+        return value
+
+    return memo
 
 
 def _difference_partials(f, h: float):
@@ -631,7 +656,7 @@ def null_scroll_chart(jet: CurveJet, u_range=(-0.5, 0.5),
 
     # each partial needs the frame at v, and X_vv the torsion at v and v +- h:
     # both are computed once per v and the frame vectors handed out read-only
-    @lru_cache(maxsize=4096)
+    @_memo_exact
     def frame(v: float):
         t_vec, n_vec, b_vec, case, _ = _frame_at(jet, v)
         if case is not FrenetCase.LIGHTLIKE:
@@ -641,7 +666,7 @@ def null_scroll_chart(jet: CurveJet, u_range=(-0.5, 0.5),
             x.setflags(write=False)
         return frozen
 
-    @lru_cache(maxsize=4096)
+    @_memo_exact
     def tau_at(v: float) -> float:
         return frenet(jet, v).tau
 

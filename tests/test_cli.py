@@ -2,13 +2,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import minkowski3
 from minkowski3.cli import dump_json, main
 
 
@@ -382,3 +387,41 @@ def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.sparse")
+
+_NO_SCIPY = [
+    ["classify", "--vec", "0,1,1"],
+    ["orbit", "--axis", "timelike", "--p0", "1,0.5,2", "--params=-1:1:5", "--out", "orbit.csv"],
+    ["curve", "--kind", "hyperbola-timelike", "--a", "2", "--n", "8", "--out", "curve.csv"],
+    ["surface", "--kind", "catenoid", "--nu", "4", "--nv", "4", "--mesh", "surface.obj"],
+    ["umbilic", "--kind", "desitter", "--r", "2", "--nu", "4", "--nv", "4"],
+    ["cap", "--nu", "4", "--nv", "6", "--mesh", "cap.obj", "--csv", "cap.csv"],
+]
+
+
+@pytest.mark.parametrize("argvs, loaded, absent", [
+    (_NO_SCIPY, (), _SCIPY),
+    ([["dirichlet", "--disk", "0.5", "--H", "1", "--h", "0.1"]],
+     ("scipy.sparse",), ("scipy.integrate", "scipy.interpolate")),
+    ([["rotational", "--catenoid", "--span", "0.5:0.6", "--step", "1e-2", "--nu", "4", "--nv", "4",
+       "--mesh", "rot.obj"]], ("scipy.interpolate",), ("scipy.integrate",)),
+], ids=["no-scipy", "dirichlet", "rotational"])
+def test_scipy_is_loaded_on_first_use(tmp_path, argvs, loaded, absent):
+    # a fresh interpreter: this process has loaded every scipy module the tests use
+    script = (
+        "import json, sys\n"
+        "from minkowski3.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        f"print(json.dumps([codes, [m for m in {_SCIPY!r} if m in sys.modules]]))\n"
+    )
+    src = str(Path(minkowski3.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(argvs)
+    assert set(loaded) <= set(modules)
+    assert not set(absent) & set(modules)

@@ -192,19 +192,44 @@ class TestProfileChart:
         b_sp = CubicHermiteSpline(sol.s, sol.b, d * sol.r ** 2)
         r1, a1, b1 = r_sp.derivative(), a_sp.derivative(), b_sp.derivative()
         r2, a2, b2 = r1.derivative(), a1.derivative(), b1.derivative()
-        for u in (0.0, 0.123, 0.25, 0.5):
-            for v in (0.0, 1.3, np.pi, 5.0):
-                expected = {
-                    "position": [a_sp(u) + r_sp(u) * np.cos(v), b_sp(u) + r_sp(u) * np.sin(v), u],
-                    "du": [a1(u) + r1(u) * np.cos(v), b1(u) + r1(u) * np.sin(v), 1.0],
-                    "dv": [-r_sp(u) * np.sin(v), r_sp(u) * np.cos(v), 0.0],
-                    "duu": [a2(u) + r2(u) * np.cos(v), b2(u) + r2(u) * np.sin(v), 0.0],
-                    "duv": [-r1(u) * np.sin(v), r1(u) * np.cos(v), 0.0],
-                    "dvv": [-r_sp(u) * np.cos(v), -r_sp(u) * np.sin(v), 0.0],
-                }
-                for name, value in expected.items():
-                    got = getattr(chart, name)(u, v)
-                    assert got.tobytes() == np.array(value, dtype=float).tobytes(), (name, u, v)
+        points = [(u, v) for u in (-0.0, 0.0, 0.123, 0.25, 0.5) for v in (0.0, -0.0, 1.3, np.pi, 5.0)]
+        expected = [{
+            "position": [a_sp(u) + r_sp(u) * np.cos(v), b_sp(u) + r_sp(u) * np.sin(v), u],
+            "du": [a1(u) + r1(u) * np.cos(v), b1(u) + r1(u) * np.sin(v), 1.0],
+            "dv": [-r_sp(u) * np.sin(v), r_sp(u) * np.cos(v), 0.0],
+            "duu": [a2(u) + r2(u) * np.cos(v), b2(u) + r2(u) * np.sin(v), 0.0],
+            "duv": [-r1(u) * np.sin(v), r1(u) * np.cos(v), 0.0],
+            "dvv": [-r_sp(u) * np.cos(v), -r_sp(u) * np.sin(v), 0.0],
+        } for u, v in points]
+        # the splines are memoized per chart: every point is asked three times, in
+        # orders that put 0.0 after -0.0 and the other way round
+        n = len(points)
+        order = [*range(n), *np.random.default_rng(5).permutation(n), *range(n - 1, -1, -1)]
+        for i in order:
+            u, v = points[i]
+            for name, value in expected[i].items():
+                got = getattr(chart, name)(u, v)
+                assert got.tobytes() == np.array(value, dtype=float).tobytes(), (name, u, v)
+        # the memo keys on bits, so a 0-d array is a valid u
+        assert chart.du(np.array(0.3), 1.3).tobytes() == profile_chart(sol).du(0.3, 1.3).tobytes()
+
+    def test_mesh_evaluates_each_spline_once_per_u(self, monkeypatch):
+        calls = []
+
+        class CountingSpline(CubicHermiteSpline):
+            # derivative() keeps the subclass, so all nine splines are counted
+            def __call__(self, x, *args, **kwargs):
+                calls.append((id(self), np.float64(x).tobytes()))
+                return super().__call__(x, *args, **kwargs)
+
+        monkeypatch.setattr("scipy.interpolate.CubicHermiteSpline", CountingSpline)
+        chart = profile_chart(integrate_rotational(catenoid_params(h=1e-2)))
+        mesh = triangulate_chart(chart, 40, 64, wrap_v=True)
+        assert len(mesh.vertices) == 40 * 63
+        us = {np.float64(u).tobytes() for u in chart.grid(40, 64)[0]}
+        assert len({spline for spline, _ in calls}) == 9
+        assert len(calls) == len(set(calls))
+        assert {u for _, u in calls} <= us
 
 
 class TestBoostInvariance:

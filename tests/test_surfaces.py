@@ -421,3 +421,29 @@ class TestCatalogCenters:
             with pytest.raises(GeometryError, match="center too large"):
                 make([1.0, 0.0, 1e308])
         make([1.0, 0.0, 1e100])  # large but squarable
+
+
+EVALUATORS = ("position", "du", "dv", "duu", "duv", "dvv")
+
+
+class TestNullScrollMemo:
+    def test_zero_after_negative_zero_is_fresh(self):
+        jet = scaled_null_helix_jet(1.2)
+        fresh = null_scroll_chart(jet).duv(0.1, 0.0)
+        chart = null_scroll_chart(jet)
+        negative = chart.duv(0.1, -0.0)
+        assert chart.duv(0.1, 0.0).tobytes() == fresh.tobytes()
+        # the sign of zero reaches the output, so 0.0 and -0.0 are different inputs
+        assert negative.tobytes() != fresh.tobytes()
+
+    def test_any_evaluation_order_gives_fresh_bytes(self, rng):
+        jet = scaled_null_helix_jet(1.2)
+        points = [(u, v) for u in (0.1, -0.0, 0.25) for v in (0.0, -0.0, 0.3, -0.7)]
+        fresh = [{name: getattr(null_scroll_chart(jet), name)(u, v).tobytes() for name in EVALUATORS}
+                 for u, v in points]
+        n = len(points)
+        for order in (range(n), range(n - 1, -1, -1), rng.permutation(n)):
+            chart = null_scroll_chart(jet)
+            for i in order:
+                for name in EVALUATORS:
+                    assert getattr(chart, name)(*points[i]).tobytes() == fresh[i][name], (name, points[i])

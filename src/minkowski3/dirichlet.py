@@ -12,8 +12,13 @@ Discretization: conservative half-node flux differencing on a uniform grid
 (second order), with Shortley-Weller-style unequal arms where a grid arm
 crosses the curved or polygonal boundary, so u = 0 holds exactly on the
 boundary trace.  The nonlinear system is solved by damped Newton steps with
-a sparse finite-difference Jacobian (9-point stencil coloring), continuing
-in H from the trivial solution at H = 0 with automatic step halving.
+a sparse finite-difference Jacobian (9-point stencil coloring, built in CSC
+from one residual call on the stack of the nine perturbed vectors),
+continuing in H from the trivial solution at H = 0 with automatic step
+halving.  Each step is solved by sparse LU; the COLAMD column ordering
+depends only on the sparsity pattern, so one solve computes it once per
+pattern and factors later Jacobians of that pattern with their columns
+already in that order.
 
 Solvability differs sharply by ambient: the Lorentzian problem is solvable
 for any H on bounded convex domains, while the Euclidean one requires the
@@ -57,6 +62,12 @@ MAX_GRID_POINTS = MAX_POINTS
 MAX_NEWTON_ITERS = 40
 
 _OPP = (1, 0, 3, 2)  # opposite arm index: W of E, E of W, S of N, N of S
+_ARM_SIGN = np.array([[1.0], [-1.0], [1.0], [-1.0]])  # outward direction of E, W, N, S
+
+
+def _arms(a):
+    """Swap the last two axes: (..., 4, n) arm-major data as (..., n, 4), or back."""
+    return np.swapaxes(a, -1, -2)
 
 
 class ContinuationStallError(GeometryError):
@@ -238,19 +249,50 @@ class GridDomain:
         di = (c % 3 - ij[:, :1] + 1) % 3 - 1
         dj = (c // 3 - ij[:, 1:] + 1) % 3 - 1
         self.color_nbr = index[pi[:, None] + di, pj[:, None] + dj]
+        # the stencil works on arm-major (..., 4, n) arrays, so that each
+        # pass over a (k, n) stack of node values runs along whole arms; its
+        # theta-only factors are formed once, each exactly as the stencil
+        # formed it per call, so no residual bit moves
+        tE, tW, tN, tS = self.theta.T
+        self._x_coef = (tW ** 2, tE ** 2, tE ** 2 - tW ** 2, tE * tW * (tE + tW) * h)
+        self._y_coef = (tS ** 2, tN ** 2, tN ** 2 - tS ** 2, tN * tS * (tN + tS) * h)
+        self._theta_h = np.ascontiguousarray(_arms(self.theta * h))
+        self._theta_opp_h = np.ascontiguousarray(_arms(self.theta[:, _OPP] * h))
+        self._half_theta_h = np.ascontiguousarray(_arms(0.5 * self.theta * h))
+        self._div_den = (0.5 * (tE + tW) * h, 0.5 * (tN + tS) * h)
+        self._boundary_arm = np.ascontiguousarray(_arms(self.boundary_arm))
+        # gathers: the node across each arm, and each arm's transverse
+        # derivative at the node, across the arm and behind it, read from
+        # [uy, ux] (uy for the E and W arms, ux for N and S)
+        self._nbr_arms = np.ascontiguousarray(_arms(self.nbr))
+        off = self.n * np.array([[0], [0], [1], [1]])
+        self._transverse_idx = (np.arange(self.n) + off, _arms(self.across) + off,
+                                _arms(self.behind) + off)
+
+    def _arm_values(self, u: np.ndarray):
+        """Neighbor value across each arm (0 on boundary crossings), arm-major."""
+        padded = np.zeros(u.shape[:-1] + (self.n + 1,))
+        padded[..., :-1] = u
+        return np.take(padded, self._nbr_arms, axis=-1)  # index -1 picks the padding 0
 
     def values_with_boundary(self, u: np.ndarray):
-        """Per-arm neighbor values (0 on boundary crossings), shape (n, 4)."""
-        return np.append(u, 0.0)[self.nbr]  # index -1 picks the appended 0
+        """Per-arm neighbor values (0 on boundary crossings), shape u.shape + (4,)."""
+        return _arms(self._arm_values(np.asarray(u, dtype=float)))
 
     def node_gradient(self, u: np.ndarray):
         """Unequal-arm O(h^2) central derivatives (ux, uy) at every node."""
-        vals = self.values_with_boundary(u)
-        h = self.h
-        tE, tW, tN, tS = (self.theta[:, d] for d in range(4))
-        uE, uW, uN, uS = (vals[:, d] for d in range(4))
-        ux = (tW ** 2 * uE - tE ** 2 * uW + (tE ** 2 - tW ** 2) * u) / (tE * tW * (tE + tW) * h)
-        uy = (tS ** 2 * uN - tN ** 2 * uS + (tN ** 2 - tS ** 2) * u) / (tN * tS * (tN + tS) * h)
+        u = np.asarray(u, dtype=float)
+        uE, uW, uN, uS = np.moveaxis(self._arm_values(u), -2, 0)
+        wx, ex, cx, dx = self._x_coef
+        wy, ey, cy, dy = self._y_coef
+        ux = wx * uE  # (wx uE - ex uW + cx u) / dx, in place
+        ux -= ex * uW
+        ux += cx * u
+        ux /= dx
+        uy = wy * uN
+        uy -= ey * uS
+        uy += cy * u
+        uy /= dy
         return ux, uy
 
 
@@ -293,47 +335,67 @@ class GraphSolution:
 
 
 def _half_data(dom: GridDomain, u: np.ndarray):
-    """Primary and transverse derivative per arm half-point, shape (n, 4).
+    """Primary and transverse derivative per arm half-point, shape u.shape + (4,).
 
     On full arms the transverse derivative is the average of the two node
     gradients.  On boundary-terminated arms it is extrapolated linearly to
     the half point from the node and its opposite neighbor, which keeps the
     half-point value second-order accurate at the boundary ring.
     """
-    vals = dom.values_with_boundary(u)
-    h = dom.h
+    vals = dom._arm_values(u)
     ux, uy = dom.node_gradient(u)
-    prim = np.array([1.0, -1.0, 1.0, -1.0]) * (vals - u[:, None]) / (dom.theta * h)
-    own = np.column_stack([uy, uy, ux, ux])  # each arm's transverse derivative
-    avg = 0.5 * (own + np.take_along_axis(own, dom.across, axis=0))
-    slope = (own - np.take_along_axis(own, dom.behind, axis=0)) / (dom.theta[:, _OPP] * h)
-    extrap = own + 0.5 * dom.theta * h * slope
-    return prim, np.where(dom.boundary_arm, extrap, avg)
+    # the passes run in place: each fresh stack-sized array costs page
+    # faults on every call, more than the arithmetic on it
+    # prim = sign * (vals - u) / (theta h)
+    prim = np.subtract(vals, u[..., None, :], out=vals)
+    prim *= _ARM_SIGN
+    prim /= dom._theta_h
+    trans = np.concatenate([uy, ux], axis=-1)
+    own, across, behind = (np.take(trans, idx, axis=-1) for idx in dom._transverse_idx)
+    # avg = 0.5 * (own + across); extrap = own + 0.5 theta h * (own - behind) / (theta_opp h)
+    avg = across
+    avg += own
+    avg *= 0.5
+    extrap = np.subtract(own, behind, out=behind)
+    extrap /= dom._theta_opp_h
+    extrap *= dom._half_theta_h
+    extrap += own
+    np.copyto(avg, extrap, where=dom._boundary_arm)
+    return _arms(prim), _arms(avg)
 
 
 def cmc_operator_residual(dom: GridDomain, u: np.ndarray, H: float, eps: int,
                           check_spacelike: bool = True):
     """Per-node residual of div(Du / sqrt(1 + eps|Du|^2)) - 2H.
 
-    In Lorentzian mode (eps = -1) the stencil gradients must stay strictly
-    below the light-cone slope; a violation raises SpacelikeViolationError
-    rather than letting NaNs propagate.
+    `u` holds the node values, shape (n,), or a stack of k of them, shape
+    (k, n); the residual has the same shape, each row computed exactly as a
+    single call would.  In Lorentzian mode (eps = -1) the stencil gradients
+    must stay strictly below the light-cone slope; a violation raises
+    SpacelikeViolationError rather than letting NaNs propagate.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape != (dom.n,):
-        raise GeometryError(f"expected {dom.n} interior node values")
-    prim, trans = _half_data(dom, u)
+    if u.ndim not in (1, 2) or u.shape[-1] != dom.n:
+        raise GeometryError(f"expected {dom.n} interior node values, or a stack of them")
+    prim, trans = (_arms(a) for a in _half_data(dom, u))
+    # flux = prim / sqrt(1 - min(m, 1 - 1e-12)) for eps = -1, where
+    # m = prim^2 + trans^2, and prim / sqrt(1 + prim^2 + trans^2) for eps = +1
+    m = prim * prim
+    trans *= trans
     if eps == -1:
-        m = prim * prim + trans * trans
+        m += trans
         if check_spacelike and np.any(m >= 1.0 - 1e-12):
             raise SpacelikeViolationError("stencil gradient reached the light cone")
-        m = np.minimum(m, 1.0 - 1e-12)
-        flux = prim / np.sqrt(1.0 - m)
+        np.minimum(m, 1.0 - 1e-12, out=m)
+        np.subtract(1.0, m, out=m)
     else:
-        flux = prim / np.sqrt(1.0 + prim * prim + trans * trans)
-    h = dom.h
-    div_x = (flux[:, 0] - flux[:, 1]) / (0.5 * (dom.theta[:, 0] + dom.theta[:, 1]) * h)
-    div_y = (flux[:, 2] - flux[:, 3]) / (0.5 * (dom.theta[:, 2] + dom.theta[:, 3]) * h)
+        m += 1.0
+        m += trans
+    np.sqrt(m, out=m)
+    flux = np.divide(prim, m, out=m)
+    den_x, den_y = dom._div_den
+    div_x = (flux[..., 0, :] - flux[..., 1, :]) / den_x
+    div_y = (flux[..., 2, :] - flux[..., 3, :]) / den_y
     return div_x + div_y - 2.0 * H
 
 
@@ -342,35 +404,67 @@ def _half_gradient_max(dom: GridDomain, u: np.ndarray) -> float:
     return float(np.sqrt(np.max(prim * prim + trans * trans)))
 
 
-def splu(a):
+def splu(a, permc_spec="COLAMD"):
     """`scipy.sparse.linalg.splu`, loaded on the first call; returns its SuperLU."""
     from scipy.sparse.linalg import splu as factor
-    return factor(a)
+    return factor(a, permc_spec=permc_spec)
 
 
 def _jacobian(dom: GridDomain, u: np.ndarray, H: float, eps: int, base: np.ndarray):
-    """Finite-difference Jacobian of the residual at u, as a scipy.sparse CSR matrix."""
+    """Finite-difference Jacobian of the residual at u, as a scipy.sparse CSC matrix.
+
+    Node k's residual reads only its 3x3 neighborhood, which holds one node
+    of each color, so perturbing every node of one color at once gives one
+    column entry per row.  The nine perturbed vectors go to the residual as
+    one (9, n) stack; entries whose residual did not move are left out.
+    """
     import scipy.sparse as sp
 
+    n = dom.n
     delta = 1e-7 * (1.0 + float(np.max(np.abs(u))))
-    rows_all, cols_all, data_all = [], [], []
-    for c in range(dom.n_colors):
-        up = u.copy()
-        mask = dom.color == c
-        up[mask] += delta
-        rp = cmc_operator_residual(dom, up, H, eps, check_spacelike=False)
-        cols = dom.color_nbr[:, c]
-        valid = (cols >= 0) & (rp != base)
-        rows_all.append(np.nonzero(valid)[0])
-        cols_all.append(cols[valid])
-        data_all.append((rp[valid] - base[valid]) / delta)
-    rows = np.concatenate(rows_all)
-    cols = np.concatenate(cols_all)
-    data = np.concatenate(data_all)
-    return sp.csr_matrix((data, (rows, cols)), shape=(dom.n, dom.n))
+    up = np.tile(u, (dom.n_colors, 1))
+    up[dom.color, np.arange(n)] += delta
+    rp = cmc_operator_residual(dom, up, H, eps, check_spacelike=False)
+    # entry (row k, column color_nbr[k, c]) comes from color c, color-major
+    nbr = dom.color_nbr.T
+    valid = (nbr >= 0) & (rp != base)
+    rows = np.broadcast_to(np.arange(n), rp.shape)[valid]
+    cols = nbr[valid]
+    data = (rp[valid] - base[rows]) / delta
+    # every entry of a column comes from its node's color, with rows
+    # ascending there, so a stable sort by column gives CSC order
+    order = np.argsort(cols, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return sp.csc_matrix((data[order], rows[order], indptr), shape=(n, n))
 
 
-def _newton(dom: GridDomain, u0: np.ndarray, H: float, cfg: SolverConfig):
+def _lu_solve(jac, rhs: np.ndarray, ordering: dict) -> np.ndarray:
+    """Solve jac x = rhs by sparse LU, with one COLAMD ordering per pattern.
+
+    A fill-reducing column ordering depends only on the sparsity pattern.
+    While jac has the pattern of the last COLAMD factorization recorded in
+    `ordering`, its columns are permuted by that ordering and factored in
+    natural order, which gives the LU, and the solution, of a fresh COLAMD
+    factorization without recomputing the ordering.
+    """
+    pattern = ordering.get("pattern")
+    if (pattern is not None and np.array_equal(pattern[0], jac.indptr)
+            and np.array_equal(pattern[1], jac.indices)):
+        q = ordering["q"]
+        y = splu(jac[:, q], permc_spec="NATURAL").solve(rhs)
+        x = np.empty_like(y)
+        x[q] = y
+        return x
+    lu = splu(jac, permc_spec="COLAMD")
+    q = np.empty_like(lu.perm_c)
+    q[lu.perm_c] = np.arange(len(q))
+    ordering["pattern"] = (jac.indptr.copy(), jac.indices.copy())
+    ordering["q"] = q
+    return lu.solve(rhs)
+
+
+def _newton(dom: GridDomain, u0: np.ndarray, H: float, cfg: SolverConfig, ordering: dict):
     u = u0.copy()
     guard_half = 1.0 - 0.5 * cfg.delta_guard
     guard_node = 1.0 - cfg.delta_guard
@@ -394,7 +488,7 @@ def _newton(dom: GridDomain, u0: np.ndarray, H: float, cfg: SolverConfig):
             return None, iters
         jac = _jacobian(dom, u, H, cfg.eps, r)
         try:
-            du = splu(jac.tocsc()).solve(-r)
+            du = _lu_solve(jac, -r, ordering)
         except RuntimeError:
             return None, iters
         lam = 1.0
@@ -452,6 +546,7 @@ def solve_dirichlet(dom: GridDomain, cfg: SolverConfig) -> GraphSolution:
     target = abs(cfg.H)
     flip = cfg.H < 0
     u = np.zeros(dom.n)
+    ordering = {}  # the last COLAMD column ordering, for _lu_solve
     h_cur = 0.0
     steps = 0
     iters_total = 0
@@ -459,7 +554,7 @@ def solve_dirichlet(dom: GridDomain, cfg: SolverConfig) -> GraphSolution:
         dh = min(cfg.dH, target)
         while h_cur < target - 1e-15:
             h_try = min(h_cur + dh, target)
-            u_new, iters = _newton(dom, u, h_try, cfg)
+            u_new, iters = _newton(dom, u, h_try, cfg, ordering)
             iters_total += iters
             if u_new is None:
                 dh *= 0.5

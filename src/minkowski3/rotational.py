@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MAX_POINTS, GeometryError
+from .core import GeometryError
 from .surfaces import SurfaceChart, _memo_exact, hyperbolic_plane_chart
 
 __all__ = [
@@ -39,6 +39,10 @@ __all__ = [
 
 #: guard band for the spacelike condition r'^2 > 1 and for r > 0
 GUARD = 1e-6
+
+#: most RK4 steps one integration takes: the loop runs in Python at tens of
+#: microseconds a step, so this bounds a run to seconds, not minutes
+MAX_RK4_STEPS = 250_000
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,8 @@ class ProfileODEParams:
             raise GeometryError("step h must be positive")
         if self.s1 <= self.s0:
             raise GeometryError("span must be increasing")
-        if not (self.s1 - self.s0) / self.h <= MAX_POINTS:
-            raise GeometryError(f"(s1 - s0) / h exceeds MAX_POINTS = {MAX_POINTS} steps")
+        if not (self.s1 - self.s0) / self.h <= MAX_RK4_STEPS:
+            raise GeometryError(f"(s1 - s0) / h exceeds MAX_RK4_STEPS = {MAX_RK4_STEPS} steps")
         if self.r0 <= 0:
             raise GeometryError("initial radius must be positive")
         if self.rp0 * self.rp0 <= 1.0 + GUARD:

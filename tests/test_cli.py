@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 import minkowski3
 from minkowski3.cli import dump_json, main
+from minkowski3.core import MAX_POINTS
+from minkowski3.rotational import MAX_RK4_STEPS
 
 
 def run(capsys, *argv):
@@ -229,8 +231,9 @@ class TestBadInput:
         assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("argv, code", [
-        # sizes above core.MAX_POINTS: RK4 steps and samples are domain errors,
-        # counts that argparse reads are usage errors
+        # sizes above their bound: RK4 steps (rotational.MAX_RK4_STEPS) and
+        # samples (core.MAX_POINTS) are domain errors, counts that argparse
+        # reads are usage errors
         (["rotational", "--catenoid", "--span", "0.5:1e308"], 1),
         (["riemann", "--span", "0:1e308", "--step", "1"], 1),
         (["umbilic", "--kind", "plane", "--nu", "4000000", "--nv", "4000000"], 1),
@@ -248,8 +251,25 @@ class TestBadInput:
         assert got == code
         assert out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1
-        assert "Traceback" not in err and "4000000" in err
+        bound = MAX_RK4_STEPS if argv[0] in ("rotational", "riemann") else MAX_POINTS
+        assert "Traceback" not in err and str(bound) in err
         assert [str(w.message) for w in caught] == []
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        # 4,000,000 RK4 steps: minutes of loop at the parent's bound
+        ["rotational", "--H", "0.1", "--r0", "1", "--rp0", "1.5", "--span", "0:4000"],
+        ["rotational", "--H", "0.1", "--r0", "1", "--rp0", "1.5", "--span", "0:4000",
+         "--csv", "p.csv", "--mesh", "p.obj"],
+        ["riemann", "--span", "0:250.001", "--csv", "p.csv"],  # one step past the bound
+    ])
+    def test_rk4_steps_above_bound_is_one_error_line(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"MAX_RK4_STEPS = {MAX_RK4_STEPS}" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

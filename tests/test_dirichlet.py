@@ -126,11 +126,22 @@ def loop_values_with_boundary(dom, u):
     return vals
 
 
+def loop_node_gradient(dom, u):
+    """Unequal-arm gradient with every theta factor formed per call."""
+    vals = loop_values_with_boundary(dom, u)
+    h = dom.h
+    tE, tW, tN, tS = (dom.theta[:, d] for d in range(4))
+    uE, uW, uN, uS = (vals[:, d] for d in range(4))
+    ux = (tW ** 2 * uE - tE ** 2 * uW + (tE ** 2 - tW ** 2) * u) / (tE * tW * (tE + tW) * h)
+    uy = (tS ** 2 * uN - tN ** 2 * uS + (tN ** 2 - tS ** 2) * u) / (tN * tS * (tN + tS) * h)
+    return ux, uy
+
+
 def loop_half_data(dom, u):
     """Half-point derivatives arm by arm, with the neighbor masks made per call."""
     vals = loop_values_with_boundary(dom, u)
     h = dom.h
-    ux, uy = dom.node_gradient(u)
+    ux, uy = loop_node_gradient(dom, u)
     sgn = np.array([1.0, -1.0, 1.0, -1.0])
     prim = np.empty((dom.n, 4))
     trans = np.empty((dom.n, 4))
@@ -146,6 +157,20 @@ def loop_half_data(dom, u):
     return prim, trans
 
 
+def loop_residual(dom, u, H, eps):
+    """The operator residual from the per-arm loop, each factor formed per call."""
+    prim, trans = loop_half_data(dom, u)
+    if eps == -1:
+        m = np.minimum(prim * prim + trans * trans, 1.0 - 1e-12)
+        flux = prim / np.sqrt(1.0 - m)
+    else:
+        flux = prim / np.sqrt(1.0 + prim * prim + trans * trans)
+    h = dom.h
+    div_x = (flux[:, 0] - flux[:, 1]) / (0.5 * (dom.theta[:, 0] + dom.theta[:, 1]) * h)
+    div_y = (flux[:, 2] - flux[:, 3]) / (0.5 * (dom.theta[:, 2] + dom.theta[:, 3]) * h)
+    return div_x + div_y - 2.0 * H
+
+
 class TestArmStencil:
     @pytest.mark.parametrize("h", [0.1, 0.05])
     @pytest.mark.parametrize("shape", [Disk(1.0), pentagon()], ids=["disk", "pentagon"])
@@ -155,9 +180,13 @@ class TestArmStencil:
         tent = -0.4 * np.array([shape.boundary_distance(x, y) for x, y in dom.xy])
         for u in (tent, tent + rng.uniform(-0.01, 0.01, dom.n), rng.uniform(-1.0, 1.0, dom.n)):
             assert np.array_equal(dom.values_with_boundary(u), loop_values_with_boundary(dom, u))
+            for new, old in zip(dom.node_gradient(u), loop_node_gradient(dom, u)):
+                assert np.array_equal(new, old)
             for new, old in zip(dirichlet._half_data(dom, u), loop_half_data(dom, u)):
                 assert np.array_equal(new, old)
             residuals = [cmc_operator_residual(dom, u, 1.0, eps, check_spacelike=False) for eps in (-1, 1)]
+            for eps, r in zip((-1, 1), residuals):
+                assert np.array_equal(r, loop_residual(dom, u, 1.0, eps))
             with monkeypatch.context() as m:
                 m.setattr(dirichlet, "_half_data", loop_half_data)
                 for eps, r in zip((-1, 1), residuals):
@@ -217,7 +246,73 @@ class TestPolygonConstruction:
         assert built > 300 and rejected > 100
 
 
+def loop_jacobian(dom, u, H, eps, base):
+    """The colored Jacobian one color at a time: nine residual calls, CSR, then CSC."""
+    import scipy.sparse as sp
+
+    delta = 1e-7 * (1.0 + float(np.max(np.abs(u))))
+    rows_all, cols_all, data_all = [], [], []
+    for c in range(dom.n_colors):
+        up = u.copy()
+        mask = dom.color == c
+        up[mask] += delta
+        rp = cmc_operator_residual(dom, up, H, eps, check_spacelike=False)
+        cols = dom.color_nbr[:, c]
+        valid = (cols >= 0) & (rp != base)
+        rows_all.append(np.nonzero(valid)[0])
+        cols_all.append(cols[valid])
+        data_all.append((rp[valid] - base[valid]) / delta)
+    rows = np.concatenate(rows_all)
+    cols = np.concatenate(cols_all)
+    data = np.concatenate(data_all)
+    return sp.csr_matrix((data, (rows, cols)), shape=(dom.n, dom.n)).tocsc()
+
+
+def tent_and_random(shape, dom):
+    rng = np.random.default_rng(5)
+    tent = -0.4 * np.array([shape.boundary_distance(x, y) for x, y in dom.xy])
+    return {"tent": tent, "random": rng.uniform(-1.0, 1.0, dom.n)}
+
+
+class TestStackedResidual:
+    @pytest.mark.parametrize("eps", [-1, 1])
+    @pytest.mark.parametrize("shape", [Disk(1.0), pentagon()], ids=["disk", "pentagon"])
+    def test_rows_equal_single_calls(self, shape, eps):
+        dom = GridDomain(shape, 0.05)
+        us = np.stack(list(tent_and_random(shape, dom).values()) + [np.zeros(dom.n)])
+        stacked = cmc_operator_residual(dom, us, 0.7, eps, check_spacelike=False)
+        assert stacked.shape == us.shape
+        for u, r in zip(us, stacked):
+            assert np.array_equal(r, cmc_operator_residual(dom, u, 0.7, eps, check_spacelike=False))
+
+    def test_spacelike_check_covers_every_row(self):
+        dom = GridDomain(Disk(1.0), 0.1)
+        us = np.stack([np.zeros(dom.n), 2.0 * dom.xy[:, 0]])
+        with pytest.raises(SpacelikeViolationError):
+            cmc_operator_residual(dom, us, 0.0, -1)
+
+    @pytest.mark.parametrize("shape_of", [lambda n: (n + 1,), lambda n: (2, 3, n), lambda n: (2, n - 1),
+                                          lambda n: ()], ids=["n+1", "2x3xn", "2x(n-1)", "scalar"])
+    def test_other_shapes_raise(self, shape_of):
+        dom = GridDomain(Disk(1.0), 0.1)
+        with pytest.raises(GeometryError, match=f"expected {dom.n} interior node values"):
+            cmc_operator_residual(dom, np.zeros(shape_of(dom.n)), 0.0, -1)
+
+
 class TestJacobian:
+    @pytest.mark.parametrize("which", ["tent", "random"])
+    @pytest.mark.parametrize("eps", [-1, 1])
+    @pytest.mark.parametrize("shape", [Disk(1.0), pentagon()], ids=["disk", "pentagon"])
+    def test_equals_the_per_color_loop(self, shape, eps, which):
+        dom = GridDomain(shape, 0.05)
+        u = tent_and_random(shape, dom)[which]
+        base = cmc_operator_residual(dom, u, 1.0, eps, check_spacelike=False)
+        new = _jacobian(dom, u, 1.0, eps, base)
+        old = loop_jacobian(dom, u, 1.0, eps, base)
+        assert new.format == "csc" and new.shape == (dom.n, dom.n)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(new, attr), getattr(old, attr)), attr
+
     @pytest.mark.parametrize("eps", [-1, 1])
     @pytest.mark.parametrize("shape", [Disk(1.0), pentagon()], ids=["disk", "pentagon"])
     def test_colored_equals_column_by_column(self, shape, eps):
@@ -234,6 +329,71 @@ class TestJacobian:
             up[q] += delta
             dense[:, q] = (cmc_operator_residual(dom, up, 1.0, eps, check_spacelike=False) - base) / delta
         npt.assert_array_equal(_jacobian(dom, u, 1.0, eps, base).toarray(), dense)
+
+
+class TestOrderingReuse:
+    def test_newton_sequence_equals_fresh_factorizations(self, monkeypatch):
+        from scipy.sparse.linalg import splu as scipy_splu
+
+        factored = []
+
+        def recording_splu(a, permc_spec="COLAMD"):
+            lu = scipy_splu(a, permc_spec=permc_spec)
+            factored.append((permc_spec, lu))
+            return lu
+
+        monkeypatch.setattr(dirichlet, "splu", recording_splu)
+        dom = GridDomain(pentagon(), 0.1)
+        ordering = {}
+        u = np.zeros(dom.n)  # the continuation start: a sparser Jacobian pattern
+        patterns = []
+        for _ in range(5):
+            r = cmc_operator_residual(dom, u, 0.8, -1)
+            jac = _jacobian(dom, u, 0.8, -1, r)
+            patterns.append((jac.indptr.tobytes(), jac.indices.tobytes()))
+            du = dirichlet._lu_solve(jac, -r, ordering)
+            fresh = scipy_splu(jac)
+            assert du.tobytes() == fresh.solve(-r).tobytes()
+            spec, lu = factored[-1]
+            assert lu.L.nnz + lu.U.nnz == fresh.L.nnz + fresh.U.nnz
+            if spec == "NATURAL":
+                assert np.array_equal(lu.perm_c, np.arange(dom.n))
+                assert np.array_equal(lu.perm_r, fresh.perm_r)
+            u = u + du
+        specs = [spec for spec, _ in factored]
+        # a new pattern is ordered by COLAMD, a repeated one reuses the ordering
+        assert specs == ["COLAMD" if k == 0 or patterns[k] != patterns[k - 1] else "NATURAL"
+                         for k in range(len(patterns))]
+        assert specs[:2] == ["COLAMD", "COLAMD"] and "NATURAL" in specs
+
+    def test_no_ordering_outlives_a_solve(self, monkeypatch):
+        factor = dirichlet.splu
+        specs = []
+
+        def recording_splu(a, permc_spec="COLAMD"):
+            specs.append(permc_spec)
+            return factor(a, permc_spec=permc_spec)
+
+        monkeypatch.setattr(dirichlet, "splu", recording_splu)
+
+        def solve(shape, H=0.9):
+            specs.clear()
+            sol = solve_dirichlet(GridDomain(shape, 0.1), SolverConfig(eps=-1, H=H))
+            return sol, list(specs)
+
+        first, first_specs = solve(Disk(0.8))
+        solve(pentagon())
+        again, again_specs = solve(Disk(0.8))
+        assert again.u.tobytes() == first.u.tobytes()
+        assert again.newton_iters == first.newton_iters
+        assert repr(again.residual_max) == repr(first.residual_max)
+        assert repr(again.Du_max) == repr(first.Du_max)
+        assert again_specs == first_specs
+        # one Newton step: the only pattern ordered is that of u = 0, which is
+        # where the next solve starts; it must order it afresh
+        for _ in range(2):
+            sol, one_step = solve(Disk(0.8), 1e-5)
+            assert sol.newton_iters == 1 and one_step == ["COLAMD"]
 
 
 class TestOperatorResidual:

@@ -3,10 +3,11 @@ import numpy.testing as npt
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
-from minkowski3.core import MAX_POINTS, GeometryError, lorentz_dot
+from minkowski3.core import GeometryError, lorentz_dot
 from minkowski3.isometry import boost_timelike
 from minkowski3.meshing import triangulate_chart
 from minkowski3.rotational import (
+    MAX_RK4_STEPS,
     HyperbolicCap,
     ProfileODEParams,
     catenoid_chart,
@@ -105,13 +106,15 @@ class TestRotationalIntegration:
         assert np.all(sol.r > 0)
 
     @pytest.mark.parametrize("kwargs", [{"s1": 1e308}, {"h": 1e-300},
-                                        {"s0": -1e308, "s1": 1e308}])
+                                        {"s0": -1e308, "s1": 1e308},
+                                        {"s1": (MAX_RK4_STEPS + 1) * 1e-3}])
     def test_step_count_bounded(self, kwargs):
-        # (s1 - s0) / h is the RK4 step count: above MAX_POINTS, or infinite,
-        # it fails where the parameters are built, before any array exists
-        with pytest.raises(GeometryError, match="MAX_POINTS"):
+        # (s1 - s0) / h is the RK4 step count: above MAX_RK4_STEPS, or
+        # infinite, it fails where the parameters are built, before any array
+        # exists
+        with pytest.raises(GeometryError, match=f"MAX_RK4_STEPS = {MAX_RK4_STEPS}"):
             ProfileODEParams(**kwargs)
-        ProfileODEParams(s1=MAX_POINTS * 1e-3)  # exactly at the bound is allowed
+        ProfileODEParams(s1=MAX_RK4_STEPS * 1e-3)  # exactly at the bound is allowed
 
     def test_inadmissible_initial_slope(self):
         with pytest.raises(GeometryError):

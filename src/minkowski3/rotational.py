@@ -18,6 +18,7 @@ keeps runs bit-reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,11 @@ GUARD = 1e-6
 #: most RK4 steps one integration takes: the loop runs in Python at tens of
 #: microseconds a step, so this bounds a run to seconds, not minutes
 MAX_RK4_STEPS = 250_000
+
+
+def _abscissae(s0: float, s1: float, h: float) -> np.ndarray:
+    """The RK4 sample points s0 + h k for k = 0 .. round((s1 - s0) / h)."""
+    return s0 + h * np.arange(round((s1 - s0) / h) + 1)
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,10 @@ class ProfileODEParams:
             raise GeometryError("span must be increasing")
         if not (self.s1 - self.s0) / self.h <= MAX_RK4_STEPS:
             raise GeometryError(f"(s1 - s0) / h exceeds MAX_RK4_STEPS = {MAX_RK4_STEPS} steps")
+        # below the float spacing near the span, s0 + h k rounds to repeated values
+        if not np.all(np.diff(_abscissae(self.s0, self.s1, self.h)) > 0):
+            raise GeometryError("step h does not separate the samples s0 + h k: "
+                                "it is below the float spacing of the span")
         if self.r0 <= 0:
             raise GeometryError("initial radius must be positive")
         if self.rp0 * self.rp0 <= 1.0 + GUARD:
@@ -114,7 +124,8 @@ def _identity_residual(r, rp, rpp, H, c, d):
 
 def _integrate(params: ProfileODEParams) -> ProfileSolution:
     H, c, d = params.H, params.c, params.d
-    n = int(round((params.s1 - params.s0) / params.h))
+    s = _abscissae(params.s0, params.s1, params.h)
+    n = len(s) - 1
     h = params.h
 
     def rhs(y):
@@ -149,7 +160,7 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
                 break
             ys[k + 1] = y_next
     ys = ys[: last + 1]
-    s = params.s0 + h * np.arange(last + 1)
+    s = s[: last + 1]
     r, rp, a, b = ys.T
     # plugging the rearranged r'' back into the printed identity catches
     # any algebra slip in the rearrangement itself
@@ -210,27 +221,64 @@ def _circle_chart(r, a, b, domain) -> SurfaceChart:
     )
 
 
+def _hermite(x, y, dydx):
+    """Value, first and second derivative of the cubic Hermite interpolant of
+    the samples (x, y, dydx), as three functions of one float.
+
+    Each piece is a cubic in powers of u - x_i (de Boor's ppform) with the
+    coefficients of scipy's `CubicHermiteSpline` and the derivative
+    coefficients of `PPoly.derivative`, evaluated as `PPoly` does: intervals
+    are half-open but the last is closed, the end pieces extrapolate, and the
+    power sum starts at 0.0 and adds terms from the constant up (not Horner),
+    so every result is scipy's bit for bit.  The sum runs on Python floats,
+    which, like scipy's compiled loop, overflow to inf without raising.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
+    c1 = c[:-1] * np.array([3, 2, 1])[:, None]
+    c2 = c1[:-1] * np.array([2, 1])[:, None]
+    knots = x.tolist()
+    last = len(knots) - 2
+
+    def ppform(coeffs):
+        rows = coeffs[::-1].T  # per interval, constant term first
+
+        def f(u):
+            u = float(u)
+            # searchsorted(x, u, side="right") - 1, clipped to the end pieces
+            i = min(max(bisect_right(knots, u) - 1, 0), last)
+            s = u - knots[i]
+            res, z = 0.0, 1.0
+            for ck in rows[i].tolist():
+                res = res + ck * z
+                z = z * s
+            return res
+
+        return f
+
+    return ppform(c), ppform(c1), ppform(c2)
+
+
 def profile_chart(sol: ProfileSolution) -> SurfaceChart:
     """Chart X(u, v) = (a + r cos v, b + r sin v, u) from an integrated profile.
 
-    r, a, b are cubic Hermite interpolants of the integrated samples, so
-    the measured curvature of the chart reflects the numerical solution
-    (second derivatives come from the interpolant, not from the governing
-    identity).  Each spline is memoized on u: a mesh evaluates it at every
-    vertex and partial, but only once per distinct u.
+    r, a, b are cubic Hermite interpolants of the integrated samples,
+    evaluated by the ppform evaluator `_hermite`, so the measured curvature
+    of the chart reflects the numerical solution (second derivatives come
+    from the interpolant, not from the governing identity).  Each of the nine
+    evaluators is memoized on u: a mesh evaluates it at every vertex and
+    partial, but only once per distinct u.
     """
-    from scipy.interpolate import CubicHermiteSpline
-
     if len(sol.s) < 4:
         raise GeometryError("profile too short to interpolate")
     c, d = sol.params.c, sol.params.d
-    r_sp = CubicHermiteSpline(sol.s, sol.r, sol.rp)
-    a_sp = CubicHermiteSpline(sol.s, sol.a, c * sol.r ** 2)
-    b_sp = CubicHermiteSpline(sol.s, sol.b, d * sol.r ** 2)
-    r1, a1, b1 = r_sp.derivative(), a_sp.derivative(), b_sp.derivative()
-    r2, a2, b2 = r1.derivative(), a1.derivative(), b1.derivative()
     dom = ((float(sol.s[0]), float(sol.s[-1])), (0.0, 2 * np.pi))
-    r, a, b = (tuple(map(_memo_exact, fs)) for fs in ((r_sp, r1, r2), (a_sp, a1, a2), (b_sp, b1, b2)))
+    r = _hermite(sol.s, sol.r, sol.rp)
+    a = _hermite(sol.s, sol.a, c * sol.r ** 2)
+    b = _hermite(sol.s, sol.b, d * sol.r ** 2)
+    r, a, b = (tuple(map(_memo_exact, fs)) for fs in (r, a, b))
     return _circle_chart(r, a, b, dom)
 
 

@@ -273,6 +273,26 @@ class TestBadInput:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
+        # the step is below the float spacing of the span, so the samples
+        # s0 + h k repeat
+        [*cmd, "--r0", "1", "--rp0", "1.5", "--span", span, "--step", step, *files]
+        for cmd in (["rotational", "--H", "0"], ["riemann"])
+        for span, step in (("1e15:1000000000000000.5", "0.1"), ("1e8:100000000.0001", "1e-8"))
+        for files in ([], ["--csv", "p.csv", "--mesh", "p.obj"])
+    ])
+    def test_step_below_float_spacing_is_one_error_line(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "does not separate the samples" in err
+        assert [str(w.message) for w in caught] == []
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
         ["classify", "--vec", "a,b,c"],
         ["classify", "--plane", "1,0,0;0,1"],
         ["curve", "--kind", "circle", "--span", "1", "--out", "c.csv"],
@@ -418,6 +438,9 @@ _NO_SCIPY = [
     ["surface", "--kind", "catenoid", "--nu", "4", "--nv", "4", "--mesh", "surface.obj"],
     ["umbilic", "--kind", "desitter", "--r", "2", "--nu", "4", "--nv", "4"],
     ["cap", "--nu", "4", "--nv", "6", "--mesh", "cap.obj", "--csv", "cap.csv"],
+    ["rotational", "--catenoid", "--span", "0.5:0.6", "--step", "1e-2", "--nu", "4", "--nv", "4",
+     "--mesh", "rot.obj"],
+    ["riemann", "--csv", "riemann.csv"],
 ]
 
 
@@ -425,9 +448,7 @@ _NO_SCIPY = [
     (_NO_SCIPY, (), _SCIPY),
     ([["dirichlet", "--disk", "0.5", "--H", "1", "--h", "0.1"]],
      ("scipy.sparse",), ("scipy.integrate", "scipy.interpolate")),
-    ([["rotational", "--catenoid", "--span", "0.5:0.6", "--step", "1e-2", "--nu", "4", "--nv", "4",
-       "--mesh", "rot.obj"]], ("scipy.interpolate",), ("scipy.integrate",)),
-], ids=["no-scipy", "dirichlet", "rotational"])
+], ids=["no-scipy", "dirichlet"])
 def test_scipy_is_loaded_on_first_use(tmp_path, argvs, loaded, absent):
     # a fresh interpreter: this process has loaded every scipy module the tests use
     script = (

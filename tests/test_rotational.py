@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 from scipy.interpolate import CubicHermiteSpline
 
+from minkowski3 import rotational
 from minkowski3.core import GeometryError, lorentz_dot
 from minkowski3.isometry import boost_timelike
 from minkowski3.meshing import triangulate_chart
@@ -116,6 +117,16 @@ class TestRotationalIntegration:
             ProfileODEParams(**kwargs)
         ProfileODEParams(s1=MAX_RK4_STEPS * 1e-3)  # exactly at the bound is allowed
 
+    @pytest.mark.parametrize("s0, s1, h", [(1e15, 1e15 + 0.5, 0.1), (1e8, 1e8 + 1e-4, 1e-8)])
+    def test_step_below_float_spacing_rejected(self, s0, s1, h):
+        # s0 + h k rounds to repeated values when h is below the float
+        # spacing near s0: refused where the parameters are built
+        with pytest.raises(GeometryError, match="does not separate the samples"):
+            ProfileODEParams(s0=s0, s1=s1, h=h)
+        # ten times the step separates them
+        params = ProfileODEParams(s0=s0, s1=s1, h=10 * h)
+        assert np.all(np.diff(integrate_rotational(params).s) > 0)
+
     def test_inadmissible_initial_slope(self):
         with pytest.raises(GeometryError):
             ProfileODEParams(H=0.0, r0=1.0, rp0=0.5, s0=0.0, s1=1.0, h=1e-3)
@@ -218,21 +229,59 @@ class TestProfileChart:
 
     def test_mesh_evaluates_each_spline_once_per_u(self, monkeypatch):
         calls = []
+        hermite = rotational._hermite
 
-        class CountingSpline(CubicHermiteSpline):
-            # derivative() keeps the subclass, so all nine splines are counted
-            def __call__(self, x, *args, **kwargs):
-                calls.append((id(self), np.float64(x).tobytes()))
-                return super().__call__(x, *args, **kwargs)
+        def counting_hermite(x, y, dydx):
+            def counted(f):
+                def g(u):
+                    calls.append((id(f), np.float64(u).tobytes()))
+                    return f(u)
+                return g
+            return tuple(map(counted, hermite(x, y, dydx)))
 
-        monkeypatch.setattr("scipy.interpolate.CubicHermiteSpline", CountingSpline)
+        monkeypatch.setattr(rotational, "_hermite", counting_hermite)
         chart = profile_chart(integrate_rotational(catenoid_params(h=1e-2)))
         mesh = triangulate_chart(chart, 40, 64, wrap_v=True)
         assert len(mesh.vertices) == 40 * 63
         us = {np.float64(u).tobytes() for u in chart.grid(40, 64)[0]}
-        assert len({spline for spline, _ in calls}) == 9
+        assert len({f for f, _ in calls}) == 9
         assert len(calls) == len(set(calls))
         assert {u for _, u in calls} <= us
+
+
+def _hermite_samples(profile):
+    """(x, y, dydx) triples of one profile: r, a and b as `profile_chart` takes them."""
+    if profile == "signed-zero":
+        # y = -0.0 at the knot 1.0, where every term of the power sum is -0.0:
+        # only a sum that starts at +0.0 gives scipy's +0.0 there
+        return [(np.array([0.0, 1.0, 2.0, 3.0]), np.array([1.0, -0.0, -3.0, -7.0]),
+                 np.array([-1.0, -2.0, -4.5, -4.0]))]
+    sol = {
+        "catenoid": lambda: integrate_rotational(catenoid_params(h=1e-2)),
+        "riemann": lambda: integrate_riemann(ProfileODEParams(c=0.3, d=0.2, r0=1.0, rp0=1.5,
+                                                              s0=0.0, s1=0.5, h=1e-2)),
+        "truncated": lambda: integrate_rotational(ProfileODEParams(
+            H=0.0, r0=0.5, rp0=-float(np.cosh(np.arcsinh(0.5))), s0=0.0, s1=2.0, h=1e-2)),
+    }[profile]()
+    assert sol.truncated == (profile == "truncated")
+    c, d = sol.params.c, sol.params.d
+    return [(sol.s, sol.r, sol.rp), (sol.s, sol.a, c * sol.r ** 2), (sol.s, sol.b, d * sol.r ** 2)]
+
+
+class TestHermite:
+    @pytest.mark.parametrize("profile", ["catenoid", "riemann", "truncated", "signed-zero"])
+    def test_bit_identical_to_scipy(self, profile):
+        for x, y, dydx in _hermite_samples(profile):
+            span = x[-1] - x[0]
+            us = np.concatenate([
+                x, 0.5 * (x[:-1] + x[1:]), [x[0], x[-1], x[0] - 0.3 * span, x[-1] + 0.3 * span, -0.0],
+                np.random.default_rng(17).uniform(x[0] - 0.1 * span, x[-1] + 0.1 * span, 2000),
+            ])
+            spline = CubicHermiteSpline(x, y, dydx)
+            references = (spline, spline.derivative(), spline.derivative().derivative())
+            for f, reference in zip(rotational._hermite(x, y, dydx), references):
+                got = np.array([f(u) for u in us])
+                assert got.tobytes() == reference(us).tobytes()
 
 
 class TestBoostInvariance:

@@ -438,8 +438,6 @@ _NO_SCIPY = [
     ["surface", "--kind", "catenoid", "--nu", "4", "--nv", "4", "--mesh", "surface.obj"],
     ["umbilic", "--kind", "desitter", "--r", "2", "--nu", "4", "--nv", "4"],
     ["cap", "--nu", "4", "--nv", "6", "--mesh", "cap.obj", "--csv", "cap.csv"],
-    ["rotational", "--catenoid", "--span", "0.5:0.6", "--step", "1e-2", "--nu", "4", "--nv", "4",
-     "--mesh", "rot.obj"],
     ["riemann", "--csv", "riemann.csv"],
 ]
 
@@ -448,7 +446,9 @@ _NO_SCIPY = [
     (_NO_SCIPY, (), _SCIPY),
     ([["dirichlet", "--disk", "0.5", "--H", "1", "--h", "0.1"]],
      ("scipy.sparse",), ("scipy.integrate", "scipy.interpolate")),
-], ids=["no-scipy", "dirichlet"])
+    ([["rotational", "--catenoid", "--span", "0.5:0.6", "--step", "1e-2", "--nu", "4", "--nv", "4",
+       "--mesh", "rot.obj"]], (), _SCIPY),
+], ids=["no-scipy", "dirichlet", "rotational"])
 def test_scipy_is_loaded_on_first_use(tmp_path, argvs, loaded, absent):
     # a fresh interpreter: this process has loaded every scipy module the tests use
     script = (

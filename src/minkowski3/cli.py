@@ -591,7 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--H", type=float, required=True)
     c.add_argument("--ambient", choices=["lorentz", "euclid"], default="lorentz")
     c.add_argument("--h", type=float, default=0.05)
-    c.add_argument("--dH", type=float, default=0.1)
+    c.add_argument("--dH", type=float, default=None,
+                   help="cap on each continuation step in H (default: none, the whole |H| first)")
     c.add_argument("--newton-tol", type=float, default=1e-10)
     c.add_argument("--delta-guard", type=float, default=0.01)
     c.add_argument("--out", help="CSV output path")

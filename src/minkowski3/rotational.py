@@ -140,15 +140,15 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
         return y[0] <= GUARD or y[1] * y[1] - 1.0 <= GUARD
 
     # a step that blows up may overflow in its stages: the non-finite y_next
-    # is rejected below, so overflow here is not an error
+    # or slope is rejected below, so overflow here is not an error
     with np.errstate(over="ignore", invalid="ignore"):
+        k1 = rhs(ys[0])
         for k in range(n):
             y = ys[k]
             if at_guard(y):
                 truncated = True
                 last = k
                 break
-            k1 = rhs(y)
             k2 = rhs(y + 0.5 * h * k1)
             k3 = rhs(y + 0.5 * h * k2)
             k4 = rhs(y + h * k3)
@@ -159,6 +159,14 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
                 last = k
                 break
             ys[k + 1] = y_next
+            k1 = rhs(y_next)
+    # k1 is the slope at ys[last].  Where it is not finite, the identity
+    # residual below would overflow there, so that sample is rejected like a
+    # non-finite step.  No earlier sample needs the test: a non-finite k1
+    # makes the next y_next non-finite, which ends the loop at that sample.
+    if last > 0 and not np.all(np.isfinite(k1)):
+        truncated = True
+        last -= 1
     ys = ys[: last + 1]
     s = s[: last + 1]
     r, rp, a, b = ys.T

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -146,12 +147,40 @@ class TestRotationalCommands:
         assert rep["outputs"]["truncated"] is False
         assert (rep["warnings"] == ["chart fails the spacelike condition somewhere"]) is warned
 
+    def test_riemann_blow_up_truncates_cleanly(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "riemann", "--c", "10")
+        assert code == 0 and err == ""
+        assert json.loads(out)["outputs"]["truncated"] is True
+
     def test_cap_run(self, capsys):
         code, out, _ = run(capsys, "cap", "--r", "2", "--R", "3")
         assert code == 0
         rep = json.loads(out)
         assert abs(rep["outputs"]["measured_H_max"] - 0.5) < 1e-8
         assert abs(rep["outputs"]["rim_height"] - np.sqrt(13)) < 1e-12
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_profile_reports_keep_their_recorded_bytes(capsys, monkeypatch, tmp_path, seed):
+    # the benchmark's cold rotational and riemann invocations print the reports
+    # whose digests perfbench/cli_reference.json records
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    digests = json.loads((PERFBENCH / "cli_reference.json").read_text())["seeds"][str(seed)]
+    monkeypatch.chdir(tmp_path)
+    invocations, _ = workloads.cli_invocations(workloads.rng_for(seed, "cli-cold"))
+    profiles = [inv for inv in invocations if inv.name in ("rotational", "riemann")]
+    assert len(profiles) == 2
+    for inv in profiles:
+        code, out, _ = run(capsys, *inv.argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digests[inv.name]
 
 
 class TestDirichletCommand:
@@ -164,6 +193,7 @@ class TestDirichletCommand:
         assert code == 0
         rep = json.loads(out)
         assert rep["outputs"]["error_vs_cap_max"] < 1e-3
+        assert rep["outputs"]["continuation_steps"] == 1  # the whole H at once
         assert rep["outputs"]["bounds"]["satisfied"]
         assert rep["outputs"]["gradient_check"]["interior_le_boundary"]
         assert path.read_text().startswith("x,y,u,|Du|,err_cap")
@@ -177,6 +207,29 @@ class TestDirichletCommand:
         )
         assert code == 0
         assert json.loads(out)["outputs"]["residual_max"] < 1e-10
+
+    # capped at dH = 0.1, the solve walks the continuation path that was the
+    # default before the whole |H| was tried first, and prints that code's
+    # bytes: the SHA-256 of its stdout
+    @pytest.mark.parametrize("argv, digest", [
+        (["dirichlet", "--disk", "0.75", "--H", "1.2", "--h", "0.05", "--dH", "0.1"],
+         "76e55aee512ca74cbcd4f85732e1df9c24ea73dd0d4f43f9ac87f65becdb66a2"),
+        (["dirichlet", "--polygon", "poly.txt", "--H", "0.5", "--ambient", "lorentz",
+          "--h", "0.05", "--dH", "0.1"],
+         "ebf0bfeeb7522466589633ab3cf49f59070c85fae9aa2198d298e7e5f472d422"),
+    ], ids=["disk", "polygon"])
+    def test_capped_step_reproduces_continuation_bytes(self, capsys, monkeypatch, tmp_path,
+                                                       argv, digest):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "poly.txt").write_text("# square\n0.8,0\n0,0.8\n-0.8,0\n0,-0.8\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_zero_step_is_domain_error(self, capsys):
+        code, _, err = run(capsys, "dirichlet", "--disk", "1", "--H", "1", "--dH", "0")
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_euclid_refusal_is_domain_error(self, capsys):
         code, _, err = run(

@@ -452,6 +452,43 @@ class TestSolveDirichlet:
         with pytest.raises(GeometryError):
             SolverConfig(**{name: value})
 
+    def test_default_takes_the_whole_target(self):
+        assert SolverConfig().dH is None
+        assert SolverConfig(dH=None).dH is None
+        assert SolverConfig(dH=0.1).dH == 0.1
+
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    def test_config_rejects_non_positive_step(self, value):
+        with pytest.raises(GeometryError):
+            SolverConfig(dH=value)
+
+    @pytest.mark.parametrize("h", [0.04, 0.02])
+    def test_cap_solves_in_one_step(self, h):
+        sol = solve_dirichlet(GridDomain(Disk(1.0), h), SolverConfig(eps=-1, H=1.0))
+        assert sol.continuation_steps == 1
+        assert sol.residual_max <= 1e-10
+
+    def test_newton_tail_rate(self, monkeypatch):
+        # the forward-difference Jacobian makes the tail superlinear, not
+        # cleanly quadratic: each of the last two iterations still cuts
+        # max|r| by more than 1000x (measured 2.9e-4 and 7.3e-4)
+        norms = []
+        residual = dirichlet.cmc_operator_residual
+
+        def recording(dom, u, *args, **kwargs):
+            r = residual(dom, u, *args, **kwargs)
+            if u.ndim == 1:  # not the Jacobian's stack of perturbed vectors
+                norms.append(float(np.max(np.abs(r))))
+            return r
+
+        monkeypatch.setattr(dirichlet, "cmc_operator_residual", recording)
+        sol = solve_dirichlet(GridDomain(Disk(1.0), 0.02), SolverConfig(eps=-1, H=1.0))
+        # the start, one full-step trial per iteration, and the final report
+        assert len(norms) == sol.newton_iters + 2
+        assert norms[-1] == norms[-2] == sol.residual_max
+        history = norms[:-1]
+        assert history[-1] <= 1e-3 * history[-2] and history[-2] <= 1e-3 * history[-3]
+
     def test_zero_target_returns_zero(self):
         dom = GridDomain(Disk(1.0), 0.05)
         sol = solve_dirichlet(dom, SolverConfig(eps=-1, H=0.0))
@@ -524,6 +561,13 @@ class TestSolveDirichlet:
         cfg = SolverConfig(eps=-1, H=1.0)
         with pytest.raises(ContinuationStallError):
             solve_dirichlet(dom, cfg)
+
+    def test_halving_continues_from_accepted_steps(self):
+        # the whole step to H = 8 fails; halved steps are accepted up to about
+        # H = 7.06 before the halving runs out
+        dom = GridDomain(Disk(1.0), 0.1)
+        with pytest.raises(ContinuationStallError, match=r"stalled at H=7\.0\d+ toward 8"):
+            solve_dirichlet(dom, SolverConfig(eps=-1, H=8.0))
 
 
 class TestReports:

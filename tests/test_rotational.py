@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -153,6 +155,15 @@ class TestRiemannFamily:
             sol = integrate_riemann(ProfileODEParams(c=1.0))
         assert sol.truncated and len(sol.s) == 905
         assert np.all(np.isfinite(sol.r)) and sol.r[-1] > 1e30
+
+    def test_blow_up_is_truncated_where_the_slope_overflows(self):
+        # with c = 10 a step can land finite where r^4 in r'' overflows: that
+        # step is rejected, so the identity residual of every kept sample is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = integrate_riemann(ProfileODEParams(c=10.0))
+        assert sol.truncated and len(sol.s) == 146
+        assert np.isfinite(sol.residual_max)
 
     def test_degenerates_to_catenoid(self):
         sol = integrate_riemann(catenoid_params())

@@ -108,11 +108,11 @@ def _lorentz_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
 
 
-def _squares(v):
-    """(<v,v>, |v|_euclid^2), or GeometryError when either overflows."""
-    v = as_vec3(v)
+def _squares(v: np.ndarray):
+    """(<v,v>, |v|_euclid^2) of an array already checked by `as_vec3`, or
+    GeometryError when either overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        q = lorentz_dot(v, v)
+        q = _lorentz_dot(v, v)
         e = _euclid_sq(v)
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(e))):
         raise GeometryError("vector too large: its squared length overflows")

@@ -17,6 +17,11 @@ exists except in the two null-normal cases.  Frame conventions:
 
 The pairing for the last case is the unique one consistent with the
 derivative system T'=N, N'=tau T - B, B'=-tau N.
+
+Torsion needs no derivative of the frame: since <N,B> = 0 in every case,
+tau = <alpha''', B> / kappa (sign flipped for spacelike normal, and no
+division by kappa when N = alpha'' is not normalized), so `frenet` evaluates
+one frame per point and is as accurate as the jet's third derivative.
 """
 
 from __future__ import annotations
@@ -375,29 +380,22 @@ def _frame_at(jet: CurveJet, s: float):
     return t_vec, n_vec, cross(t_vec, n_vec), case, kappa
 
 
-def _normal_derivative(jet: CurveJet, s: float) -> np.ndarray:
-    """N'(s) by a five-point stencil of the frame's normal field."""
-    h = jet.h_fd
-
-    def normal(u: float) -> np.ndarray:
-        return _frame_at(jet, u)[1]
-
-    return (
-        -normal(s + 2 * h) + 8.0 * normal(s + h) - 8.0 * normal(s - h) + normal(s - 2 * h)
-    ) / (12.0 * h)
-
-
 def frenet(jet: CurveJet, s: float) -> FrenetFrame:
     """Frenet frame, causal case, curvature and torsion at s.
 
     The jet must be arc-length parametrized (pseudo-arc-length for lightlike
-    curves).  N' is obtained by numerically differentiating the frame field,
-    so torsion carries an O(h_fd^4) stencil error.
+    curves).  Torsion is read off the jet's third derivative in the one frame,
+    tau = <alpha''', B> / kappa (no division in the null-normal cases), so
+    its accuracy is that of the jet's `jerk` evaluator alone.
     """
     t_vec, n_vec, b_vec, case, kappa = _frame_at(jet, s)
     # <N',B> = tau in every case (see frenet_matrix) but the spacelike-normal
-    # one, where B is timelike and N' = -kappa T + tau B gives <N',B> = -tau
-    tau = float(lorentz_dot(_normal_derivative(jet, s), b_vec))
+    # one, where B is timelike and N' = -kappa T + tau B gives <N',B> = -tau.
+    # N is alpha''/kappa, or alpha'' itself in the null-normal cases, and
+    # <N,B> = 0, so the kappa' part of N' drops out: <N',B> = <alpha''',B>/kappa
+    tau = float(lorentz_dot(jet.jerk(s), b_vec))
+    if kappa is not None:
+        tau /= kappa
     if case is FrenetCase.SPACELIKE_SP_N:
         tau = -tau
     return FrenetFrame(t_vec, n_vec, b_vec, case, kappa, tau)

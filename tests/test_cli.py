@@ -272,8 +272,13 @@ class TestBadInput:
         ["surface", "--kind", "desitter", "--r", "1e300", "--nu", "3", "--nv", "3"],
         ["cap", "--r", "1e150", "--R", "1e150"],
         ["classify", "--plane", "1e308,0,0;0,1,0"],
+        # the first RK4 slope overflows: refused by ProfileODEParams
+        ["riemann", "--r0", "1e80", "--csv", "p.csv", "--mesh", "p.obj"],
+        ["rotational", "--r0", "1e80", "--rp0", "1.5", "--span", "0:1", "--csv", "p.csv"],
+        ["riemann", "--rp0", "1e200", "--csv", "p.csv"],
     ])
-    def test_huge_input_is_one_error_line(self, capsys, argv):
+    def test_huge_input_is_one_error_line(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(capsys, *argv)
@@ -282,6 +287,7 @@ class TestBadInput:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "non-finite" not in err and "Traceback" not in err
         assert [str(w.message) for w in caught] == []
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv, code", [
         # sizes above their bound: RK4 steps (rotational.MAX_RK4_STEPS) and

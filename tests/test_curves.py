@@ -288,7 +288,8 @@ class TestFrenetFrames:
         jet, tau = builder()
         h = jet.h_fd
         fr = frenet(jet, s)
-        npt.assert_allclose(fr.tau, tau, atol=1e-8)
+        # tau comes from the closed-form jerk in the one frame: rounding only
+        npt.assert_allclose(fr.tau, tau, rtol=0, atol=1e-13)
         mat = frenet_matrix(fr.case, fr.kappa, fr.tau)
         frame = np.stack([fr.T, fr.N, fr.B])
         for i in range(3):
@@ -337,6 +338,26 @@ class TestGeneralFormulas:
         fr = frenet(beta, 0.0)
         npt.assert_allclose(k1, fr.kappa, atol=1e-6)
         npt.assert_allclose(t1, fr.tau, atol=1e-6)
+
+    @pytest.mark.parametrize("rho, a", [(0.8, 1.5), (1.2, -2.0)])
+    def test_agrees_with_frenet_on_a_unit_speed_helix(self, rho, a):
+        # (rho cos(t/w), rho sin(t/w), a t/w), w^2 = a^2 - rho^2: unit-speed
+        # timelike, so frenet needs no reparametrization and both routes read
+        # the same closed-form jet
+        w = np.sqrt(a * a - rho * rho)
+        jet = CurveJet(
+            lambda t: np.array([rho * np.cos(t / w), rho * np.sin(t / w), a * t / w]),
+            lambda t: np.array([-rho * np.sin(t / w) / w, rho * np.cos(t / w) / w, a / w]),
+            lambda t: np.array([-rho * np.cos(t / w), -rho * np.sin(t / w), 0.0]) / w ** 2,
+            lambda t: np.array([rho * np.sin(t / w), -rho * np.cos(t / w), 0.0]) / w ** 3,
+            domain=(-1.0, 1.0),
+        )
+        for t in (-0.7, 0.0, 0.4):
+            fr = frenet(jet, t)
+            assert fr.case is FrenetCase.TIMELIKE
+            k, tau = curvature_torsion_general(jet, t)
+            npt.assert_allclose([fr.kappa, fr.tau], [k, tau], rtol=0, atol=1e-12)
+            npt.assert_allclose([k, tau], [rho / w ** 2, a / w ** 2], rtol=0, atol=1e-12)
 
     def test_rejects_spacelike(self):
         with pytest.raises(CausalTypeError):

@@ -139,6 +139,20 @@ class TestRotationalIntegration:
         with pytest.raises(GeometryError):
             ProfileODEParams(**{name: value})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"r0": 1e80},                  # r0^4 overflows
+        {"rp0": 1e200},                # rp0^2 is inf, and H = 0 times it is nan
+        {"H": 0.5, "rp0": 1e103},      # (rp0^2 - 1)^1.5 overflows
+        {"c": 1e160},                  # (c^2 + d^2) r0^4 overflows
+        {"c": 1e60, "d": 1e60, "r0": 1e60},  # each factor finite, their product not
+    ])
+    def test_initial_slope_overflow_rejected(self, kwargs):
+        # the first RK4 slope must be finite: refused where the parameters
+        # are built, with a domain message instead of a numeric overflow later
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(GeometryError, match="initial data too large"):
+                ProfileODEParams(**kwargs)
+
     def test_rejects_center_drift(self):
         with pytest.raises(GeometryError):
             integrate_rotational(
@@ -203,6 +217,92 @@ class TestRiemannFamily:
             integrate_riemann(
                 ProfileODEParams(H=0.5, c=0.3, r0=1.0, rp0=1.5, s0=0, s1=1, h=1e-3)
             )
+
+
+def numpy_integrate(params: ProfileODEParams):
+    """The RK4 loop on numpy arrays that `rotational._integrate` replaced: its
+    float loop must reproduce this one bit for bit."""
+    from minkowski3.rotational import (GUARD, ProfileSolution, _abscissae,
+                                       _identity_residual, _rpp)
+
+    H, c, d = params.H, params.c, params.d
+    s = _abscissae(params.s0, params.s1, params.h)
+    n = len(s) - 1
+    h = params.h
+
+    def rhs(y):
+        r, rp, _a, _b = y
+        return np.array([rp, _rpp(r, rp, H, c, d), c * r * r, d * r * r])
+
+    ys = np.empty((n + 1, 4))
+    ys[0] = (params.r0, params.rp0, 0.0, 0.0)
+    truncated = False
+    last = n
+
+    def at_guard(y):
+        return y[0] <= GUARD or y[1] * y[1] - 1.0 <= GUARD
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = rhs(ys[0])
+        for k in range(n):
+            y = ys[k]
+            if at_guard(y):
+                truncated = True
+                last = k
+                break
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y_next = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(y_next)) or at_guard(y_next):
+                truncated = True
+                last = k
+                break
+            ys[k + 1] = y_next
+            k1 = rhs(y_next)
+    if last > 0 and not np.all(np.isfinite(k1)):
+        truncated = True
+        last -= 1
+    ys = ys[: last + 1]
+    s = s[: last + 1]
+    r, rp, a, b = ys.T
+    rpp = np.array([_rpp(ri, rpi, H, c, d) for ri, rpi in zip(r, rp)])
+    resid = np.abs(_identity_residual(r, rp, rpp, H, c, d))
+    return ProfileSolution(
+        s=s, r=r, rp=rp, a=a, b=b, params=params,
+        residual_max=float(resid.max()) if len(resid) else 0.0,
+        truncated=truncated,
+        diagnostics={"steps": int(last)},
+    )
+
+
+class TestFloatLoopOracle:
+    @pytest.mark.parametrize("integrate, params, truncated", [
+        (integrate_rotational, catenoid_params(h=5e-4), False),  # 5,000 steps
+        (integrate_rotational, ProfileODEParams(H=0.1, s1=5.0), False),
+        (integrate_rotational, ProfileODEParams(H=0.7), False),
+        (integrate_rotational, ProfileODEParams(H=3.0, s1=3.0), False),
+        # r' blows up (H = -2); r falls to the guard band (H = 1, r' < -1)
+        (integrate_rotational, ProfileODEParams(H=-2.0), True),
+        (integrate_rotational, ProfileODEParams(H=1.0, rp0=-1.2, s1=3.0), True),
+        (integrate_rotational, ProfileODEParams(r0=1e-7), True),  # starts in the band
+        (integrate_riemann, ProfileODEParams(c=0.3, d=0.1), False),
+        # blow-ups: a stage overflows (c = 1), an end slope overflows (c = 10)
+        (integrate_riemann, ProfileODEParams(c=1.0), True),
+        (integrate_riemann, ProfileODEParams(c=10.0), True),
+    ])
+    def test_bit_identical_to_the_numpy_loop(self, integrate, params, truncated):
+        expected = numpy_integrate(params)
+        assert expected.truncated is truncated
+        # the float loop never leaves an overflow to numpy, so the numeric
+        # policy of the CLI cannot turn a clean truncation into an error
+        with np.errstate(over="raise", invalid="raise"):
+            got = integrate(params)
+        for name in ("s", "r", "rp", "a", "b"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert got.residual_max == expected.residual_max
+        assert got.truncated is expected.truncated
+        assert got.diagnostics == expected.diagnostics
 
 
 class TestProfileChart:

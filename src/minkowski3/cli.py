@@ -5,8 +5,8 @@ CSV / Wavefront mesh files).  All numeric output is printed with 17
 significant digits so regression diffs are exact; identical invocations
 produce byte-identical output.
 
-Exit status: 0 on success, 1 on domain errors (bad causal type, stalled
-continuation, unsatisfiable preconditions), 2 on usage errors.
+Exit status: 0 on success, 1 on domain errors (bad causal type, Newton
+non-convergence, unsatisfiable preconditions), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -297,6 +297,9 @@ def _measured_h_stats(chart):
     return float(np.min(hs)), float(np.max(hs))
 
 
+_BLOW_UP = "integration stopped where the profile blows up: the next step overflows"
+
+
 def cmd_rotational(args) -> dict:
     s0, s1 = _span(args.span)
     warnings = []
@@ -323,7 +326,9 @@ def cmd_rotational(args) -> dict:
             "truncated": sol.truncated,
         }
     )
-    if sol.truncated:
+    if sol.blew_up:
+        warnings.append(_BLOW_UP)
+    elif sol.truncated:
         warnings.append("integration stopped at the guard band")
     chart = rotational.profile_chart(sol)
     hmin, hmax = _measured_h_stats(chart)
@@ -341,7 +346,7 @@ def cmd_riemann(args) -> dict:
         s0=s0, s1=s1, h=args.step,
     )
     sol = rotational.integrate_riemann(params)
-    warnings = []
+    warnings = [_BLOW_UP] if sol.blew_up else []
     if sol.truncated or not rotational.chart_spacelike(sol):
         warnings.append("chart fails the spacelike condition somewhere")
     # drift relation a' = c r^2, b' = d r^2 checked by a five-point stencil
@@ -403,8 +408,7 @@ def cmd_dirichlet(args) -> dict:
     eps = -1 if args.ambient == "lorentz" else 1
     dom = dirichlet.GridDomain(shape, args.h)
     cfg = dirichlet.SolverConfig(
-        eps=eps, H=args.H, dH=args.dH, newton_tol=args.newton_tol,
-        delta_guard=args.delta_guard,
+        eps=eps, H=args.H, newton_tol=args.newton_tol, delta_guard=args.delta_guard,
     )
     sol = dirichlet.solve_dirichlet(dom, cfg)
     bounds = dirichlet.height_bound_report(sol)
@@ -414,7 +418,6 @@ def cmd_dirichlet(args) -> dict:
         "residual_max": sol.residual_max,
         "Du_max": sol.Du_max,
         "newton_iters": sol.newton_iters,
-        "continuation_steps": sol.continuation_steps,
         "max_abs_u": float(np.max(np.abs(sol.u))) if dom.n else 0.0,
         "bounds": bounds,
         "gradient_check": grad,
@@ -591,8 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--H", type=float, required=True)
     c.add_argument("--ambient", choices=["lorentz", "euclid"], default="lorentz")
     c.add_argument("--h", type=float, default=0.05)
-    c.add_argument("--dH", type=float, default=None,
-                   help="cap on each continuation step in H (default: none, the whole |H| first)")
     c.add_argument("--newton-tol", type=float, default=1e-10)
     c.add_argument("--delta-guard", type=float, default=0.01)
     c.add_argument("--out", help="CSV output path")

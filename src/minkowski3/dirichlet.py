@@ -13,12 +13,14 @@ Discretization: conservative half-node flux differencing on a uniform grid
 crosses the curved or polygonal boundary, so u = 0 holds exactly on the
 boundary trace.  The nonlinear system is solved by damped Newton steps with
 a sparse finite-difference Jacobian (9-point stencil coloring, built in CSC
-from one residual call on the stack of the nine perturbed vectors), started
-from the trivial solution at H = 0 and tried at the target H first, with
-continuation in H by step halving only where that fails.  Each step is
-solved by sparse LU; the COLAMD column ordering depends only on the
-sparsity pattern, so one solve computes it once per pattern and factors
-later Jacobians of that pattern with their columns already in that order.
+from one residual call on the stack of the nine perturbed vectors), run
+once from u = 0 at the target H, with no continuation in H: in every
+failure measured the discrete solution had reached the guard band (the
+Lorentzian cap's slope meets 1 - delta near R H = 7), which no path in H
+gets past.  Each step is solved by sparse LU; the COLAMD column ordering
+depends only on the sparsity pattern, so one solve computes it once per
+pattern and factors later Jacobians of that pattern with their columns
+already in that order.
 
 Solvability differs sharply by ambient: the Lorentzian problem is solvable
 for any H on bounded convex domains, while the Euclidean one requires the
@@ -41,7 +43,7 @@ __all__ = [
     "GridDomain",
     "SolverConfig",
     "GraphSolution",
-    "ContinuationStallError",
+    "ConvergenceError",
     "SolvabilityError",
     "SpacelikeViolationError",
     "cmc_operator_residual",
@@ -58,7 +60,8 @@ _THETA_MIN = 1e-3
 #: largest grid, in points of the bounding box, that GridDomain builds
 MAX_GRID_POINTS = MAX_POINTS
 
-#: Newton iterations per continuation step before the step is halved
+#: Newton iterations of one solve before it fails; successful solves were
+#: measured to take at most 11
 MAX_NEWTON_ITERS = 40
 
 _OPP = (1, 0, 3, 2)  # opposite arm index: W of E, E of W, S of N, N of S
@@ -70,8 +73,8 @@ def _arms(a):
     return np.swapaxes(a, -1, -2)
 
 
-class ContinuationStallError(GeometryError):
-    """Continuation step halving exhausted without Newton convergence."""
+class ConvergenceError(GeometryError):
+    """Damped Newton did not reach newton_tol at the target H."""
 
 
 class SolvabilityError(GeometryError):
@@ -302,8 +305,6 @@ class SolverConfig:
 
     eps: int = -1
     H: float = 1.0
-    #: largest continuation step in H; None takes the whole |H| at once
-    dH: float | None = None
     newton_tol: float = 1e-10
     delta_guard: float = 0.01
 
@@ -312,8 +313,8 @@ class SolverConfig:
             raise GeometryError("eps must be +1 (Euclidean) or -1 (Lorentzian)")
         if not np.all(np.isfinite([self.H, self.newton_tol])):
             raise GeometryError("H and newton_tol must be finite")
-        if self.dH is not None and not (np.isfinite(self.dH) and self.dH > 0):
-            raise GeometryError("continuation step dH must be finite and positive, or None")
+        if self.newton_tol <= 0:
+            raise GeometryError("newton_tol must be positive")
         if not 0 < self.delta_guard < 0.5:
             raise GeometryError("delta_guard must lie in (0, 0.5)")
 
@@ -327,6 +328,8 @@ class GraphSolution:
     Du_max: float
     residual_max: float
     newton_iters: int
+    #: 0 for H = 0, else 1: one Newton run, with no continuation in H; kept
+    #: because perfbench's solver trace (spans.py) still sums it
     continuation_steps: int
     delta_guard: float
 
@@ -465,14 +468,15 @@ def _lu_solve(jac, rhs: np.ndarray, ordering: dict) -> np.ndarray:
     return lu.solve(rhs)
 
 
-def _newton(dom: GridDomain, u0: np.ndarray, H: float, cfg: SolverConfig, ordering: dict):
-    """Damped Newton from u0 at curvature H; (u, iterations), or (None, iterations).
+def _newton(dom: GridDomain, cfg: SolverConfig):
+    """Damped Newton from u = 0 at curvature |cfg.H|; (u, iterations).
 
     Each iteration factors a fresh Jacobian and halves the step length lam
     (at most 12 times) until the trial is admissible and lowers max|r|.
-    Failure is a u0 that is not spacelike, a singular factorization, a line
-    search that finds no such trial, or MAX_NEWTON_ITERS iterations without
-    max|r| <= newton_tol.
+    A singular factorization, a line search that finds no such trial, or
+    MAX_NEWTON_ITERS iterations without max|r| <= newton_tol raise
+    ConvergenceError.  At H = 0 the first residual is exactly 0, so u = 0
+    returns after no iteration.
 
     Rate: the Jacobian is a forward difference with delta = 1e-7 (1 + max|u|),
     so it is exact only to O(delta), and the tail is superlinear rather
@@ -480,7 +484,9 @@ def _newton(dom: GridDomain, u0: np.ndarray, H: float, cfg: SolverConfig, orderi
     H = 1 cap at h = 0.02, max|r| goes 5.6e-3, 5.6e-5, 1.6e-8, 1.2e-11,
     each of the last two iterations cutting it by more than 1000x.
     """
-    u = u0.copy()
+    H = abs(cfg.H)
+    u = np.zeros(dom.n)
+    ordering = {}  # the last COLAMD column ordering, for _lu_solve
     guard_half = 1.0 - 0.5 * cfg.delta_guard
     guard_node = 1.0 - cfg.delta_guard
 
@@ -492,20 +498,23 @@ def _newton(dom: GridDomain, u0: np.ndarray, H: float, cfg: SolverConfig, orderi
         ux, uy = dom.node_gradient(v)
         return bool(np.max(np.hypot(ux, uy)) <= guard_node)
 
-    try:
-        r = cmc_operator_residual(dom, u, H, cfg.eps)
-    except SpacelikeViolationError:
-        return None, 0
+    def fail(stop):
+        return ConvergenceError(
+            f"Newton did not converge at H={cfg.H:g} after {iters} iterations "
+            f"(max|r| = {rnorm:.3g}): {stop}"
+        )
+
+    r = cmc_operator_residual(dom, u, H, cfg.eps)
     rnorm = float(np.max(np.abs(r)))
     iters = 0
     while rnorm > cfg.newton_tol:
         if iters >= MAX_NEWTON_ITERS:
-            return None, iters
+            raise fail(f"the iteration budget MAX_NEWTON_ITERS = {MAX_NEWTON_ITERS} is spent")
         jac = _jacobian(dom, u, H, cfg.eps, r)
         try:
             du = _lu_solve(jac, -r, ordering)
         except RuntimeError:
-            return None, iters
+            raise fail("the Jacobian's LU factorization is singular") from None
         lam = 1.0
         accepted = False
         for _ in range(12):
@@ -524,7 +533,7 @@ def _newton(dom: GridDomain, u0: np.ndarray, H: float, cfg: SolverConfig, orderi
             lam *= 0.5
         iters += 1
         if not accepted:
-            return None, iters
+            raise fail("the line search found no admissible trial that lowers max|r|")
     return u, iters
 
 
@@ -550,43 +559,15 @@ def _check_euclid_solvable(dom: GridDomain, H: float) -> None:
 
 
 def solve_dirichlet(dom: GridDomain, cfg: SolverConfig) -> GraphSolution:
-    """Damped-Newton solve with zero boundary data, continued in H on failure.
+    """Damped-Newton solve with zero boundary data, in one run from u = 0.
 
-    Starts from the exact solution u = 0 at H = 0 and first tries the whole
-    target |H| in one step (or at most cfg.dH when that cap is set).  When
-    Newton fails, the increment is halved (down to 1e-3) and the solve
-    continues from the last accepted H, warm-starting Newton at each step;
-    after an accepted step the next increment is again the cap, clipped to
-    what remains.  Exhausted halving raises ContinuationStallError.
+    The equation is odd in (u, H), so the solve runs at |H| and negates u
+    for H < 0.  Non-convergence raises ConvergenceError.
     """
     if cfg.eps == 1:
         _check_euclid_solvable(dom, cfg.H)
-    target = abs(cfg.H)
-    flip = cfg.H < 0
-    u = np.zeros(dom.n)
-    ordering = {}  # the last COLAMD column ordering, for _lu_solve
-    h_cur = 0.0
-    steps = 0
-    iters_total = 0
-    if target > 0:
-        dh = cap = target if cfg.dH is None else min(cfg.dH, target)
-        while h_cur < target - 1e-15:
-            h_try = min(h_cur + dh, target)
-            u_new, iters = _newton(dom, u, h_try, cfg, ordering)
-            iters_total += iters
-            if u_new is None:
-                dh *= 0.5
-                if dh < 1e-3:
-                    raise ContinuationStallError(
-                        f"continuation stalled at H={h_cur:g} toward {target:g} "
-                        "(step halving exhausted)"
-                    )
-                continue
-            u = u_new
-            h_cur = h_try
-            steps += 1
-            dh = min(cap, target - h_cur) if target > h_cur else dh
-    if flip:
+    u, iters = _newton(dom, cfg)
+    if cfg.H < 0:
         u = -u
     r = cmc_operator_residual(dom, u, cfg.H, cfg.eps)
     ux, uy = dom.node_gradient(u)
@@ -594,7 +575,7 @@ def solve_dirichlet(dom: GridDomain, cfg: SolverConfig) -> GraphSolution:
     sol = GraphSolution(
         domain=dom, u=u, H=cfg.H, eps=cfg.eps,
         Du_max=du_max, residual_max=float(np.max(np.abs(r))),
-        newton_iters=iters_total, continuation_steps=steps,
+        newton_iters=iters, continuation_steps=0 if cfg.H == 0 else 1,
         delta_guard=cfg.delta_guard,
     )
     if cfg.eps == -1 and du_max > 1.0 - cfg.delta_guard:

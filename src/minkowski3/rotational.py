@@ -12,8 +12,8 @@ Lorentzian catenoid r = sinh(s); spacelike charts require r'^2 > 1 along
 the profile and the full chart condition EG - F^2 > 0 when centers drift.
 
 Integration is a classical fixed-step 4-stage Runge-Kutta scheme with an
-event guard stopping at r'^2 - 1 <= guard or r <= guard; fixed stepping
-keeps runs bit-reproducible.
+event guard stopping at r'^2 - 1 <= guard or r <= guard, or before a step
+that overflows (a blow-up); fixed stepping keeps runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -108,8 +108,11 @@ class ProfileSolution:
     params: ProfileODEParams
     #: max absolute residual of the printed ODE identity over interior samples
     residual_max: float = 0.0
-    #: True when the integration stopped early at the guard band
+    #: True when the integration stopped early: at the guard band, or where
+    #: the profile blows up
     truncated: bool = False
+    #: True when that stop was a blow-up: the next step overflows or is not finite
+    blew_up: bool = False
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -148,6 +151,7 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
     ys[0] = r, rp, a, b, rpp
     # the guard is tested before a step is taken, so a span of no steps never truncates
     truncated = n > 0 and (r <= GUARD or rp * rp - 1.0 <= GUARD)
+    blew_up = False
     last = 0 if truncated else n
     for k in range(last):
         # A step that blows up overflows: `**` raises where an array would
@@ -166,13 +170,15 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
             rp_n = rp + h6 * (((rpp + 2 * rpp2) + 2 * rpp3) + rpp4)
             rpp_n = _rpp(r_n, rp_n, H, c, d)
         except (OverflowError, ZeroDivisionError):
-            truncated, last = True, k
+            truncated, blew_up, last = True, True, k
             break
         a_n = a + h6 * (((c * r * r + 2 * (c * r2 * r2)) + 2 * (c * r3 * r3)) + c * r4 * r4)
         b_n = b + h6 * (((d * r * r + 2 * (d * r2 * r2)) + 2 * (d * r3 * r3)) + d * r4 * r4)
         if not (isfinite(r_n) and isfinite(rp_n) and isfinite(a_n) and isfinite(b_n)
-                and isfinite(rpp_n) and isfinite(c * r_n * r_n) and isfinite(d * r_n * r_n)) \
-                or r_n <= GUARD or rp_n * rp_n - 1.0 <= GUARD:
+                and isfinite(rpp_n) and isfinite(c * r_n * r_n) and isfinite(d * r_n * r_n)):
+            truncated, blew_up, last = True, True, k
+            break
+        if r_n <= GUARD or rp_n * rp_n - 1.0 <= GUARD:
             truncated, last = True, k
             break
         r, rp, a, b, rpp = r_n, rp_n, a_n, b_n, rpp_n
@@ -186,6 +192,7 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
         s=s[: last + 1], r=r, rp=rp, a=a, b=b, params=params,
         residual_max=float(resid.max()),
         truncated=truncated,
+        blew_up=blew_up,
         diagnostics={"steps": int(last)},
     )
 

@@ -20,6 +20,9 @@ from minkowski3.core import MAX_POINTS
 from minkowski3.rotational import MAX_RK4_STEPS
 
 
+BLOW_UP = "integration stopped where the profile blows up: the next step overflows"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -152,7 +155,26 @@ class TestRotationalCommands:
             warnings.simplefilter("error")
             code, out, err = run(capsys, "riemann", "--c", "10")
         assert code == 0 and err == ""
-        assert json.loads(out)["outputs"]["truncated"] is True
+        rep = json.loads(out)
+        assert rep["outputs"]["truncated"] is True
+        assert rep["warnings"] == [BLOW_UP, "chart fails the spacelike condition somewhere"]
+
+    @pytest.mark.parametrize("argv, samples, warning", [
+        # r' reaches 3.9e9 and the next step overflows
+        (["--H=-2", "--r0", "1", "--rp0", "1.5", "--span", "0:1"], 77, BLOW_UP),
+        # r' reaches -1.1e6 as r falls, and the next step overflows
+        (["--H", "1", "--r0", "1", "--rp0=-1.5", "--span", "0:3"], 280, BLOW_UP),
+        # r falls into the band r <= GUARD with r' near -1
+        (["--H", "1", "--r0", "1", "--rp0=-1.2", "--span", "0:3"], 872,
+         "integration stopped at the guard band"),
+    ], ids=["blow-up", "falling-blow-up", "guard-band"])
+    def test_rotational_warning_names_the_stop(self, capsys, argv, samples, warning):
+        code, out, _ = run(capsys, "rotational", *argv)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["outputs"]["truncated"] is True
+        assert rep["outputs"]["samples"] == samples
+        assert rep["warnings"] == [warning]
 
     def test_cap_run(self, capsys):
         code, out, _ = run(capsys, "cap", "--r", "2", "--R", "3")
@@ -193,7 +215,6 @@ class TestDirichletCommand:
         assert code == 0
         rep = json.loads(out)
         assert rep["outputs"]["error_vs_cap_max"] < 1e-3
-        assert rep["outputs"]["continuation_steps"] == 1  # the whole H at once
         assert rep["outputs"]["bounds"]["satisfied"]
         assert rep["outputs"]["gradient_check"]["interior_le_boundary"]
         assert path.read_text().startswith("x,y,u,|Du|,err_cap")
@@ -208,28 +229,27 @@ class TestDirichletCommand:
         assert code == 0
         assert json.loads(out)["outputs"]["residual_max"] < 1e-10
 
-    # capped at dH = 0.1, the solve walks the continuation path that was the
-    # default before the whole |H| was tried first, and prints that code's
-    # bytes: the SHA-256 of its stdout
-    @pytest.mark.parametrize("argv, digest", [
-        (["dirichlet", "--disk", "0.75", "--H", "1.2", "--h", "0.05", "--dH", "0.1"],
-         "76e55aee512ca74cbcd4f85732e1df9c24ea73dd0d4f43f9ac87f65becdb66a2"),
-        (["dirichlet", "--polygon", "poly.txt", "--H", "0.5", "--ambient", "lorentz",
-          "--h", "0.05", "--dH", "0.1"],
-         "ebf0bfeeb7522466589633ab3cf49f59070c85fae9aa2198d298e7e5f472d422"),
-    ], ids=["disk", "polygon"])
-    def test_capped_step_reproduces_continuation_bytes(self, capsys, monkeypatch, tmp_path,
-                                                       argv, digest):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "poly.txt").write_text("# square\n0.8,0\n0,0.8\n-0.8,0\n0,-0.8\n")
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    def test_continuation_step_option_is_gone(self, capsys):
+        code, out, err = run(capsys, "dirichlet", "--disk", "1", "--H", "1", "--h", "0.1",
+                             "--dH", "0.1")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --dH" in err
 
-    def test_zero_step_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "dirichlet", "--disk", "1", "--H", "1", "--dH", "0")
-        assert code == 1
-        assert err.startswith("error:")
+    @pytest.mark.parametrize("H", ["1", "0"])
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_non_positive_newton_tol_is_domain_error(self, capsys, H, tol):
+        code, out, err = run(capsys, "dirichlet", "--disk", "1", "--H", H, "--h", "0.1",
+                             f"--newton-tol={tol}")
+        assert code == 1 and out == ""
+        assert err == "error: newton_tol must be positive\n"
+
+    def test_non_convergence_is_one_error_line(self, capsys):
+        # past the guard limit near R H = 7 one Newton run fails, with no
+        # continuation in H before the exit
+        code, out, err = run(capsys, "dirichlet", "--disk", "1", "--H", "8", "--h", "0.1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: Newton did not converge at H=8 after ")
+        assert err.count("\n") == 1
 
     def test_euclid_refusal_is_domain_error(self, capsys):
         code, _, err = run(
@@ -404,7 +424,6 @@ def _command(name: str, *args):
 # each value is one token or tokens joined in the shape the option expects
 VEC = TOKEN | _joined(TOKEN, 3, ",")
 COUNT = TOKEN | st.sampled_from(["2", "3", "5"])
-SMALL = st.sampled_from([t for t in TOKENS if t != "1e308"])
 SPAN = st.sampled_from(["0.5:0.7", "0:0.2", "0.1:0.3", "0.2:0", "0:nan", "inf:1", "abc"])
 STEP = st.sampled_from(["0.01", "0.02", "0.05", "0", "nan", "1e308", "abc"])
 ARGV = st.one_of(
@@ -418,7 +437,7 @@ ARGV = st.one_of(
     _command("umbilic", _arg("kind", st.sampled_from(["plane", "hyperbolic", "desitter", "catenoid"]), True),
              _arg("r", TOKEN), _arg("center", VEC), _arg("nu", TOKEN), _arg("nv", TOKEN)),
     _command("cap", _arg("r", TOKEN), _arg("R", TOKEN), st.sampled_from([[], ["--rim-at-zero"]])),
-    # the solvers get small sizes, short spans and no huge H (which continues for long)
+    # the solvers get small sizes and short spans
     _command("surface", _arg("kind", st.sampled_from(["plane", "hyperbolic", "desitter", "catenoid"]), True),
              _arg("r", TOKEN), _arg("center", VEC), _arg("nu", COUNT), _arg("nv", COUNT)),
     _command("rotational", st.sampled_from([[], ["--catenoid"]]), _arg("H", TOKEN), _arg("r0", TOKEN),
@@ -426,8 +445,8 @@ ARGV = st.one_of(
              _arg("nu", COUNT), _arg("nv", COUNT)),
     _command("riemann", _arg("c", TOKEN), _arg("d", TOKEN), _arg("r0", TOKEN), _arg("rp0", TOKEN),
              _arg("span", SPAN, True), _arg("step", STEP, True), _arg("nu", COUNT), _arg("nv", COUNT)),
-    _command("dirichlet", _arg("disk", TOKEN, True), _arg("H", SMALL, True),
-             _arg("ambient", st.sampled_from(["lorentz", "euclid"])), _arg("dH", TOKEN),
+    _command("dirichlet", _arg("disk", TOKEN, True), _arg("H", TOKEN, True),
+             _arg("ambient", st.sampled_from(["lorentz", "euclid"])),
              _arg("h", st.sampled_from(["0.25", "0.5", "1", "0", "-0.5", "nan", "1e308", "abc"]), True)),
 )
 

@@ -7,9 +7,10 @@ import pytest
 from minkowski3 import dirichlet
 from minkowski3.core import GeometryError
 from minkowski3.dirichlet import (
-    ContinuationStallError,
+    ConvergenceError,
     ConvexPolygon,
     MAX_GRID_POINTS,
+    MAX_NEWTON_ITERS,
     Disk,
     GridDomain,
     SolvabilityError,
@@ -345,7 +346,7 @@ class TestOrderingReuse:
         monkeypatch.setattr(dirichlet, "splu", recording_splu)
         dom = GridDomain(pentagon(), 0.1)
         ordering = {}
-        u = np.zeros(dom.n)  # the continuation start: a sparser Jacobian pattern
+        u = np.zeros(dom.n)  # the Newton start: a sparser Jacobian pattern
         patterns = []
         for _ in range(5):
             r = cmc_operator_residual(dom, u, 0.8, -1)
@@ -447,20 +448,15 @@ class TestOperatorResidual:
 
 class TestSolveDirichlet:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["H", "dH", "newton_tol"])
+    @pytest.mark.parametrize("name", ["H", "newton_tol"])
     def test_config_rejects_non_finite(self, name, value):
         with pytest.raises(GeometryError):
             SolverConfig(**{name: value})
 
-    def test_default_takes_the_whole_target(self):
-        assert SolverConfig().dH is None
-        assert SolverConfig(dH=None).dH is None
-        assert SolverConfig(dH=0.1).dH == 0.1
-
-    @pytest.mark.parametrize("value", [0.0, -0.1])
-    def test_config_rejects_non_positive_step(self, value):
-        with pytest.raises(GeometryError):
-            SolverConfig(dH=value)
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_config_rejects_non_positive_tolerance(self, value):
+        with pytest.raises(GeometryError, match="newton_tol must be positive"):
+            SolverConfig(newton_tol=value)
 
     @pytest.mark.parametrize("h", [0.04, 0.02])
     def test_cap_solves_in_one_step(self, h):
@@ -492,7 +488,7 @@ class TestSolveDirichlet:
     def test_zero_target_returns_zero(self):
         dom = GridDomain(Disk(1.0), 0.05)
         sol = solve_dirichlet(dom, SolverConfig(eps=-1, H=0.0))
-        assert sol.newton_iters == 0
+        assert sol.newton_iters == 0 and sol.continuation_steps == 0
         npt.assert_array_equal(sol.u, np.zeros(dom.n))
 
     def test_cap_convergence(self):
@@ -555,19 +551,30 @@ class TestSolveDirichlet:
         sol = solve_dirichlet(dom, SolverConfig(eps=-1, H=5.0))
         assert _half_gradient_max(dom, sol.u) < 1.0 - 0.5 * sol.delta_guard
 
-    def test_continuation_stall_reported(self, monkeypatch):
+    def test_spent_iteration_budget_is_convergence_error(self, monkeypatch):
         monkeypatch.setattr(dirichlet, "MAX_NEWTON_ITERS", 0)
         dom = GridDomain(Disk(1.0), 0.1)
-        cfg = SolverConfig(eps=-1, H=1.0)
-        with pytest.raises(ContinuationStallError):
-            solve_dirichlet(dom, cfg)
+        with pytest.raises(ConvergenceError, match=r"at H=1 after 0 iterations .*: the iteration budget"):
+            solve_dirichlet(dom, SolverConfig(eps=-1, H=1.0))
 
-    def test_halving_continues_from_accepted_steps(self):
-        # the whole step to H = 8 fails; halved steps are accepted up to about
-        # H = 7.06 before the halving runs out
+    def test_failure_past_the_guard_limit_is_one_bounded_run(self, monkeypatch):
+        # the discrete cap's slope reaches 1 - delta near R H = 7.02: below
+        # that one Newton run solves, beyond it no path in H can, and the
+        # solve fails within one iteration budget
         dom = GridDomain(Disk(1.0), 0.1)
-        with pytest.raises(ContinuationStallError, match=r"stalled at H=7\.0\d+ toward 8"):
-            solve_dirichlet(dom, SolverConfig(eps=-1, H=8.0))
+        sol = solve_dirichlet(dom, SolverConfig(eps=-1, H=7.05))
+        assert sol.residual_max <= 1e-10 and sol.Du_max < 1.0 - sol.delta_guard
+        factor = dirichlet.splu
+        calls = []
+
+        def counting_splu(a, permc_spec="COLAMD"):
+            calls.append(permc_spec)
+            return factor(a, permc_spec=permc_spec)
+
+        monkeypatch.setattr(dirichlet, "splu", counting_splu)
+        with pytest.raises(ConvergenceError, match=r"at H=7\.1 after \d+ iterations \(max\|r\| = "):
+            solve_dirichlet(dom, SolverConfig(eps=-1, H=7.1))
+        assert 0 < len(calls) <= MAX_NEWTON_ITERS
 
 
 class TestReports:

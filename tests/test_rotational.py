@@ -236,7 +236,7 @@ def numpy_integrate(params: ProfileODEParams):
 
     ys = np.empty((n + 1, 4))
     ys[0] = (params.r0, params.rp0, 0.0, 0.0)
-    truncated = False
+    truncated = blew_up = False
     last = n
 
     def at_guard(y):
@@ -256,12 +256,13 @@ def numpy_integrate(params: ProfileODEParams):
             y_next = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             if not np.all(np.isfinite(y_next)) or at_guard(y_next):
                 truncated = True
+                blew_up = not np.all(np.isfinite(y_next))
                 last = k
                 break
             ys[k + 1] = y_next
             k1 = rhs(y_next)
     if last > 0 and not np.all(np.isfinite(k1)):
-        truncated = True
+        truncated = blew_up = True
         last -= 1
     ys = ys[: last + 1]
     s = s[: last + 1]
@@ -272,6 +273,7 @@ def numpy_integrate(params: ProfileODEParams):
         s=s, r=r, rp=rp, a=a, b=b, params=params,
         residual_max=float(resid.max()) if len(resid) else 0.0,
         truncated=truncated,
+        blew_up=blew_up,
         diagnostics={"steps": int(last)},
     )
 
@@ -302,7 +304,20 @@ class TestFloatLoopOracle:
             assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
         assert got.residual_max == expected.residual_max
         assert got.truncated is expected.truncated
+        assert got.blew_up is expected.blew_up
         assert got.diagnostics == expected.diagnostics
+
+    @pytest.mark.parametrize("integrate, params, blew_up", [
+        (integrate_rotational, ProfileODEParams(H=-2.0), True),
+        (integrate_rotational, ProfileODEParams(H=1.0, rp0=-1.2, s1=3.0), False),
+        (integrate_rotational, ProfileODEParams(r0=1e-7), False),
+        (integrate_riemann, ProfileODEParams(c=1.0), True),
+        (integrate_riemann, ProfileODEParams(c=10.0), True),
+    ])
+    def test_blow_up_is_told_from_the_guard_band(self, integrate, params, blew_up):
+        for sol in (numpy_integrate(params), integrate(params)):
+            assert sol.truncated is True
+            assert sol.blew_up is blew_up
 
 
 class TestProfileChart:

@@ -418,7 +418,7 @@ def cmd_dirichlet(args) -> dict:
         "residual_max": sol.residual_max,
         "Du_max": sol.Du_max,
         "newton_iters": sol.newton_iters,
-        "max_abs_u": float(np.max(np.abs(sol.u))) if dom.n else 0.0,
+        "max_abs_u": float(np.max(np.abs(sol.u))),
         "bounds": bounds,
         "gradient_check": grad,
     }

@@ -14,13 +14,14 @@ crosses the curved or polygonal boundary, so u = 0 holds exactly on the
 boundary trace.  The nonlinear system is solved by damped Newton steps with
 a sparse finite-difference Jacobian (9-point stencil coloring, built in CSC
 from one residual call on the stack of the nine perturbed vectors), run
-once from u = 0 at the target H, with no continuation in H: in every
-failure measured the discrete solution had reached the guard band (the
-Lorentzian cap's slope meets 1 - delta near R H = 7), which no path in H
-gets past.  Each step is solved by sparse LU; the COLAMD column ordering
-depends only on the sparsity pattern, so one solve computes it once per
-pattern and factors later Jacobians of that pattern with their columns
-already in that order.
+once from u = 0 at the target H, with no continuation in H.  Each trial
+step is one stencil pass, whose half-point slopes the spacelike guard reads
+before the light cone and the node slopes.  In every failure measured the
+discrete solution had reached the guard band (the Lorentzian cap's slope
+meets 1 - delta near R H = 7), which no path in H gets past.  Each step is
+solved by sparse LU; the COLAMD column ordering depends only on the sparsity
+pattern, so one solve computes it once per pattern and factors later
+Jacobians of that pattern with their columns already in that order.
 
 Solvability differs sharply by ambient: the Lorentzian problem is solvable
 for any H on bounded convex domains, while the Euclidean one requires the
@@ -63,6 +64,8 @@ MAX_GRID_POINTS = MAX_POINTS
 #: Newton iterations of one solve before it fails; successful solves were
 #: measured to take at most 11
 MAX_NEWTON_ITERS = 40
+
+_SLOPE2_MAX = 1.0 - 1e-12  # squared half-point slope of the light cone: the flux clamps there
 
 _OPP = (1, 0, 3, 2)  # opposite arm index: W of E, E of W, S of N, N of S
 _ARM_SIGN = np.array([[1.0], [-1.0], [1.0], [-1.0]])  # outward direction of E, W, N, S
@@ -313,6 +316,8 @@ class SolverConfig:
             raise GeometryError("eps must be +1 (Euclidean) or -1 (Lorentzian)")
         if not np.all(np.isfinite([self.H, self.newton_tol])):
             raise GeometryError("H and newton_tol must be finite")
+        if abs(self.H) > np.finfo(float).max / 2:
+            raise GeometryError("H too large: 2H overflows")
         if self.newton_tol <= 0:
             raise GeometryError("newton_tol must be positive")
         if not 0 < self.delta_guard < 0.5:
@@ -368,6 +373,30 @@ def _half_data(dom: GridDomain, u: np.ndarray):
     return _arms(prim), _arms(avg)
 
 
+def _stencil(dom: GridDomain, u: np.ndarray, H: float, eps: int):
+    """Residual at u and, for eps = -1, its largest squared half-point slope (else None)."""
+    prim, trans = (_arms(a) for a in _half_data(dom, u))
+    # flux = prim / sqrt(1 - min(m, _SLOPE2_MAX)) for eps = -1, where
+    # m = prim^2 + trans^2, and prim / sqrt(1 + prim^2 + trans^2) for eps = +1
+    m = prim * prim
+    trans *= trans
+    m_max = None
+    if eps == -1:
+        m += trans
+        m_max = float(np.max(m))
+        np.minimum(m, _SLOPE2_MAX, out=m)
+        np.subtract(1.0, m, out=m)
+    else:
+        m += 1.0
+        m += trans
+    np.sqrt(m, out=m)
+    flux = np.divide(prim, m, out=m)
+    den_x, den_y = dom._div_den
+    div_x = (flux[..., 0, :] - flux[..., 1, :]) / den_x
+    div_y = (flux[..., 2, :] - flux[..., 3, :]) / den_y
+    return div_x + div_y - 2.0 * H, m_max
+
+
 def cmc_operator_residual(dom: GridDomain, u: np.ndarray, H: float, eps: int,
                           check_spacelike: bool = True):
     """Per-node residual of div(Du / sqrt(1 + eps|Du|^2)) - 2H.
@@ -381,31 +410,10 @@ def cmc_operator_residual(dom: GridDomain, u: np.ndarray, H: float, eps: int,
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != dom.n:
         raise GeometryError(f"expected {dom.n} interior node values, or a stack of them")
-    prim, trans = (_arms(a) for a in _half_data(dom, u))
-    # flux = prim / sqrt(1 - min(m, 1 - 1e-12)) for eps = -1, where
-    # m = prim^2 + trans^2, and prim / sqrt(1 + prim^2 + trans^2) for eps = +1
-    m = prim * prim
-    trans *= trans
-    if eps == -1:
-        m += trans
-        if check_spacelike and np.any(m >= 1.0 - 1e-12):
-            raise SpacelikeViolationError("stencil gradient reached the light cone")
-        np.minimum(m, 1.0 - 1e-12, out=m)
-        np.subtract(1.0, m, out=m)
-    else:
-        m += 1.0
-        m += trans
-    np.sqrt(m, out=m)
-    flux = np.divide(prim, m, out=m)
-    den_x, den_y = dom._div_den
-    div_x = (flux[..., 0, :] - flux[..., 1, :]) / den_x
-    div_y = (flux[..., 2, :] - flux[..., 3, :]) / den_y
-    return div_x + div_y - 2.0 * H
-
-
-def _half_gradient_max(dom: GridDomain, u: np.ndarray) -> float:
-    prim, trans = _half_data(dom, u)
-    return float(np.sqrt(np.max(prim * prim + trans * trans)))
+    r, m_max = _stencil(dom, u, H, eps)
+    if check_spacelike and eps == -1 and m_max >= _SLOPE2_MAX:
+        raise SpacelikeViolationError("stencil gradient reached the light cone")
+    return r
 
 
 def splu(a, permc_spec="COLAMD"):
@@ -469,10 +477,14 @@ def _lu_solve(jac, rhs: np.ndarray, ordering: dict) -> np.ndarray:
 
 
 def _newton(dom: GridDomain, cfg: SolverConfig):
-    """Damped Newton from u = 0 at curvature |cfg.H|; (u, iterations).
+    """Damped Newton from u = 0 at curvature |cfg.H|; (u, iterations, max|r|).
 
     Each iteration factors a fresh Jacobian and halves the step length lam
     (at most 12 times) until the trial is admissible and lowers max|r|.
+    Each trial is one stencil pass.  A Lorentzian trial must pass, in this
+    order, the half-point guard sqrt(max m) < 1 - delta/2 (m the squared
+    half-point slopes), the light cone max m < _SLOPE2_MAX (which only a
+    delta below ~2e-12 leaves to it) and the node guard max|Du| <= 1 - delta.
     A singular factorization, a line search that finds no such trial, or
     MAX_NEWTON_ITERS iterations without max|r| <= newton_tol raise
     ConvergenceError.  At H = 0 the first residual is exactly 0, so u = 0
@@ -489,14 +501,6 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
     ordering = {}  # the last COLAMD column ordering, for _lu_solve
     guard_half = 1.0 - 0.5 * cfg.delta_guard
     guard_node = 1.0 - cfg.delta_guard
-
-    def admissible(v):
-        if cfg.eps != -1:
-            return True
-        if _half_gradient_max(dom, v) >= guard_half:
-            return False
-        ux, uy = dom.node_gradient(v)
-        return bool(np.max(np.hypot(ux, uy)) <= guard_node)
 
     def fail(stop):
         return ConvergenceError(
@@ -516,25 +520,21 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
         except RuntimeError:
             raise fail("the Jacobian's LU factorization is singular") from None
         lam = 1.0
-        accepted = False
         for _ in range(12):
             trial = u + lam * du
-            if admissible(trial):
-                try:
-                    rt = cmc_operator_residual(dom, trial, H, cfg.eps)
-                except SpacelikeViolationError:
-                    rt = None
-                if rt is not None:
-                    tnorm = float(np.max(np.abs(rt)))
-                    if tnorm < rnorm or tnorm <= cfg.newton_tol:
-                        u, r, rnorm = trial, rt, tnorm
-                        accepted = True
-                        break
+            rt, m_max = _stencil(dom, trial, H, cfg.eps)
+            if cfg.eps == 1 or (np.sqrt(m_max) < guard_half and m_max < _SLOPE2_MAX and
+                                np.max(np.hypot(*dom.node_gradient(trial))) <= guard_node):
+                tnorm = float(np.max(np.abs(rt)))
+                if tnorm < rnorm or tnorm <= cfg.newton_tol:
+                    break
             lam *= 0.5
-        iters += 1
-        if not accepted:
+        else:
+            iters += 1
             raise fail("the line search found no admissible trial that lowers max|r|")
-    return u, iters
+        u, r, rnorm = trial, rt, tnorm
+        iters += 1
+    return u, iters, rnorm
 
 
 def _check_euclid_solvable(dom: GridDomain, H: float) -> None:
@@ -566,15 +566,14 @@ def solve_dirichlet(dom: GridDomain, cfg: SolverConfig) -> GraphSolution:
     """
     if cfg.eps == 1:
         _check_euclid_solvable(dom, cfg.H)
-    u, iters = _newton(dom, cfg)
+    u, iters, rnorm = _newton(dom, cfg)
     if cfg.H < 0:
         u = -u
-    r = cmc_operator_residual(dom, u, cfg.H, cfg.eps)
     ux, uy = dom.node_gradient(u)
-    du_max = float(np.max(np.hypot(ux, uy))) if dom.n else 0.0
+    du_max = float(np.max(np.hypot(ux, uy)))
     sol = GraphSolution(
         domain=dom, u=u, H=cfg.H, eps=cfg.eps,
-        Du_max=du_max, residual_max=float(np.max(np.abs(r))),
+        Du_max=du_max, residual_max=rnorm,
         newton_iters=iters, continuation_steps=0 if cfg.H == 0 else 1,
         delta_guard=cfg.delta_guard,
     )
@@ -604,7 +603,7 @@ def height_bound_report(sol: GraphSolution) -> dict:
     sqrt(R^2 - 1/H^2) - 1/H is not real for R < 1/|H| and is not used.)
     """
     H = sol.H
-    max_u = float(np.max(np.abs(sol.u))) if sol.domain.n else 0.0
+    max_u = float(np.max(np.abs(sol.u)))
     report = {
         "H": H,
         "max_abs_u": max_u,
@@ -644,7 +643,7 @@ def gradient_boundary_check(sol: GraphSolution) -> dict:
     """
     g = sol.gradient_magnitude()
     ring = sol.domain.ring
-    ring_max = float(g[ring].max()) if ring.any() else 0.0
+    ring_max = float(g[ring].max())
     inner = ~ring
     inner_max = float(g[inner].max()) if inner.any() else 0.0
     h = sol.domain.h

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minkowski3
+from minkowski3 import dirichlet
 from minkowski3.cli import dump_json, main
 from minkowski3.core import MAX_POINTS
 from minkowski3.rotational import MAX_RK4_STEPS
@@ -251,6 +252,15 @@ class TestDirichletCommand:
         assert err.startswith("error: Newton did not converge at H=8 after ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("H", ["1e308", "-1e308"])
+    def test_overflowing_2H_is_refused_before_any_factorization(self, capsys, monkeypatch, H):
+        calls = []
+        monkeypatch.setattr(dirichlet, "splu", lambda *a, **k: calls.append(a))
+        code, out, err = run(capsys, "dirichlet", "--disk", "1", f"--H={H}", "--h", "0.1")
+        assert code == 1 and out == ""
+        assert err == "error: H too large: 2H overflows\n"
+        assert calls == []
+
     def test_euclid_refusal_is_domain_error(self, capsys):
         code, _, err = run(
             capsys, "dirichlet", "--disk", "1", "--H", "2", "--ambient",
@@ -288,6 +298,7 @@ class TestBadInput:
         ["umbilic", "--kind", "plane", "--center", "1,0,1e308"],
         ["orbit", "--axis", "spacelike", "--p0", "0,1,0", "--params", "0:700:5"],
         ["dirichlet", "--disk", "1e200", "--H", "1"],
+        ["dirichlet", "--disk", "1", "--H", "1e308", "--out", "d.csv"],
         # squares overflow inside the computation: the numeric policy of main
         ["surface", "--kind", "desitter", "--r", "1e300", "--nu", "3", "--nv", "3"],
         ["cap", "--r", "1e150", "--R", "1e150"],

@@ -27,6 +27,27 @@ from minkowski3.dirichlet import (
 )
 
 
+def record_passes(monkeypatch):
+    """The 1-D stencil passes of the solves to come, as (u, residual): the
+    start, then one list of line-search trials per Newton iteration."""
+    passes = [[]]
+    stencil, jacobian = dirichlet._stencil, dirichlet._jacobian
+
+    def recording_stencil(dom, u, *args):
+        out = stencil(dom, u, *args)
+        if u.ndim == 1:  # not the Jacobian's stack of perturbed vectors
+            passes[-1].append((u.copy(), out[0]))
+        return out
+
+    def recording_jacobian(*args):
+        passes.append([])
+        return jacobian(*args)
+
+    monkeypatch.setattr(dirichlet, "_stencil", recording_stencil)
+    monkeypatch.setattr(dirichlet, "_jacobian", recording_jacobian)
+    return passes
+
+
 def square(half=0.9):
     return ConvexPolygon(np.array([[half, 0.0], [0.0, half], [-half, 0.0], [0.0, -half]]))
 
@@ -458,6 +479,16 @@ class TestSolveDirichlet:
         with pytest.raises(GeometryError, match="newton_tol must be positive"):
             SolverConfig(newton_tol=value)
 
+    @pytest.mark.parametrize("value", [1e308, -1e308])
+    def test_config_rejects_overflowing_2H(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="H too large: 2H overflows"):
+                SolverConfig(H=np.float64(value))
+
+    def test_config_accepts_H_whose_2H_is_finite(self):
+        assert SolverConfig(H=8.9e307).H == 8.9e307
+
     @pytest.mark.parametrize("h", [0.04, 0.02])
     def test_cap_solves_in_one_step(self, h):
         sol = solve_dirichlet(GridDomain(Disk(1.0), h), SolverConfig(eps=-1, H=1.0))
@@ -468,22 +499,15 @@ class TestSolveDirichlet:
         # the forward-difference Jacobian makes the tail superlinear, not
         # cleanly quadratic: each of the last two iterations still cuts
         # max|r| by more than 1000x (measured 2.9e-4 and 7.3e-4)
-        norms = []
-        residual = dirichlet.cmc_operator_residual
-
-        def recording(dom, u, *args, **kwargs):
-            r = residual(dom, u, *args, **kwargs)
-            if u.ndim == 1:  # not the Jacobian's stack of perturbed vectors
-                norms.append(float(np.max(np.abs(r))))
-            return r
-
-        monkeypatch.setattr(dirichlet, "cmc_operator_residual", recording)
+        passes = record_passes(monkeypatch)
         sol = solve_dirichlet(GridDomain(Disk(1.0), 0.02), SolverConfig(eps=-1, H=1.0))
-        # the start, one full-step trial per iteration, and the final report
-        assert len(norms) == sol.newton_iters + 2
-        assert norms[-1] == norms[-2] == sol.residual_max
-        history = norms[:-1]
-        assert history[-1] <= 1e-3 * history[-2] and history[-2] <= 1e-3 * history[-3]
+        # each iteration accepts its last trial (the first full step leaves
+        # the guard band and is halved); the report is Newton's last
+        # residual, with no further pass
+        norms = [float(np.max(np.abs(p[-1][1]))) for p in passes]
+        assert len(norms) == sol.newton_iters + 1
+        assert norms[-1] == sol.residual_max
+        assert norms[-1] <= 1e-3 * norms[-2] and norms[-2] <= 1e-3 * norms[-3]
 
     def test_zero_target_returns_zero(self):
         dom = GridDomain(Disk(1.0), 0.05)
@@ -545,11 +569,62 @@ class TestSolveDirichlet:
         assert sol.Du_max < 1.0 - sol.delta_guard
 
     def test_guard_soundness(self):
-        from minkowski3.dirichlet import _half_gradient_max
-
         dom = GridDomain(Disk(1.0), 0.04)
         sol = solve_dirichlet(dom, SolverConfig(eps=-1, H=5.0))
-        assert _half_gradient_max(dom, sol.u) < 1.0 - 0.5 * sol.delta_guard
+        _, m_max = dirichlet._stencil(dom, sol.u, sol.H, sol.eps)
+        assert np.sqrt(m_max) < 1.0 - 0.5 * sol.delta_guard
+
+    @pytest.mark.parametrize("cfg", [
+        SolverConfig(eps=-1, H=5.0),
+        SolverConfig(eps=1, H=0.5),
+        SolverConfig(eps=-1, H=5.0, delta_guard=1e-13),
+    ], ids=["lorentz", "euclid", "delta-1e-13"])
+    def test_one_pass_trials_match_the_two_pass_guard(self, monkeypatch, cfg):
+        # oracle: the guard as a second pass before the residual, with the
+        # residual's light-cone error refusing the trial behind it
+        guard_half = 1.0 - 0.5 * cfg.delta_guard
+
+        def half_gradient_max(dom, u):
+            prim, trans = dirichlet._half_data(dom, u)
+            return float(np.sqrt(np.max(prim * prim + trans * trans)))
+
+        def admissible(dom, v):
+            if cfg.eps != -1:
+                return True
+            if half_gradient_max(dom, v) >= guard_half:
+                return False
+            ux, uy = dom.node_gradient(v)
+            return bool(np.max(np.hypot(ux, uy)) <= 1.0 - cfg.delta_guard)
+
+        dom = GridDomain(Disk(1.0), 0.04)
+        passes = record_passes(monkeypatch)
+        sol = solve_dirichlet(dom, cfg)
+        monkeypatch.undo()
+
+        (start,), iterations = passes[0], passes[1:]
+        rnorm = float(np.max(np.abs(start[1])))
+        half_point_rejects = 0
+        for trials in iterations:
+            for k, (v, rt) in enumerate(trials):
+                ok = admissible(dom, v)
+                half_point_rejects += cfg.eps == -1 and half_gradient_max(dom, v) >= guard_half
+                if ok:
+                    try:
+                        r = cmc_operator_residual(dom, v, cfg.H, cfg.eps)
+                    except SpacelikeViolationError:
+                        ok = False
+                if ok:
+                    tnorm = float(np.max(np.abs(r)))
+                    ok = tnorm < rnorm or tnorm <= cfg.newton_tol
+                # the solve accepted the last trial of each iteration, and only it
+                assert ok == (k == len(trials) - 1)
+                if ok:
+                    assert r.tobytes() == rt.tobytes()
+                    rnorm = tnorm
+        assert len(iterations) == sol.newton_iters > 0
+        assert rnorm == sol.residual_max <= cfg.newton_tol
+        if cfg.delta_guard == 0.01 and cfg.eps == -1:
+            assert half_point_rejects > 0
 
     def test_spent_iteration_budget_is_convergence_error(self, monkeypatch):
         monkeypatch.setattr(dirichlet, "MAX_NEWTON_ITERS", 0)

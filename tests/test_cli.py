@@ -255,7 +255,7 @@ class TestDirichletCommand:
     @pytest.mark.parametrize("H", ["1e308", "-1e308"])
     def test_overflowing_2H_is_refused_before_any_factorization(self, capsys, monkeypatch, H):
         calls = []
-        monkeypatch.setattr(dirichlet, "splu", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(dirichlet, "splu", lambda a: calls.append(a))
         code, out, err = run(capsys, "dirichlet", "--disk", "1", f"--H={H}", "--h", "0.1")
         assert code == 1 and out == ""
         assert err == "error: H too large: 2H overflows\n"

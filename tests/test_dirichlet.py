@@ -201,7 +201,6 @@ class TestArmStencil:
         rng = np.random.default_rng(7)
         tent = -0.4 * np.array([shape.boundary_distance(x, y) for x, y in dom.xy])
         for u in (tent, tent + rng.uniform(-0.01, 0.01, dom.n), rng.uniform(-1.0, 1.0, dom.n)):
-            assert np.array_equal(dom.values_with_boundary(u), loop_values_with_boundary(dom, u))
             for new, old in zip(dom.node_gradient(u), loop_node_gradient(dom, u)):
                 assert np.array_equal(new, old)
             for new, old in zip(dirichlet._half_data(dom, u), loop_half_data(dom, u)):
@@ -353,69 +352,60 @@ class TestJacobian:
         npt.assert_array_equal(_jacobian(dom, u, 1.0, eps, base).toarray(), dense)
 
 
-class TestOrderingReuse:
-    def test_newton_sequence_equals_fresh_factorizations(self, monkeypatch):
-        from scipy.sparse.linalg import splu as scipy_splu
+def record_factors(monkeypatch):
+    """The SuperLU of every `dirichlet.splu` call of the solves to come."""
+    factor, factors = dirichlet.splu, []
 
-        factored = []
+    def recording_splu(a):
+        factors.append(factor(a))
+        return factors[-1]
 
-        def recording_splu(a, permc_spec="COLAMD"):
-            lu = scipy_splu(a, permc_spec=permc_spec)
-            factored.append((permc_spec, lu))
-            return lu
+    monkeypatch.setattr(dirichlet, "splu", recording_splu)
+    return factors
 
-        monkeypatch.setattr(dirichlet, "splu", recording_splu)
-        dom = GridDomain(pentagon(), 0.1)
-        ordering = {}
-        u = np.zeros(dom.n)  # the Newton start: a sparser Jacobian pattern
-        patterns = []
-        for _ in range(5):
-            r = cmc_operator_residual(dom, u, 0.8, -1)
-            jac = _jacobian(dom, u, 0.8, -1, r)
-            patterns.append((jac.indptr.tobytes(), jac.indices.tobytes()))
-            du = dirichlet._lu_solve(jac, -r, ordering)
-            fresh = scipy_splu(jac)
-            assert du.tobytes() == fresh.solve(-r).tobytes()
-            spec, lu = factored[-1]
-            assert lu.L.nnz + lu.U.nnz == fresh.L.nnz + fresh.U.nnz
-            if spec == "NATURAL":
-                assert np.array_equal(lu.perm_c, np.arange(dom.n))
-                assert np.array_equal(lu.perm_r, fresh.perm_r)
-            u = u + du
-        specs = [spec for spec, _ in factored]
-        # a new pattern is ordered by COLAMD, a repeated one reuses the ordering
-        assert specs == ["COLAMD" if k == 0 or patterns[k] != patterns[k - 1] else "NATURAL"
-                         for k in range(len(patterns))]
-        assert specs[:2] == ["COLAMD", "COLAMD"] and "NATURAL" in specs
 
-    def test_no_ordering_outlives_a_solve(self, monkeypatch):
-        factor = dirichlet.splu
-        specs = []
+class TestSymmetricFactor:
+    @pytest.mark.parametrize("shape,H,eps", [
+        (Disk(0.8), 0.9, -1), (pentagon(), 0.8, -1), (pentagon(), 0.5, 1), (Disk(1.0), 1e-5, -1),
+    ], ids=["disk", "pentagon", "euclid", "one-step"])
+    def test_one_factor_per_newton_iteration(self, monkeypatch, shape, H, eps):
+        factors = record_factors(monkeypatch)
+        passes = record_passes(monkeypatch)
+        sol = solve_dirichlet(GridDomain(shape, 0.1), SolverConfig(eps=eps, H=H))
+        assert len(factors) == len(passes) - 1 == sol.newton_iters > 0
 
-        def recording_splu(a, permc_spec="COLAMD"):
-            specs.append(permc_spec)
-            return factor(a, permc_spec=permc_spec)
+    @pytest.mark.parametrize("shape,h,cfg", [
+        (Disk(1.0), 0.1, SolverConfig(eps=-1, H=7.05)),
+        (Disk(1.0), 0.04, SolverConfig(eps=-1, H=5.0, delta_guard=1e-13)),
+        (square(0.9), 0.05, SolverConfig(eps=-1, H=2.0)),
+        (Disk(2.0), 0.1, SolverConfig(eps=-1, H=3.5)),
+    ], ids=["H-7.05", "delta-1e-13", "square", "R-2"])
+    def test_guard_edge_factors_keep_the_diagonal_pivots(self, monkeypatch, shape, h, cfg):
+        # diag_pivot_thresh = 0 assumes no zero pivot on the diagonal: SuperLU
+        # then permutes the rows as it permutes the columns
+        factors = record_factors(monkeypatch)
+        sol = solve_dirichlet(GridDomain(shape, h), cfg)
+        assert sol.residual_max <= cfg.newton_tol and sol.Du_max < 1.0 - cfg.delta_guard
+        assert len(factors) == sol.newton_iters > 0
+        for lu in factors:
+            assert np.array_equal(lu.perm_r, lu.perm_c)
 
-        monkeypatch.setattr(dirichlet, "splu", recording_splu)
+    def test_no_state_outlives_a_solve(self, monkeypatch):
+        factors = record_factors(monkeypatch)
 
-        def solve(shape, H=0.9):
-            specs.clear()
-            sol = solve_dirichlet(GridDomain(shape, 0.1), SolverConfig(eps=-1, H=H))
-            return sol, list(specs)
+        def solve(shape):
+            factors.clear()
+            sol = solve_dirichlet(GridDomain(shape, 0.1), SolverConfig(eps=-1, H=0.9))
+            return sol, [lu.L.nnz + lu.U.nnz for lu in factors]
 
-        first, first_specs = solve(Disk(0.8))
+        first, first_fill = solve(Disk(0.8))
         solve(pentagon())
-        again, again_specs = solve(Disk(0.8))
+        again, again_fill = solve(Disk(0.8))
         assert again.u.tobytes() == first.u.tobytes()
         assert again.newton_iters == first.newton_iters
         assert repr(again.residual_max) == repr(first.residual_max)
         assert repr(again.Du_max) == repr(first.Du_max)
-        assert again_specs == first_specs
-        # one Newton step: the only pattern ordered is that of u = 0, which is
-        # where the next solve starts; it must order it afresh
-        for _ in range(2):
-            sol, one_step = solve(Disk(0.8), 1e-5)
-            assert sol.newton_iters == 1 and one_step == ["COLAMD"]
+        assert again_fill == first_fill
 
 
 class TestOperatorResidual:
@@ -639,17 +629,10 @@ class TestSolveDirichlet:
         dom = GridDomain(Disk(1.0), 0.1)
         sol = solve_dirichlet(dom, SolverConfig(eps=-1, H=7.05))
         assert sol.residual_max <= 1e-10 and sol.Du_max < 1.0 - sol.delta_guard
-        factor = dirichlet.splu
-        calls = []
-
-        def counting_splu(a, permc_spec="COLAMD"):
-            calls.append(permc_spec)
-            return factor(a, permc_spec=permc_spec)
-
-        monkeypatch.setattr(dirichlet, "splu", counting_splu)
+        factors = record_factors(monkeypatch)
         with pytest.raises(ConvergenceError, match=r"at H=7\.1 after \d+ iterations \(max\|r\| = "):
             solve_dirichlet(dom, SolverConfig(eps=-1, H=7.1))
-        assert 0 < len(calls) <= MAX_NEWTON_ITERS
+        assert 0 < len(factors) <= MAX_NEWTON_ITERS
 
 
 class TestReports:

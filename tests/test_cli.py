@@ -531,6 +531,17 @@ _NO_SCIPY = [
 ]
 
 
+def _fresh_interpreter(script: str, cwd) -> list:
+    """JSON of the last line `script` prints in a fresh interpreter: this
+    process has loaded every scipy module the tests use."""
+    src = str(Path(minkowski3.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 @pytest.mark.parametrize("argvs, loaded, absent", [
     (_NO_SCIPY, (), _SCIPY),
     ([["dirichlet", "--disk", "0.5", "--H", "1", "--h", "0.1"]],
@@ -539,19 +550,37 @@ _NO_SCIPY = [
        "--mesh", "rot.obj"]], (), _SCIPY),
 ], ids=["no-scipy", "dirichlet", "rotational"])
 def test_scipy_is_loaded_on_first_use(tmp_path, argvs, loaded, absent):
-    # a fresh interpreter: this process has loaded every scipy module the tests use
-    script = (
+    codes, modules = _fresh_interpreter(
         "import json, sys\n"
         "from minkowski3.cli import main\n"
         f"codes = [main(argv) for argv in {argvs!r}]\n"
-        f"print(json.dumps([codes, [m for m in {_SCIPY!r} if m in sys.modules]]))\n"
+        f"print(json.dumps([codes, [m for m in {_SCIPY!r} if m in sys.modules]]))\n",
+        tmp_path,
     )
-    src = str(Path(minkowski3.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    codes, modules = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0] * len(argvs)
     assert set(loaded) <= set(modules)
     assert not set(absent) & set(modules)
+
+
+def test_reparametrizations_load_no_scipy(tmp_path):
+    polynomial, modules = _fresh_interpreter(
+        "import json, sys\n"
+        "import minkowski3.cli\n"
+        "polynomial = 'numpy.polynomial' in sys.modules\n"
+        "import numpy as np\n"
+        "from minkowski3.curves import CurveJet, frenet, reparam_arclength, reparam_pseudo_arclength\n"
+        "helix = CurveJet(lambda t: np.array([np.cos(t), np.sin(t), 2 * t]),\n"
+        "                 lambda t: np.array([-np.sin(t), np.cos(t), 2.0]),\n"
+        "                 lambda t: np.array([-np.cos(t), -np.sin(t), 0.0]),\n"
+        "                 lambda t: np.array([np.sin(t), -np.cos(t), 0.0]), domain=(-1, 1))\n"
+        "frenet(reparam_arclength(helix, 0.0), 0.1)\n"
+        "null = CurveJet(lambda t: np.array([np.cos(t), np.sin(t), t]),\n"
+        "                lambda t: np.array([-np.sin(t), np.cos(t), 1.0]),\n"
+        "                lambda t: np.array([-np.cos(t), -np.sin(t), 0.0]),\n"
+        "                lambda t: np.array([np.sin(t), -np.cos(t), 0.0]), domain=(-1, 1))\n"
+        "reparam_pseudo_arclength(null, 0.0)\n"
+        "print(json.dumps([polynomial, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))\n",
+        tmp_path,
+    )
+    assert polynomial is False
+    assert modules == []

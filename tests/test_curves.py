@@ -89,6 +89,39 @@ def null_normal_exp_jet(k: float) -> CurveJet:
     )
 
 
+def parabola_jet(c: float) -> CurveJet:
+    """(t, c t^2, 0): spacelike, speed sqrt(1 + (2ct)^2)."""
+    return CurveJet(
+        lambda t: np.array([t, c * t * t, 0.0]),
+        lambda t: np.array([1.0, 2 * c * t, 0.0]),
+        lambda t: np.array([0.0, 2 * c, 0.0]),
+        lambda t: np.zeros(3),
+        domain=(-1.0, 1.0),
+    )
+
+
+def double_null_helix_jet() -> CurveJet:
+    """(cos 2t, sin 2t, 2t): lightlike with |alpha''| = 4, pseudo-arc length 2t."""
+    return CurveJet(
+        lambda t: np.array([np.cos(2 * t), np.sin(2 * t), 2 * t]),
+        lambda t: np.array([-2 * np.sin(2 * t), 2 * np.cos(2 * t), 2.0]),
+        lambda t: np.array([-4 * np.cos(2 * t), -4 * np.sin(2 * t), 0.0]),
+        lambda t: np.array([8 * np.sin(2 * t), -8 * np.cos(2 * t), 0.0]),
+        domain=(-2.0, 2.0),
+    )
+
+
+def wide_hyperbola_jet(a: float, k: float) -> CurveJet:
+    """(0, a cosh kt, a sinh kt): timelike of constant speed a k."""
+    return CurveJet(
+        lambda t: np.array([0.0, a * np.cosh(k * t), a * np.sinh(k * t)]),
+        lambda t: np.array([0.0, a * k * np.sinh(k * t), a * k * np.cosh(k * t)]),
+        lambda t: np.array([0.0, a * k * k * np.cosh(k * t), a * k * k * np.sinh(k * t)]),
+        lambda t: np.array([0.0, a * k ** 3 * np.sinh(k * t), a * k ** 3 * np.cosh(k * t)]),
+        domain=(-1.0, 1.2),
+    )
+
+
 class TestClassification:
     def test_piecewise_causal_type(self):
         jet = mixed_type_jet()
@@ -163,14 +196,8 @@ class TestPseudoArcLength:
             )
 
     def test_speed_half(self):
-        # (cos 2t, sin 2t, 2t) has |alpha''| = 4, so phi' = 1/2
-        jet = CurveJet(
-            lambda t: np.array([np.cos(2 * t), np.sin(2 * t), 2 * t]),
-            lambda t: np.array([-2 * np.sin(2 * t), 2 * np.cos(2 * t), 2.0]),
-            lambda t: np.array([-4 * np.cos(2 * t), -4 * np.sin(2 * t), 0.0]),
-            lambda t: np.array([8 * np.sin(2 * t), -8 * np.cos(2 * t), 0.0]),
-            domain=(-2, 2),
-        )
+        # |alpha''| = 4, so phi' = 1/2
+        jet = double_null_helix_jet()
         beta = reparam_pseudo_arclength(jet, 0.0)
         npt.assert_allclose(
             abs(lorentz_dot(beta.acceleration(1.0), beta.acceleration(1.0))),
@@ -180,13 +207,7 @@ class TestPseudoArcLength:
         npt.assert_allclose(beta.position(2.0), jet.position(1.0), atol=1e-9)
 
     def test_idempotent(self):
-        jet = CurveJet(
-            lambda t: np.array([np.cos(2 * t), np.sin(2 * t), 2 * t]),
-            lambda t: np.array([-2 * np.sin(2 * t), 2 * np.cos(2 * t), 2.0]),
-            lambda t: np.array([-4 * np.cos(2 * t), -4 * np.sin(2 * t), 0.0]),
-            lambda t: np.array([8 * np.sin(2 * t), -8 * np.cos(2 * t), 0.0]),
-            domain=(-2, 2),
-        )
+        jet = double_null_helix_jet()
         once = reparam_pseudo_arclength(jet, 0.0)
         twice = reparam_pseudo_arclength(once, 0.0)
         for s in (-0.4, 0.0, 0.8):
@@ -195,6 +216,109 @@ class TestPseudoArcLength:
     def test_rejects_spacelike(self):
         with pytest.raises(CausalTypeError):
             reparam_pseudo_arclength(timelike_hyperbola_jet(1.0), 0.0)
+
+
+class TestClosedFormLengths:
+    """s(t(s)) = s against closed-form lengths, at 201 points and both ends."""
+
+    @staticmethod
+    def check(beta, jet, t0, length, t_of):
+        """`length(t)` is the closed-form length from t = 0, and `t_of(p)`
+        the parameter of the point p of the curve."""
+        t_lo, t_hi = jet.domain
+        assert abs(beta.domain[0] - (length(t_lo) - length(t0))) <= 1e-13
+        assert abs(beta.domain[1] - (length(t_hi) - length(t0))) <= 1e-13
+        ss = np.linspace(beta.domain[0], beta.domain[1], 201)
+        err = max(abs(length(t_of(beta.position(s))) - length(t0) - s) for s in ss)
+        assert err <= 1e-13
+
+    # at c = 50 the speed's branch points are 0.01 from t = 0, and the panels
+    # next to the vertex are halved until the interpolant resolves them
+    @pytest.mark.parametrize("c", [0.5, 2.0, 50.0])
+    def test_parabola(self, c):
+        def length(t):
+            u = 2 * c * t
+            return (u * np.sqrt(1 + u * u) + np.arcsinh(u)) / (4 * c)
+
+        jet = parabola_jet(c)
+        self.check(reparam_arclength(jet, 0.0), jet, 0.0, length, lambda p: p[0])
+
+    def test_timelike_hyperbola(self):
+        a, k, t0 = 1.5, 0.7, 0.3
+        jet = wide_hyperbola_jet(a, k)
+        self.check(reparam_arclength(jet, t0), jet, t0, lambda t: a * k * t,
+                   lambda p: np.arcsinh(p[2] / a) / k)
+
+    def test_pseudo_arclength(self):
+        jet = double_null_helix_jet()
+        self.check(reparam_pseudo_arclength(jet, 0.25), jet, 0.25, lambda t: 2 * t,
+                   lambda p: p[2] / 2)
+
+
+def test_noisy_rate_stops_at_the_panel_cap():
+    # a position-only jet: alpha'' is a second difference whose rounding
+    # noise no halving removes, so refinement ends at the panel cap
+    calls = [0]
+
+    def x(t):
+        calls[0] += 1
+        return 100.0 * np.array([np.cos(t / 100), np.sin(t / 100), t / 100])
+
+    beta = reparam_pseudo_arclength(CurveJet(x, domain=(-1.0, 1.0)), 0.3)
+    # |alpha''| = 1/100, so s = (t - t0) / 10
+    npt.assert_allclose(beta.domain, (-0.13, 0.07), rtol=0, atol=1e-6)
+    assert calls[0] < 20_000
+
+
+class TestBaseParameter:
+    @pytest.mark.parametrize("t0", [5.0, -1.0 - 1e-12, float("nan")])
+    def test_rejects_t0_outside_domain(self, t0):
+        with pytest.raises(GeometryError, match="outside the domain"):
+            reparam_arclength(euclidean_helix_jet(2.0, span=(-1.0, 1.0)), t0)
+        with pytest.raises(GeometryError, match="outside the domain"):
+            reparam_pseudo_arclength(lightlike_helix_jet(span=(-1.0, 1.0)), t0)
+
+    @pytest.mark.parametrize("t0", [-1.0, 1.0])
+    def test_endpoints_allowed(self, t0):
+        jet = euclidean_helix_jet(2.0, span=(-1.0, 1.0))
+        beta = reparam_arclength(jet, t0)
+        # speed sqrt(3): the whole span lies on one side of t0
+        npt.assert_allclose(beta.domain, sorted([0.0, -2 * np.sqrt(3) * t0]), rtol=0, atol=1e-13)
+        assert beta.position(0.0).tobytes() == jet.position(t0).tobytes()
+        null = reparam_pseudo_arclength(lightlike_helix_jet(span=(-1.0, 1.0)), t0)
+        npt.assert_allclose(null.domain, sorted([0.0, -2 * t0]), rtol=0, atol=1e-13)
+
+
+class TestReparamMemo:
+    """The one-entry (s, t) memo changes no bits, whatever the order of s."""
+
+    EVALUATORS = ("position", "velocity", "acceleration", "jerk")
+
+    @staticmethod
+    def jet():
+        return reparam_arclength(euclidean_helix_jet(2.0, span=(-1.0, 1.0)), 0.1)
+
+    def test_position_fresh_after_other_s_and_negative_zero(self):
+        fresh = self.jet().position(0.0).tobytes()
+        beta = self.jet()
+        beta.position(0.37)
+        assert beta.position(0.0).tobytes() == fresh
+        beta.position(-0.0)
+        assert beta.position(0.0).tobytes() == fresh
+        other = self.jet().position(0.37).tobytes()
+        beta.position(0.0)
+        assert beta.position(0.37).tobytes() == other
+
+    def test_any_evaluation_order_gives_fresh_bytes(self, rng):
+        ss = [0.0, -0.0, 0.37, 0.37 + 1e-9, -0.5, 1e-3, 1.7, -1.8, 0.37]
+        fresh = [{name: getattr(self.jet(), name)(s).tobytes() for name in self.EVALUATORS}
+                 for s in ss]
+        n = len(ss)
+        for order in (range(n), range(n - 1, -1, -1), rng.permutation(n)):
+            beta = self.jet()
+            for i in order:
+                for name in self.EVALUATORS:
+                    assert getattr(beta, name)(ss[i]).tobytes() == fresh[i][name], (name, ss[i])
 
 
 class TestFrenetFrames:

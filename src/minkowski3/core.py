@@ -22,6 +22,7 @@ keeps exact integer inputs exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -88,19 +89,45 @@ class CausalClass(Enum):
 
 
 def as_vec3(v) -> np.ndarray:
-    """Validate and convert to a float array with trailing axis of length 3."""
+    """Validate and convert to a float array with trailing axis of length 3.
+
+    A single vector is checked on Python floats: an inf or NaN coordinate
+    carries through to the sum, so a finite sum means finite coordinates.
+    A sum that is not finite (finite coordinates can overflow it) and an
+    N-D array get the elementwise check.
+    """
     a = np.asarray(v, dtype=float)
     if a.shape[-1:] != (3,):
         raise GeometryError(f"expected 3 coordinates, got shape {a.shape}")
+    if a.ndim == 1:
+        x, y, z = a.tolist()
+        if math.isfinite(x + y + z):
+            return a
     if not np.isfinite(a).all():
         raise GeometryError("coordinates must be finite")
     return a
 
 
 def lorentz_dot(u, v) -> np.ndarray | float:
-    """<u,v> = u1 v1 + u2 v2 - u3 v3.  Broadcasts over leading axes."""
-    r = _lorentz_dot(as_vec3(u), as_vec3(v))
+    """<u,v> = u1 v1 + u2 v2 - u3 v3.  Broadcasts over leading axes.
+
+    Two single vectors are multiplied on Python floats, the same products
+    in the same order as numpy's; a result that is not finite is computed
+    again in numpy, so overflow warns or raises as np.errstate says.
+    """
+    u, v = as_vec3(u), as_vec3(v)
+    if u.ndim == 1 and v.ndim == 1:
+        r = _dot3(u.tolist(), v.tolist())
+        if math.isfinite(r):
+            return r
+    r = _lorentz_dot(u, v)
     return r if r.ndim else float(r)
+
+
+def _dot3(u: list, v: list) -> float:
+    """`_lorentz_dot` of two vectors given as lists of three Python floats."""
+    (u1, u2, u3), (v1, v2, v3) = u, v
+    return u1 * v1 + u2 * v2 - u3 * v3
 
 
 def _lorentz_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -111,6 +138,12 @@ def _lorentz_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _squares(v: np.ndarray):
     """(<v,v>, |v|_euclid^2) of an array already checked by `as_vec3`, or
     GeometryError when either overflows."""
+    if v.ndim == 1:
+        x, y, z = v.tolist()
+        xy = x * x + y * y
+        q, e = xy - z * z, xy + z * z  # the sums of _lorentz_dot and _euclid_sq
+        if math.isfinite(e):  # and |q| <= e
+            return np.float64(q), np.float64(e)
     with np.errstate(over="ignore", invalid="ignore"):
         q = _lorentz_dot(v, v)
         e = _euclid_sq(v)
@@ -124,8 +157,14 @@ def lorentz_norm(v) -> np.ndarray | float:
 
     Raises GeometryError when <v,v> overflows.
     """
+    v = as_vec3(v)
+    if v.ndim == 1:
+        x = v.tolist()
+        q = _dot3(x, x)
+        if math.isfinite(q):
+            return np.float64(math.sqrt(abs(q)))
     with np.errstate(over="ignore", invalid="ignore"):
-        q = lorentz_dot(v, v)
+        q = _lorentz_dot(v, v)
     if not np.all(np.isfinite(q)):
         raise GeometryError("vector too large: its Lorentz square overflows")
     return np.sqrt(np.abs(q))
@@ -143,9 +182,16 @@ def cross(u, v) -> np.ndarray:
     """Lorentzian vector product, defined by <u x v, w> = det(u, v, w).
 
     Equals the Euclidean cross product reflected through the plane {z=0};
-    the result is Lorentz-orthogonal to both factors.
+    the result is Lorentz-orthogonal to both factors.  Two single vectors
+    are multiplied on Python floats, as in `lorentz_dot`.
     """
-    return _cross(as_vec3(u), as_vec3(v))
+    u, v = as_vec3(u), as_vec3(v)
+    if u.ndim == 1 and v.ndim == 1:
+        (u1, u2, u3), (v1, v2, v3) = u.tolist(), v.tolist()
+        e = [u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, -(u1 * v2 - u2 * v1)]
+        if math.isfinite(e[0] + e[1] + e[2]):
+            return np.array(e)
+    return _cross(u, v)
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -273,4 +319,6 @@ def write_csv(path, header: str, rows) -> None:
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+            if isinstance(row, np.ndarray):
+                row = row.tolist()
+            fh.write(",".join([format(float(x), ".17g") for x in row]) + "\n")

@@ -313,45 +313,39 @@ def reparam_arclength(jet: CurveJet, t0: float) -> CurveJet:
 
     s_lo, s_hi, t_of_s = _monotone_map(speed, t0, jet.domain)
 
-    def dv_dt(t: float) -> float:
+    def speed_rates(t: float):
+        """alpha', alpha'', |alpha'| and d|alpha'|/dt at t, each derivative
+        evaluated once."""
+        vel, acc = jet.velocity(t), jet.acceleration(t)
+        v = float(lorentz_norm(vel))
         # d|alpha'|/dt = eps <alpha'', alpha'> / |alpha'|
-        return eps * float(lorentz_dot(jet.acceleration(t), jet.velocity(t))) / speed(t)
+        return vel, acc, v, eps * float(lorentz_dot(acc, vel)) / v
 
     def beta(s):
         return jet.position(t_of_s(s))
 
     def dbeta(s):
-        t = t_of_s(s)
-        return jet.velocity(t) / speed(t)
+        vel = jet.velocity(t_of_s(s))
+        return vel / float(lorentz_norm(vel))
 
     def ddbeta(s):
-        t = t_of_s(s)
-        v = speed(t)
+        vel, acc, v, vd = speed_rates(t_of_s(s))
         tp = 1.0 / v
-        tpp = -dv_dt(t) / v ** 3
-        return jet.acceleration(t) * tp * tp + jet.velocity(t) * tpp
+        tpp = -vd / v ** 3
+        return acc * tp * tp + vel * tpp
 
     def dddbeta(s):
         t = t_of_s(s)
-        v = speed(t)
-        vd = dv_dt(t)
+        vel, acc, v, vd = speed_rates(t)
+        jerk = jet.jerk(t)
         vdd = (
-            eps
-            * (
-                float(lorentz_dot(jet.jerk(t), jet.velocity(t)))
-                + float(lorentz_dot(jet.acceleration(t), jet.acceleration(t)))
-            )
-            / v
+            eps * (float(lorentz_dot(jerk, vel)) + float(lorentz_dot(acc, acc))) / v
             - vd * vd / v
         )
         tp = 1.0 / v
         tpp = -vd / v ** 3
         tppp = -vdd / v ** 4 + 3.0 * vd * vd / v ** 5
-        return (
-            jet.jerk(t) * tp ** 3
-            + 3.0 * jet.acceleration(t) * tp * tpp
-            + jet.velocity(t) * tppp
-        )
+        return jerk * tp ** 3 + 3.0 * acc * tp * tpp + vel * tppp
 
     return CurveJet(beta, dbeta, ddbeta, dddbeta, domain=(s_lo, s_hi), h_fd=jet.h_fd)
 
@@ -384,9 +378,6 @@ def reparam_pseudo_arclength(jet: CurveJet, t0: float) -> CurveJet:
 
     s_lo, s_hi, t_of_s = _monotone_map(lambda t: np.sqrt(w(t)), t0, jet.domain)
 
-    def wdot(t: float) -> float:
-        return float(lorentz_dot(jet.jerk(t), jet.acceleration(t))) / w(t)
-
     def beta(s):
         return jet.position(t_of_s(s))
 
@@ -396,10 +387,12 @@ def reparam_pseudo_arclength(jet: CurveJet, t0: float) -> CurveJet:
 
     def ddbeta(s):
         t = t_of_s(s)
-        wt = w(t)
+        acc = jet.acceleration(t)
+        wt = float(lorentz_norm(acc))
         pp = 1.0 / np.sqrt(wt)
-        ppp = -0.5 * wdot(t) / (wt * wt)
-        return jet.acceleration(t) * pp * pp + jet.velocity(t) * ppp
+        # dw/dt = <alpha''', alpha''> / w, with alpha'' evaluated once
+        ppp = -0.5 * (float(lorentz_dot(jet.jerk(t), acc)) / wt) / (wt * wt)
+        return acc * pp * pp + jet.velocity(t) * ppp
 
     return CurveJet(beta, dbeta, ddbeta, None, domain=(s_lo, s_hi), h_fd=jet.h_fd)
 

@@ -183,11 +183,18 @@ def first_variation_check(mesh: SurfaceMesh, f: np.ndarray, dt: float):
 
 
 def export_obj(mesh: SurfaceMesh, path) -> None:
-    """Wavefront-style text mesh: "v x y z" lines then 1-based "f i j k"."""
+    """Wavefront-style text mesh: "v x y z" lines then 1-based "f i j k".
+
+    Each row is converted with its own `tolist()`: Python numbers format
+    faster than numpy scalars, and converting whole arrays would hold a
+    list of every vertex in memory.
+    """
     with open(path, "w") as fh:
         for p in mesh.vertices:
-            fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
-        for a, b, c in mesh.faces:
+            x, y, z = p.tolist()
+            fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
+        for f in mesh.faces:
+            a, b, c = f.tolist()
             fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
 
 

@@ -170,6 +170,70 @@ class TestNorm:
             assert lorentz_norm([1.3e154, 0.0, 1.3e154]) == 0.0
 
 
+def _spread_vectors(rng, n: int) -> np.ndarray:
+    """n random vectors with magnitudes from 1e-160 to 1e150, both signs,
+    and about one coordinate in twenty a signed zero or a subnormal."""
+    v = rng.choice([-1.0, 1.0], size=(n, 3)) * 10.0 ** rng.uniform(-160, 150, size=(n, 3))
+    pick = rng.uniform(size=(n, 3))
+    v[pick < 0.025] = 0.0
+    v[pick < 0.0125] = -0.0
+    tiny = (pick > 0.975) & (pick < 0.9875)
+    v[tiny] = rng.choice([-1.0, 1.0], size=tiny.sum()) * 5e-324 * rng.integers(1, 2 ** 52, size=tiny.sum())
+    return v
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestSingleVectorFloatPath:
+    """Single vectors are checked and multiplied on Python floats; the
+    results must be the bits of the numpy expressions they replace."""
+
+    def test_as_vec3_edges(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the coordinate sum overflows, the coordinates are finite
+            assert np.array_equal(core.as_vec3([1e308, 1e308, 0]), [1e308, 1e308, 0.0])
+            for bad in ([np.inf, -np.inf, 0.0], [np.nan, 0.0, 0.0], [[1.0, 2.0, 3.0], [0.0, np.nan, 0.0]]):
+                with pytest.raises(GeometryError, match="finite"):
+                    core.as_vec3(bad)
+
+    def test_bit_equal_to_numpy_expressions(self):
+        rng = np.random.default_rng(18)
+        u, v = _spread_vectors(rng, 100_000), _spread_vectors(rng, 100_000)
+        dot_ref = u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] - u[:, 2] * v[:, 2]
+        sq_ref = u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1] - u[:, 2] * u[:, 2]
+        norm_ref = np.sqrt(np.abs(sq_ref))
+        euclid_ref = (u * u).sum(axis=-1)
+        assert np.isfinite(euclid_ref).all() and (np.abs(dot_ref) < 1e-300).any()
+        dots = [lorentz_dot(a, b) for a, b in zip(u, v)]
+        norms = [lorentz_norm(a) for a in u]
+        squares = [core._squares(a) for a in u]
+        assert {type(x) for x in dots} == {float}
+        assert {type(x) for x in norms} == {np.float64}
+        assert {type(x) for pair in squares for x in pair} == {np.float64}
+        assert np.array_equal(_bits(dots), _bits(dot_ref))
+        assert np.array_equal(_bits(norms), _bits(norm_ref))
+        assert np.array_equal(_bits([q for q, _ in squares]), _bits(sq_ref))
+        assert np.array_equal(_bits([e for _, e in squares]), _bits(euclid_ref))
+        ref = np.cross(u[:2000], v[:2000])
+        ref[:, 2] = -ref[:, 2]
+        assert np.array_equal(_bits([cross(a, b) for a, b in zip(u[:2000], v[:2000])]), _bits(ref))
+
+    def test_overflow_still_signals_through_numpy(self):
+        big = [1e200, 0.0, 0.0]
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                lorentz_dot(big, big)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            r = lorentz_dot(big, big)
+        assert type(r) is float and r == np.inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            e = cross(big, [0.0, 1e200, 0.0])
+        assert e.tolist() == [0.0, 0.0, -np.inf]
+
+
 class TestCrossMatchesNumpy:
     def test_bit_identical_to_reflected_np_cross(self, rng):
         u = rng.normal(size=(500, 3)) * rng.uniform(1e-3, 1e3, size=(500, 1))
@@ -299,6 +363,39 @@ def test_lightlike_dependence_iff_orthogonal(r1, th1, r2, th2, s1, s2):
     elif s1 != s2 or sep > 1e-3:
         # well-separated null directions are never orthogonal
         assert abs(lorentz_dot(u, v)) > 1e-9 * r1 * r2
+
+
+def _write_csv_loop(path, header, rows):
+    """write_csv as it was written with a format call per numpy scalar."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
+
+
+class TestWriteCsvBytes:
+    FLOATS = np.array([[-0.0, np.nan, 5e-324], [1e308, -2.5e-310, 1 / 3], [0.1, -np.inf, 7.0]])
+    INTS = np.array([0, -3, 2 ** 53 + 1])
+    BOOLS = np.array([True, False, True])
+
+    def rows(self, kind):
+        f, i, b = self.FLOATS, self.INTS, self.BOOLS
+        if kind == "float ndarray":
+            return f
+        if kind == "int ndarray":
+            return np.column_stack([i, i])
+        if kind == "bool ndarray":
+            return np.column_stack([b, b])
+        if kind == "zip":
+            return zip(f[:, 0], i, b, i.tolist(), b.tolist())
+        return ((x, *row, int(k), bool(k)) for x, row, k in zip(f[:, 1], f, i))
+
+    @pytest.mark.parametrize("kind", ["float ndarray", "int ndarray", "bool ndarray", "zip", "generator"])
+    def test_matches_the_scalar_loop(self, tmp_path, kind):
+        core.write_csv(tmp_path / "new.csv", "a,b", self.rows(kind))
+        _write_csv_loop(tmp_path / "old.csv", "a,b", self.rows(kind))
+        new, old = (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
+        assert new == old and new.count(b"\n") == 4
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from minkowski3.core import (
     lorentz_dot,
     lorentz_norm,
 )
+from minkowski3 import curves
 from minkowski3.curves import (
     BertrandFit,
     CurveJet,
@@ -319,6 +320,133 @@ class TestReparamMemo:
             for i in order:
                 for name in self.EVALUATORS:
                     assert getattr(beta, name)(ss[i]).tobytes() == fresh[i][name], (name, ss[i])
+
+
+def _counted(jet: CurveJet, counts: dict) -> CurveJet:
+    """`jet` with each derivative call tallied in counts[name]."""
+    def wrap(name):
+        f = getattr(jet, name)
+
+        def g(t):
+            counts[name] += 1
+            return f(t)
+        return g
+    return CurveJet(jet.position, wrap("velocity"), wrap("acceleration"), wrap("jerk"),
+                    domain=jet.domain, h_fd=jet.h_fd)
+
+
+def _arclength_oracle(jet: CurveJet, t0: float) -> CurveJet:
+    """reparam_arclength's chain rule as first written: every factor calls
+    the base jet again.  Same map t(s), same formulas."""
+    eps = 1.0 if classify_curve(jet, t0) is CausalClass.SPACELIKE else -1.0
+
+    def speed(t):
+        return float(lorentz_norm(jet.velocity(t)))
+
+    s_lo, s_hi, t_of_s = curves._monotone_map(speed, t0, jet.domain)
+
+    def dv_dt(t):
+        return eps * float(lorentz_dot(jet.acceleration(t), jet.velocity(t))) / speed(t)
+
+    def dbeta(s):
+        t = t_of_s(s)
+        return jet.velocity(t) / speed(t)
+
+    def ddbeta(s):
+        t = t_of_s(s)
+        v = speed(t)
+        tp = 1.0 / v
+        tpp = -dv_dt(t) / v ** 3
+        return jet.acceleration(t) * tp * tp + jet.velocity(t) * tpp
+
+    def dddbeta(s):
+        t = t_of_s(s)
+        v = speed(t)
+        vd = dv_dt(t)
+        vdd = (
+            eps * (float(lorentz_dot(jet.jerk(t), jet.velocity(t)))
+                   + float(lorentz_dot(jet.acceleration(t), jet.acceleration(t)))) / v
+            - vd * vd / v
+        )
+        tp = 1.0 / v
+        tpp = -vd / v ** 3
+        tppp = -vdd / v ** 4 + 3.0 * vd * vd / v ** 5
+        return jet.jerk(t) * tp ** 3 + 3.0 * jet.acceleration(t) * tp * tpp + jet.velocity(t) * tppp
+
+    return CurveJet(lambda s: jet.position(t_of_s(s)), dbeta, ddbeta, dddbeta,
+                    domain=(s_lo, s_hi), h_fd=jet.h_fd)
+
+
+def _pseudo_oracle(jet: CurveJet, t0: float) -> CurveJet:
+    """reparam_pseudo_arclength's chain rule as first written."""
+    def w(t):
+        return float(lorentz_norm(jet.acceleration(t)))
+
+    s_lo, s_hi, t_of_s = curves._monotone_map(lambda t: np.sqrt(w(t)), t0, jet.domain)
+
+    def wdot(t):
+        return float(lorentz_dot(jet.jerk(t), jet.acceleration(t))) / w(t)
+
+    def dbeta(s):
+        t = t_of_s(s)
+        return jet.velocity(t) / np.sqrt(w(t))
+
+    def ddbeta(s):
+        t = t_of_s(s)
+        wt = w(t)
+        pp = 1.0 / np.sqrt(wt)
+        ppp = -0.5 * wdot(t) / (wt * wt)
+        return jet.acceleration(t) * pp * pp + jet.velocity(t) * ppp
+
+    return CurveJet(lambda s: jet.position(t_of_s(s)), dbeta, ddbeta, None,
+                    domain=(s_lo, s_hi), h_fd=jet.h_fd)
+
+
+def _frame_bytes(fr) -> tuple:
+    return fr.T.tobytes(), fr.N.tobytes(), fr.B.tobytes(), fr.case, fr.kappa, fr.tau
+
+
+class TestChainRuleEvaluations:
+    """The reparametrized jets evaluate each base derivative once per call,
+    and give the bits of the chain rule that evaluated it once per factor."""
+
+    SS = (0.0, -0.0, 0.3, -0.71, 1e-3, 1.5)
+
+    def test_arclength_frenet_makes_one_call_per_derivative_and_evaluator(self):
+        counts = dict.fromkeys(("velocity", "acceleration", "jerk"), 0)
+        beta = reparam_arclength(_counted(euclidean_helix_jet(2.0, span=(-1.0, 1.0)), counts), 0.0)
+        counts.update(dict.fromkeys(counts, 0))
+        frenet(beta, 0.3)
+        # T needs alpha', N alpha' and alpha'', tau all three
+        assert counts == {"velocity": 3, "acceleration": 2, "jerk": 1}
+
+    def test_pseudo_arclength_acceleration_calls_each_derivative_once(self):
+        counts = dict.fromkeys(("velocity", "acceleration", "jerk"), 0)
+        beta = reparam_pseudo_arclength(_counted(double_null_helix_jet(), counts), 0.25)
+        counts.update(dict.fromkeys(counts, 0))
+        beta.acceleration(0.4)
+        assert counts == {"velocity": 1, "acceleration": 1, "jerk": 1}
+
+    @pytest.mark.parametrize("a", [2.0, 0.5], ids=["timelike", "spacelike"])
+    def test_arclength_bits_match_the_per_factor_chain_rule(self, a):
+        base = euclidean_helix_jet(a, span=(-1.0, 1.0))
+        beta, oracle = reparam_arclength(base, 0.1), _arclength_oracle(base, 0.1)
+        assert beta.domain == oracle.domain
+        for s in self.SS:
+            for name in ("position", "velocity", "acceleration", "jerk"):
+                assert getattr(beta, name)(s).tobytes() == getattr(oracle, name)(s).tobytes(), (name, s)
+            assert _frame_bytes(frenet(beta, s)) == _frame_bytes(frenet(oracle, s))
+
+    @pytest.mark.parametrize("make", [double_null_helix_jet, lambda: scaled_null_helix_jet(1.3)],
+                             ids=["double", "scaled"])
+    def test_pseudo_arclength_bits_match_the_per_factor_chain_rule(self, make):
+        base = make()
+        beta, oracle = reparam_pseudo_arclength(base, 0.25), _pseudo_oracle(base, 0.25)
+        assert beta.domain == oracle.domain
+        for s in self.SS:
+            for name in ("position", "velocity", "acceleration", "jerk"):
+                assert getattr(beta, name)(s).tobytes() == getattr(oracle, name)(s).tobytes(), (name, s)
+            assert _frame_bytes(frenet(beta, s)) == _frame_bytes(frenet(oracle, s))
 
 
 class TestFrenetFrames:

@@ -122,6 +122,29 @@ class TestExport:
             "0,1,2,-1e-300,1e+20,-2,1.0000000000000001e-17,0\n"
         )
 
+    @staticmethod
+    def _obj_loop(mesh, path):
+        """export_obj as it was written, formatting numpy scalars."""
+        with open(path, "w") as fh:
+            for p in mesh.vertices:
+                fh.write(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+            for a, b, c in mesh.faces:
+                fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+
+    @pytest.mark.parametrize("vertices", [
+        np.array([[-0.0, np.nan, 5e-324], [1e308, -2.5e-310, 1 / 3], [0.1, -1e-300, 7.0]]),
+        np.array([[0, -3, 2 ** 53 + 1], [1, 2, 3], [4, 5, 6]]),
+        np.array([[True, False, True], [False, False, True], [True, True, True]]),
+    ], ids=["float", "int", "bool"])
+    def test_obj_matches_the_scalar_loop(self, tmp_path, vertices):
+        mesh = SurfaceMesh(vertices, np.array([[0, 1, 2], [2, 1, 0]]), np.zeros((3, 2)),
+                           np.zeros((3, 3)), np.zeros(3), np.zeros(3),
+                           np.zeros(3, dtype=bool), np.zeros(3, dtype=bool))
+        export_obj(mesh, tmp_path / "new.obj")
+        self._obj_loop(mesh, tmp_path / "old.obj")
+        new = (tmp_path / "new.obj").read_bytes()
+        assert new == (tmp_path / "old.obj").read_bytes() and new.count(b"\n") == 5
+
     def test_obj_and_sidecar(self, tmp_path):
         mesh = triangulate_chart(hyperbolic_cap_chart(1.0, 1.0)[0], 5, 5)
         obj = tmp_path / "m.obj"

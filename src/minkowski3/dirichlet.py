@@ -72,6 +72,13 @@ _OPP = (1, 0, 3, 2)  # opposite arm index: W of E, E of W, S of N, N of S
 _ARM_SIGN = np.array([[1.0], [-1.0], [1.0], [-1.0]])  # outward direction of E, W, N, S
 
 
+def _dots(a, b):
+    """a . b over the last axis of 2-vectors, broadcast, each bit as `a @ b`
+    on one pair: a stack of (1, 2) @ (2, 1) matmuls calls the same BLAS dot,
+    where a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] rounds differently."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def _arms(a):
     """Swap the last two axes: (..., 4, n) arm-major data as (..., n, 4), or back."""
     return np.swapaxes(a, -1, -2)
@@ -107,13 +114,14 @@ class Disk:
         return self.R - np.hypot(x, y)
 
     def exit_fraction(self, x, y, dx, dy, h):
-        """Fraction t in (0,1] where (x,y) + t*h*(dx,dy) crosses the boundary."""
+        """Fraction t in [0,1] where (x,y) + t*h*(dx,dy) crosses the boundary,
+        broadcast over arrays of x, y, dx and dy."""
         a = h * h * (dx * dx + dy * dy)
         b = 2 * h * (x * dx + y * dy)
         c = x * x + y * y - self.R * self.R
         disc = b * b - 4 * a * c
-        t = (-b + np.sqrt(max(disc, 0.0))) / (2 * a)
-        return min(max(t, 0.0), 1.0)
+        t = (-b + np.sqrt(np.maximum(disc, 0.0))) / (2 * a)
+        return np.minimum(np.maximum(t, 0.0), 1.0)
 
     def max_boundary_radius(self):
         return self.R
@@ -140,11 +148,12 @@ class ConvexPolygon:
         if not np.all(crosses > 0):
             raise GeometryError("polygon must be strictly convex")
         object.__setattr__(self, "vertices", v)
-        # outward edge normals and offsets: n . x <= b inside; norm and dot stay
-        # per edge, since their array forms round differently
-        n = [nn / np.linalg.norm(nn) for nn in np.column_stack([d[:, 1], -d[:, 0]])]
-        object.__setattr__(self, "_normals", np.asarray(n))
-        object.__setattr__(self, "_offsets", np.asarray([float(nn @ p) for nn, p in zip(n, v)]))
+        # outward edge normals and offsets: n . x <= b inside; the norm is
+        # sqrt(n . n), as np.linalg.norm forms it on one vector
+        n = np.column_stack([d[:, 1], -d[:, 0]])
+        n = n / np.sqrt(_dots(n, n))[:, None]
+        object.__setattr__(self, "_normals", n)
+        object.__setattr__(self, "_offsets", _dots(n, v))
 
     def bbox(self):
         v = self.vertices
@@ -163,15 +172,18 @@ class ConvexPolygon:
         return np.min(self._offsets - self._edge_dots(x, y), axis=-1)
 
     def exit_fraction(self, x, y, dx, dy, h):
-        p = np.array([x, y])
-        d = h * np.array([dx, dy])
-        best = 1.0
+        """Fraction t in [0,1] where (x,y) + t*h*(dx,dy) first crosses an edge
+        line, broadcast over arrays of x, y, dx and dy: one pass per edge."""
+        x, y, dx, dy = np.broadcast_arrays(x, y, dx, dy)
+        p = np.stack([x, y], axis=-1)
+        d = h * np.stack([dx, dy], axis=-1)
+        best = np.ones(x.shape)
+        t = np.ones(x.shape)  # finite where no edge is ahead, so the tests below stay quiet
         for nn, bb in zip(self._normals, self._offsets):
-            nd = float(nn @ d)
-            if nd > 0:
-                t = (bb - float(nn @ p)) / nd
-                if 0.0 <= t < best:
-                    best = t
+            nd = _dots(d, nn)
+            ahead = nd > 0
+            np.divide(bb - _dots(p, nn), nd, out=t, where=ahead)
+            np.copyto(best, t, where=ahead & (0.0 <= t) & (t < best))
         return best
 
     def max_boundary_radius(self):
@@ -180,19 +192,21 @@ class ConvexPolygon:
     def rolling_radius(self):
         """Smallest radius of a disc that can touch every boundary point (64
         per edge) while containing the polygon; 1/rolling_radius plays the
-        role of the boundary curvature in the Euclidean solvability screen."""
+        role of the boundary curvature in the Euclidean solvability screen.
+
+        One pass per edge over its 64 points x every vertex, so memory stays
+        O(64 V) for V vertices."""
         v = self.vertices
+        ts = np.linspace(0.0, 1.0, 64)[:, None]
         worst = 0.0
         for i in range(len(v)):
             p0, p1 = v[i], v[(i + 1) % len(v)]
             nn = -self._normals[i]  # inward
-            for t in np.linspace(0.0, 1.0, 64):
-                p = p0 + t * (p1 - p0)
-                for q in v:
-                    d = q - p
-                    denom = 2.0 * float(d @ nn)
-                    if denom > 1e-12:
-                        worst = max(worst, float(d @ d) / denom)
+            d = v - (p0 + ts * (p1 - p0))[:, None, :]  # (64, V, 2)
+            denom = 2.0 * _dots(d, nn)
+            ok = denom > 1e-12
+            if ok.any():
+                worst = max(worst, float(np.max(_dots(d, d)[ok] / denom[ok])))
         return worst
 
 
@@ -239,9 +253,10 @@ class GridDomain:
         self.nbr = np.column_stack([index[pi + di, pj + dj] for di, dj in dirs])
         self.boundary_arm = self.nbr < 0
         self.theta = np.ones((self.n, 4))
-        for k, d in np.argwhere(self.boundary_arm):
-            x, y = self.xy[k]
-            self.theta[k, d] = max(shape.exit_fraction(x, y, *dirs[d], h), _THETA_MIN)
+        k, d = np.nonzero(self.boundary_arm)
+        dx, dy = np.array(dirs, dtype=float)[d].T
+        x, y = self.xy[k].T
+        self.theta[k, d] = np.maximum(shape.exit_fraction(x, y, dx, dy, h), _THETA_MIN)
         self.ring = np.any(self.boundary_arm, axis=1)
         # per arm: the node across it and the neighbor behind it (across the
         # opposite arm), each the node itself where the arm leaves the domain

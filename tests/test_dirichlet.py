@@ -267,6 +267,153 @@ class TestPolygonConstruction:
         assert built > 300 and rejected > 100
 
 
+def loop_rolling_radius(poly):
+    """The rolling-disc radius point by point: 64 points per edge, one vertex at a time."""
+    v = poly.vertices
+    worst = 0.0
+    for i in range(len(v)):
+        p0, p1 = v[i], v[(i + 1) % len(v)]
+        nn = -poly._normals[i]
+        for t in np.linspace(0.0, 1.0, 64):
+            p = p0 + t * (p1 - p0)
+            for q in v:
+                d = q - p
+                denom = 2.0 * float(d @ nn)
+                if denom > 1e-12:
+                    worst = max(worst, float(d @ d) / denom)
+    return worst
+
+
+def loop_exit_fraction(shape, x, y, dx, dy, h):
+    """One arm's exit fraction on Python scalars, edge by edge for a polygon."""
+    if isinstance(shape, Disk):
+        a = h * h * (dx * dx + dy * dy)
+        b = 2 * h * (x * dx + y * dy)
+        c = x * x + y * y - shape.R * shape.R
+        disc = b * b - 4 * a * c
+        t = (-b + np.sqrt(max(disc, 0.0))) / (2 * a)
+        return min(max(t, 0.0), 1.0)
+    p = np.array([x, y])
+    d = h * np.array([dx, dy])
+    best = 1.0
+    for nn, bb in zip(shape._normals, shape._offsets):
+        nd = float(nn @ d)
+        if nd > 0:
+            t = (bb - float(nn @ p)) / nd
+            if 0.0 <= t < best:
+                best = t
+    return best
+
+
+def loop_theta(dom):
+    """Arm fractions of a built grid, one boundary arm at a time."""
+    dirs = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    theta = np.ones((dom.n, 4))
+    for k, d in np.argwhere(dom.boundary_arm):
+        x, y = dom.xy[k]
+        theta[k, d] = max(loop_exit_fraction(dom.shape, x, y, *dirs[d], dom.h), _THETA_MIN)
+    return theta
+
+
+def rectangle(a, b, x0=0.0, y0=0.0):
+    return ConvexPolygon(np.array([[x0, y0], [x0 + a, y0], [x0 + a, y0 + b], [x0, y0 + b]]))
+
+
+def census_shapes():
+    """220 random convex polygons, 9 axis-aligned rectangles (arms parallel to
+    edges, nd == 0), 12 rotated squares and 80 disks, each with a grid
+    spacing from 0.004 to 0.3 of its width (the shorter bounding-box side)."""
+    rng = np.random.default_rng(19)
+    shapes = []
+    while len(shapes) < 220:
+        k = int(rng.integers(3, 9))
+        ang = np.sort(rng.uniform(0.0, 2 * np.pi, k))
+        if np.max(np.diff(ang, append=ang[0] + 2 * np.pi)) > 0.75 * np.pi:
+            continue  # a sliver: at h = 0.3 width some hold no node, at 0.004 up to 1e6 points
+        verts = rng.uniform(0.3, 2.0) * np.c_[np.cos(ang), rng.uniform(0.3, 1.0) * np.sin(ang)]
+        try:
+            shapes.append(ConvexPolygon(verts + rng.normal(size=2)))
+        except GeometryError:  # nearly collinear vertices
+            continue
+    shapes += [rectangle(a, b, *xy) for a, b, xy in
+               zip([1.0, 0.5, 1.3] * 3, [0.7] * 3 + [0.3] * 3 + [1.0] * 3,
+                   [(0.0, 0.0), (-0.5, -0.35), (0.1, 0.2)] * 3)]
+    for angle in np.linspace(0.0, np.pi / 2, 12):
+        c, s = 0.8 * np.cos(angle), 0.8 * np.sin(angle)
+        shapes.append(ConvexPolygon(np.array([[c, s], [-s, c], [-c, -s], [s, -c]])))
+    shapes += [Disk(float(R)) for R in np.exp(rng.uniform(-1.5, 1.5, 80))]
+    widths = [min(x1 - x0, y1 - y0) for x0, x1, y0, y1 in (s.bbox() for s in shapes)]
+    hs = np.exp(rng.uniform(np.log(0.004), np.log(0.3), len(shapes))) * widths
+    return list(zip(shapes, hs))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def census():
+    """(shape, h, rolling radius, theta) of every census shape, each from the
+    loops; the rolling radius is None for a disk."""
+    out = []
+    for shape, h in census_shapes():
+        roll = loop_rolling_radius(shape) if isinstance(shape, ConvexPolygon) else None
+        out.append((shape, h, roll, loop_theta(GridDomain(shape, h))))
+    return out
+
+
+def geometry_mismatches(census):
+    """(rolling radii, grids) of the census whose bits differ from the loops'."""
+    radii = grids = 0
+    for shape, h, roll, theta in census:
+        if roll is not None:
+            radii += bits(shape.rolling_radius()) != bits(roll)
+        grids += not np.array_equal(bits(GridDomain(shape, h).theta), bits(theta))
+    return radii, grids
+
+
+def elementwise_dots(a, b):
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+
+
+class TestDomainGeometryLoops:
+    def test_equals_the_loops_bit_for_bit(self, census):
+        assert len(census) >= 300
+        assert geometry_mismatches(census) == (0, 0)
+
+    def test_elementwise_dot_fails_the_oracle(self, census, monkeypatch):
+        # the same sum as two products and an add rounds differently from the
+        # BLAS dot that `a @ b` calls, which is why _dots is a matmul stack
+        monkeypatch.setattr(dirichlet, "_dots", elementwise_dots)
+        radii, grids = geometry_mismatches(census[:40])
+        assert radii > 0 and grids > 0
+
+    def test_rectangle_quiet_under_raising_floating_point(self):
+        # arms parallel to an edge have nd == 0, which no division may reach
+        rect = rectangle(1.0, 0.7)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            dom = GridDomain(rect, 0.05)
+            radius = rect.rolling_radius()
+        assert np.all((dom.theta > 0) & (dom.theta <= 1)) and dom.boundary_arm.any()
+        # the disc tangent to a long edge of the a x b rectangle at one corner
+        # and through the opposite corner: radius (a^2 + b^2) / (2b), the
+        # bound 1 / radius = 0.939597 that `mink3 dirichlet` prints
+        npt.assert_allclose(radius, 1.49 / 1.4, rtol=1e-15)
+
+    def test_exit_fraction_broadcasts_like_one_arm(self):
+        # each element of a broadcast call, inside the shape or not, is one
+        # arm of the scalar loop
+        x, y = np.meshgrid(np.linspace(-0.6, 0.6, 7), np.linspace(-0.5, 0.5, 5))
+        dx, dy = np.array([1.0, -1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0, -1.0])
+        for shape in (Disk(1.0), pentagon(), rectangle(1.4, 1.2, -0.7, -0.6)):
+            t = shape.exit_fraction(x[..., None], y[..., None], dx, dy, 0.3)
+            assert t.shape == x.shape + (4,)
+            for idx in np.ndindex(t.shape):
+                one = loop_exit_fraction(shape, x[idx[:2]], y[idx[:2]], dx[idx[2]], dy[idx[2]], 0.3)
+                assert bits(t[idx]) == bits(one)
+
+
 def loop_jacobian(dom, u, H, eps, base):
     """The colored Jacobian one color at a time: nine residual calls, CSR, then CSC."""
     import scipy.sparse as sp

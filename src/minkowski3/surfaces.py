@@ -21,6 +21,7 @@ trace formula follows the normal convention above (H = +trace(A)/2).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -212,7 +213,15 @@ class CurvatureBatch:
 # parameter points, calls the scalar evaluators once per point and partial,
 # and does the algebra on the stacked (n, 3) values.  The public functions
 # accept scalars (a batch of one, returning the per-point types) or 1-D
-# arrays (broadcast against each other).
+# arrays (broadcast against each other).  A single point of
+# `shape_and_curvatures` goes through `_point_curvatures` instead, and
+# `mean_curvature_foliated` through `_point_first_coeffs`: the same
+# evaluator calls, products and sums in the same order on Python floats, so
+# the same bits.  The batch keeps no step that Python floats round
+# differently (`np.vecdot`, `np.linalg.det`, `np.linalg.eigvals`); both
+# paths take the shape matrix from the same 2x2 `np.linalg.solve`.  At its
+# first value that is not finite, a point goes to the batch of one, whose
+# numpy arithmetic warns or raises as np.errstate says.
 
 
 def _batch(u, v):
@@ -232,6 +241,10 @@ def _values(evaluate, us, vs) -> np.ndarray:
     return np.array([evaluate(u, v) for u, v in zip(us, vs)], dtype=float).reshape(len(us), 3)
 
 
+def _not_immersed(u, v) -> GeometryError:
+    return GeometryError(f"chart is not an immersion at (u,v)=({u:g},{v:g})")
+
+
 def _first_coeffs(chart: SurfaceChart, us, vs, lightlike: Optional[str] = None):
     """X_u, X_v, E, F, G, W = EG - F^2 and the lightlike mask at every point.
 
@@ -242,10 +255,10 @@ def _first_coeffs(chart: SurfaceChart, us, vs, lightlike: Optional[str] = None):
     xu = _values(chart.du, us, vs)
     xv = _values(chart.dv, us, vs)
     # immersion check with the Euclidean Gram determinant
-    uu, uv, vv = np.vecdot(xu, xu), np.vecdot(xu, xv), np.vecdot(xv, xv)
-    gram = np.array([uu, uv, uv, vv]).T.reshape(-1, 2, 2)
+    uu, uv, vv = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+                  for a, b in ((xu, xu), (xu, xv), (xv, xv)))
     pu, pv = 1.0 + uu, 1.0 + vv
-    flat = np.linalg.det(gram) <= REL_TOL * pu * pv
+    flat = uu * vv - uv * uv <= REL_TOL * pu * pv
     E = _lorentz_dot(xu, xu)
     F = _lorentz_dot(xu, xv)
     G = _lorentz_dot(xv, xv)
@@ -255,9 +268,45 @@ def _first_coeffs(chart: SurfaceChart, us, vs, lightlike: Optional[str] = None):
     if bad.any():
         k = int(np.argmax(bad))
         if flat[k]:
-            raise GeometryError(f"chart is not an immersion at (u,v)=({us[k]:g},{vs[k]:g})")
+            raise _not_immersed(us[k], vs[k])
         raise CausalTypeError(lightlike)
     return xu, xv, E, F, G, w, null
+
+
+def _point_value(evaluate, u, v):
+    """One evaluator call as a list of three Python floats, or None when the
+    value is not one 3-vector."""
+    x = np.asarray(evaluate(u, v), dtype=float)
+    return x.tolist() if x.shape == (3,) else None
+
+
+def _point_first_coeffs(chart: SurfaceChart, u, v, lightlike: Optional[str] = None):
+    """`_first_coeffs` at one point on Python floats: (X_u, X_v, E, F, G, W)
+    with X_u and X_v as lists, raising as the batch does; None when a value
+    is not finite or not one 3-vector."""
+    xu, xv = _point_value(chart.du, u, v), _point_value(chart.dv, u, v)
+    if xu is None or xv is None:
+        return None
+    (a0, a1, a2), (b0, b1, b2) = xu, xv
+    uu = a0 * a0 + a1 * a1 + a2 * a2
+    uv = a0 * b0 + a1 * b1 + a2 * b2
+    vv = b0 * b0 + b1 * b1 + b2 * b2
+    pu, pv = 1.0 + uu, 1.0 + vv
+    gram, flat_tol = uu * vv - uv * uv, REL_TOL * pu * pv
+    E = a0 * a0 + a1 * a1 - a2 * a2
+    F = a0 * b0 + a1 * b1 - a2 * b2
+    G = b0 * b0 + b1 * b1 - b2 * b2
+    w = E * G - F * F
+    null_tol = _DEGENERATE_TOL * (pu * pv)
+    # every value the batch computes is a term, or inside one: an inf or NaN
+    # anywhere makes the sum non-finite
+    if not math.isfinite(gram + flat_tol + E + F + G + w + null_tol):
+        return None
+    if gram <= flat_tol:
+        raise _not_immersed(u, v)
+    if lightlike and abs(w) <= null_tol:
+        raise CausalTypeError(lightlike)
+    return xu, xv, E, F, G, w
 
 
 def _unit_normals(chart: SurfaceChart, us, vs, lightlike: str) -> np.ndarray:
@@ -314,8 +363,77 @@ def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
         scalar[timelike] = repeated & (offdiag <= UMBILIC_TOL * ascale)
         principal[scalar] = half[scalar, None]
     if real.any():
-        principal[real] = np.sort(np.linalg.eigvals(a[real]).real, axis=1)
+        # eigenvalues half -+ sqrt(d^2 + a12 a21) of the 2x2 shape matrix
+        ar, hr = a[real], half[real]
+        d = (ar[:, 0, 0] - ar[:, 1, 1]) / 2
+        root = np.sqrt(np.maximum(d * d + ar[:, 0, 1] * ar[:, 1, 0], 0.0))
+        principal[real, 0] = hr - root
+        principal[real, 1] = hr + root
     return CurvatureBatch(H, K, a, principal, real | scalar, umbilic, space)
+
+
+def _point_curvatures(chart: SurfaceChart, u, v) -> Optional[CurvatureData]:
+    """`_curvatures` at one point on Python floats, or None when a value is
+    not finite: the same 7 evaluator calls in the same order, and the same
+    products and sums, so the same bits as the batch of one."""
+    first = _point_first_coeffs(chart, u, v, "curvature data undefined at a lightlike point")
+    if first is None:
+        return None
+    _, _, E, F, G, w = first
+    # the normal of `_unit_normals`, from X_u and X_v evaluated again
+    second = _point_first_coeffs(chart, u, v, "no unit normal at a lightlike point")
+    if second is None:
+        return None
+    (a0, a1, a2), (b0, b1, b2), _, _, _, wn = second
+    n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, -(a0 * b1 - a1 * b0)
+    norm = math.sqrt(abs(n0 * n0 + n1 * n1 - n2 * n2))
+    if not 0.0 < norm < math.inf:
+        return None
+    n0, n1, n2 = n0 / norm, n1 / norm, n2 / norm
+    flip = -1.0 if wn > 0 and n2 < 0 else 1.0
+    n0, n1, n2 = n0 * flip, n1 * flip, n2 * flip
+    second_partials = [_point_value(d, u, v) for d in (chart.duu, chart.duv, chart.dvv)]
+    if None in second_partials:
+        return None
+    e, f, g = (n0 * x0 + n1 * x1 - n2 * x2 for x0, x1, x2 in second_partials)
+    if not math.isfinite(n0 + n1 + n2 + e + f + g):
+        return None
+    a = np.linalg.solve(np.array([[E, F], [F, G]]), np.array([[e, f], [f, g]]))
+    (p, q), (r, t) = a.tolist()
+    tr = (e * G - 2 * f * F + g * E) / w
+    det = (e * g - f * f) / w
+    space = w > 0
+    sign = -1.0 if space else 1.0
+    half = 0.5 * tr
+    H = sign * half
+    K = sign * det
+    hh = H * H
+    gap = hh + K
+    umbilic = gap <= UMBILIC_TOL * (1.0 + hh)
+    checked = p + q + r + t + tr + det + gap
+    real, scalar, principal = space, False, None
+    if not space:
+        quarter = 0.25 * tr * tr
+        disc = quarter - det
+        hscale = 1.0 + quarter
+        ascale = 1.0 + max(abs(p), abs(q), abs(r), abs(t))
+        dp, dt = p - half, t - half
+        checked += disc + dp + dt
+        umbilic = max(abs(dp), abs(q), abs(r), abs(dt)) <= UMBILIC_TOL * ascale
+        real = disc > UMBILIC_TOL * hscale
+        repeated = not real and not disc < -UMBILIC_TOL * hscale
+        scalar = repeated and max(abs(q), abs(r)) <= UMBILIC_TOL * ascale
+        if scalar:
+            principal = (half, half)
+    if real:
+        d = (p - t) / 2
+        root = math.sqrt(max(d * d + q * r, 0.0))
+        principal = (half - root, half + root)
+        checked += principal[0] + principal[1]
+    if not math.isfinite(checked):
+        return None
+    causal = CausalClass.SPACELIKE if space else CausalClass.TIMELIKE
+    return CurvatureData(H, K, a, principal, real or scalar, umbilic, causal)
 
 
 def _causal(null: bool, w: float) -> CausalClass:
@@ -365,8 +483,10 @@ def shape_and_curvatures(chart: SurfaceChart, u, v):
     A point gives a `CurvatureData`, arrays of points a `CurvatureBatch`.
     """
     us, vs, scalar = _batch(u, v)
-    data = _curvatures(chart, us, vs)
-    return data.point(0) if scalar else data
+    if scalar:
+        # a value that is not finite sends the point to the batch of one
+        return _point_curvatures(chart, us[0], vs[0]) or _curvatures(chart, us, vs).point(0)
+    return _curvatures(chart, us, vs)
 
 
 class SurfaceKindTag(Enum):
@@ -449,8 +569,13 @@ def mean_curvature_foliated(chart: SurfaceChart, u: float, v: float) -> float:
     the future-directed normal; |H| always agrees with the shape-operator
     route, and the two are reconciled in tests.
     """
+    if np.ndim(u) or np.ndim(v):
+        raise GeometryError("the foliated identity takes one point (u, v)")
     us, vs, _ = _batch(u, v)
-    xu, xv, E, F, G, w, _ = (x[0] for x in _first_coeffs(chart, us, vs))
+    first = _point_first_coeffs(chart, us[0], vs[0])
+    if first is None:
+        first = (x[0] for x in _first_coeffs(chart, us, vs)[:6])
+    xu, xv, E, F, G, w = first
     E, F, G, w = float(E), float(F), float(G), float(w)
     if w <= 0:
         raise CausalTypeError("the foliated identity requires a spacelike point")

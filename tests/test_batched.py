@@ -7,6 +7,7 @@ scalar call raises at the first bad point.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from minkowski3.surfaces import (
     laplace_beltrami_grid,
     light_cone_chart,
     null_scroll_chart,
+    plane_chart,
     shape_and_curvatures,
 )
 
@@ -250,3 +252,153 @@ def test_null_scroll_memo_leaves_the_jet_arrays_alone():
     assert seen and all(a.flags.writeable for a in seen.values())
     ref = triangulate_chart(null_scroll_chart(base, u_range=(-0.4, 0.4), v_range=(-1.0, 1.0)), 4, 4)
     assert np.array_equal(mesh.mean_curvature, ref.mean_curvature)
+
+
+def _census():
+    rng = np.random.default_rng(11)
+    charts = {}
+    for k in range(3):
+        r, center = float(rng.uniform(0.2, 5.0)), rng.uniform(-3.0, 3.0, size=3)
+        charts[f"hyperbolic-{k}"] = hyperbolic_plane_chart(r, center)
+        charts[f"de-sitter-{k}"] = de_sitter_chart(r, center)
+    riemann = rotational.ProfileODEParams(c=0.3, d=0.1, r0=1.0, rp0=1.5, s0=0.0, s1=0.5, h=1e-3)
+    charts.update({
+        "catenoid": rotational.catenoid_chart(),
+        "profile": profile(),
+        "riemann-profile": rotational.profile_chart(rotational.integrate_riemann(riemann)),
+        "fd-graph": graph_chart(lambda x, y: np.sqrt(1.5 + x * x + y * y)),
+        "transformed": hyperbolic_plane_chart(0.9).transformed(
+            random_pp_motion(np.random.default_rng(5))),
+        "null-scroll": null_scroll_chart(scaled_null_helix_jet(1.2), u_range=(-0.4, 0.4),
+                                         v_range=(-1.0, 1.0)),
+        # |grad f| > 1: timelike, with real distinct and complex principal curvatures
+        "timelike-graph": graph_chart(
+            lambda x, y: 1.5 * x + 0.3 * x * x - 0.2 * y * y + 0.1 * x * y,
+            lambda x, y: 1.5 + 0.6 * x + 0.1 * y, lambda x, y: 0.1 * x - 0.4 * y,
+            lambda x, y: 0.6, lambda x, y: 0.1, lambda x, y: -0.4),
+    })
+    return charts
+
+
+CENSUS = _census()
+
+
+def census_points(chart):
+    (u0, u1), (v0, v1) = chart.domain
+    us, vs = np.meshgrid(np.linspace(u0, u1, 9)[1:-1], np.linspace(v0, v1, 9)[1:-1])
+    return us.ravel(), vs.ravel()
+
+
+def same_bits(a, b):
+    """Equal float arrays, bit for bit (0.0 and -0.0 differ), NaN equal to NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_point_path_equals_the_batch_bit_for_bit(name):
+    chart = CENSUS[name]
+    us, vs = census_points(chart)
+    batch = shape_and_curvatures(chart, us, vs)
+    points = [shape_and_curvatures(chart, u, v) for u, v in zip(us, vs)]
+    assert same_bits(batch.H, [d.H for d in points])
+    assert same_bits(batch.K, [d.K for d in points])
+    assert same_bits(batch.shape_matrix, [d.shape_matrix for d in points])
+    nan2 = (np.nan, np.nan)
+    assert same_bits(batch.principal, [nan2 if d.principal is None else d.principal for d in points])
+    for k, d in enumerate(points):
+        b = batch.point(k)
+        assert (d.diagonalizable, d.umbilic, d.causal) == (b.diagonalizable, b.umbilic, b.causal)
+        assert type(d.H) is type(d.K) is float
+        assert type(d.diagonalizable) is type(d.umbilic) is bool
+
+
+def test_census_reaches_every_branch():
+    kinds = set()
+    for chart in CENSUS.values():
+        for u, v in zip(*census_points(chart)):
+            d = shape_and_curvatures(chart, u, v)
+            if d.causal.value == "spacelike":
+                kinds.add("spacelike")
+            elif d.principal is None:
+                kinds.add("not diagonalizable")
+            else:
+                kinds.add("scalar" if d.principal[0] == d.principal[1] else "real distinct")
+    assert kinds == {"spacelike", "scalar", "real distinct", "not diagonalizable"}
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS))
+def test_closed_form_principal_curvatures_match_eigvals(name):
+    chart = CENSUS[name]
+    batch = shape_and_curvatures(chart, *census_points(chart))
+    for a, p in zip(batch.shape_matrix[batch.diagonalizable], batch.principal[batch.diagonalizable]):
+        eig = np.sort(np.linalg.eigvals(a).real)
+        assert np.abs(p - eig).max() <= 1e-14 * max(1.0, np.abs(a).max())
+
+
+@pytest.mark.parametrize("chart,u,v", [
+    (mixed_chart(), 0.0, 0.2),   # not an immersion
+    (mixed_chart(), 0.5, 1.0),   # lightlike
+    (light_cone_chart(), 1.0, 1.0),
+], ids=["not-immersed", "lightlike", "light-cone"])
+def test_point_path_raises_the_batch_error(chart, u, v):
+    point_err = raised(shape_and_curvatures, chart, u, v)
+    batch_err = raised(shape_and_curvatures, chart, [u], [v])
+    assert type(point_err) is type(batch_err)
+    assert str(point_err) == str(batch_err)
+
+
+def outcome(fn, *args):
+    """(warning messages, exception type and message or the result's fields)."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            d = fn(*args)
+        except GeometryError as exc:
+            result = (type(exc), str(exc))
+        else:
+            if isinstance(d, CurvatureBatch):
+                d = d.point(0)
+            result = (np.array([d.H, d.K]).tobytes(), d.shape_matrix.tobytes(), d.principal,
+                      d.diagonalizable, d.umbilic, d.causal)
+    return [str(w.message) for w in seen], result
+
+
+@pytest.mark.parametrize("chart,u,v", [
+    (de_sitter_chart(1e200), 0.2, 0.7),
+    # |X_u|^2 overflows while the Gram determinant test alone would call it flat
+    (plane_chart((0.0, 0.0, 0.0), (1e200, 0.0, 0.0), (0.0, 1.0, 0.0)), 0.1, 0.1),
+], ids=["de-sitter", "plane"])
+def test_point_path_overflow_is_the_batch_overflow(chart, u, v):
+    for args in ((u, v), ([u], [v])):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            shape_and_curvatures(chart, *args)
+    with np.errstate(all="warn"):
+        point = outcome(shape_and_curvatures, chart, u, v)
+        batch = outcome(shape_and_curvatures, chart, [u], [v])
+    assert point[0] and point == batch
+
+
+def test_point_path_makes_the_batch_evaluator_calls():
+    base = hyperbolic_plane_chart(1.2, (0.1, 0.2, 0.3))
+    calls = []
+
+    def counted(name):
+        evaluate = getattr(base, name)
+
+        def call(u, v):
+            calls.append((name, type(u), type(v)))
+            return evaluate(u, v)
+
+        return call
+
+    chart = SurfaceChart(*(counted(n) for n in ("position", "du", "dv", "duu", "duv", "dvv")),
+                         domain=base.domain)
+    shape_and_curvatures(chart, 0.3, -0.4)
+    point_calls, calls[:] = list(calls), []
+    shape_and_curvatures(chart, [0.3], [-0.4])
+    assert point_calls == calls
+    assert [c[0] for c in calls] == ["du", "dv", "du", "dv", "duu", "duv", "dvv"]
+    assert all(c[1] is c[2] is np.float64 for c in calls)

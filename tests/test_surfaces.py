@@ -340,6 +340,30 @@ class TestFoliatedMeanCurvature:
         with pytest.raises(CausalTypeError):
             mean_curvature_foliated(de_sitter_chart(1.0), 0.1, 0.1)
 
+    @pytest.mark.parametrize("u,v", [([0.3, 0.4], 0.2), (0.3, np.array([0.2])), (np.array([0.3]), 0.2)])
+    def test_arrays_refused(self, u, v):
+        with pytest.raises(GeometryError, match="one point"):
+            mean_curvature_foliated(hyperbolic_plane_chart(1.0), u, v)
+
+    def test_equals_the_identity_on_batch_coefficients(self, rng):
+        def by_batch(chart, u, v):
+            (E, F, G), _ = first_form(chart, np.array([u]), np.array([v]))
+            E, F, G = float(E[0]), float(F[0]), float(G[0])
+            w = E * G - F * F
+            xu, xv = chart.du(np.float64(u), np.float64(v)), chart.dv(np.float64(u), np.float64(v))
+
+            def det3(c):
+                return float(np.linalg.det(np.column_stack([xu, xv, c])))
+
+            p = E * det3(chart.dvv(u, v)) - 2 * F * det3(chart.duv(u, v)) + G * det3(chart.duu(u, v))
+            return 0.5 * p / w ** 1.5
+
+        for chart in (hyperbolic_cap_chart(1.0, 1.0)[0], catenoid_chart(), hyperbolic_plane_chart(0.7)):
+            (u0, u1), (v0, v1) = chart.domain
+            for u, v in zip(rng.uniform(u0, u1, 12), rng.uniform(v0, v1, 12)):
+                h = mean_curvature_foliated(chart, u, v)
+                assert np.float64(h).view(np.int64) == np.float64(by_batch(chart, u, v)).view(np.int64)
+
 
 class TestLaplaceBeltrami:
     def test_constant_field(self):

@@ -135,15 +135,25 @@ def _lorentz_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
 
 
+def _squares3(v: list, name: str = "vector") -> tuple[float, float]:
+    """(<v,v>, |v|_euclid^2) of a vector given as three Python floats: the
+    sums of `_lorentz_dot` and `_euclid_sq`, term for term.  Raises
+    GeometryError naming `name` when the second (so possibly the first,
+    which is no larger) overflows."""
+    x, y, z = v
+    xy = x * x + y * y
+    q, e = xy - z * z, xy + z * z
+    if not math.isfinite(e):
+        raise GeometryError(f"{name} too large: its squared length overflows")
+    return q, e
+
+
 def _squares(v: np.ndarray):
     """(<v,v>, |v|_euclid^2) of an array already checked by `as_vec3`, or
     GeometryError when either overflows."""
     if v.ndim == 1:
-        x, y, z = v.tolist()
-        xy = x * x + y * y
-        q, e = xy - z * z, xy + z * z  # the sums of _lorentz_dot and _euclid_sq
-        if math.isfinite(e):  # and |q| <= e
-            return np.float64(q), np.float64(e)
+        q, e = _squares3(v.tolist())
+        return np.float64(q), np.float64(e)
     with np.errstate(over="ignore", invalid="ignore"):
         q = _lorentz_dot(v, v)
         e = _euclid_sq(v)

@@ -26,6 +26,7 @@ one frame per point and is as accurate as the jet's third derivative.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -47,6 +48,7 @@ from .core import (
     lorentz_norm,
     write_csv,
 )
+from .core import _dot3, _is_null_product, _squares3
 
 __all__ = [
     "CurveJet",
@@ -397,39 +399,48 @@ def reparam_pseudo_arclength(jet: CurveJet, t0: float) -> CurveJet:
     return CurveJet(beta, dbeta, ddbeta, None, domain=(s_lo, s_hi), h_fd=jet.h_fd)
 
 
-def _classify_normal(tp: np.ndarray) -> CausalClass:
-    """Causal case of T', with an ambiguity band around the null cone."""
-    q = float(lorentz_dot(tp, tp))
-    scale = 1.0 + float((tp * tp).sum())
-    if abs(q) <= REL_TOL * scale:
+def _classify_normal(q: float, e: float) -> CausalClass:
+    """Causal case of T' from <T',T'> and |T'|^2, with an ambiguity band
+    around the null cone.  Both bands are relative to |T'|^2 > 0, so the
+    case of a curve does not change when it is scaled."""
+    if abs(q) <= REL_TOL * e:
         return CausalClass.LIGHTLIKE
-    if abs(q) <= CASE_TOL * scale:
+    if abs(q) <= CASE_TOL * e:
         raise AmbiguousCaseError(
             "T' sits within tolerance of the light cone; causal case is ambiguous"
         )
     return CausalClass.SPACELIKE if q > 0 else CausalClass.TIMELIKE
 
 
-def _null_partner(unit: np.ndarray, null: np.ndarray, pair_with_null: bool) -> np.ndarray:
+def _null_partner(unit: list, null: list, pair_with_null: bool) -> list:
     """The unique lightlike B with <B,null> = 1 that completes the frame.
 
     pair_with_null=True : unit=T spacelike, null=N;   <B,B>=0, <B,T>=0, <B,N>=1
     pair_with_null=False: null=T lightlike, unit=N;   <B,B>=0, <B,N>=0, <B,T>=1
+
+    On lists of Python floats; B keeps the c * 0.0 terms, which sign its zeros.
     """
-    w = np.array([0.0, 0.0, 1.0])  # <w, null> = -null_z, nonzero for null vectors
-    d = float(lorentz_dot(w, null))
+    w = [0.0, 0.0, 1.0]  # <w, null> = -null_z, nonzero for null vectors
+    d = _dot3(w, null)
     if abs(d) < 1e-14:
         raise GeometryError("degenerate null direction")
     c = 1.0 / d
     if pair_with_null:
         t, n = unit, null
-        a = -c * float(lorentz_dot(w, t))
-        b = -0.5 * (a * a + c * c * float(lorentz_dot(w, w)) + 2 * a * c * float(lorentz_dot(t, w)))
-        return a * t + b * n + c * w
-    t, n = null, unit
-    b = -c * float(lorentz_dot(w, n))
-    a = -0.5 * (b * b + c * c * float(lorentz_dot(w, w)) + 2 * b * c * float(lorentz_dot(n, w)))
-    return a * t + b * n + c * w
+        a = -c * _dot3(w, t)
+        b = -0.5 * (a * a + c * c * _dot3(w, w) + 2 * a * c * _dot3(t, w))
+    else:
+        t, n = null, unit
+        b = -c * _dot3(w, n)
+        a = -0.5 * (b * b + c * c * _dot3(w, w) + 2 * b * c * _dot3(n, w))
+    return [a * ti + b * ni + c * wi for ti, ni, wi in zip(t, n, w)]
+
+
+def _finite_array(v: list, name: str) -> np.ndarray:
+    """A fresh array of three Python floats, or GeometryError when one is not finite."""
+    if not all(map(math.isfinite, v)):
+        raise GeometryError(f"{name} overflows: the Frenet frame is not finite")
+    return np.array(v)
 
 
 #: Frenet case of a spacelike curve, by the causal class of T'
@@ -441,30 +452,36 @@ _SPACELIKE_CASE = {
 
 
 def _frame_at(jet: CurveJet, s: float):
-    """Frame (T, N, B) and case at s, without torsion."""
+    """Frame (T, N, B) and case at s, without torsion, on Python floats: one
+    `tolist()` per jet value, then the bits of `causal_class`, `lorentz_norm`
+    and `cross`.  T, and N in the null-normal cases, are the jet's arrays."""
     t_vec = jet.velocity(s)
-    cc = causal_class(t_vec)
-    q = float(lorentz_dot(t_vec, t_vec))
-    if cc is CausalClass.LIGHTLIKE:
+    t = t_vec.tolist()
+    q, e = _squares3(t)
+    if _is_null_product(q, e) and e > REL_TOL:  # causal_class(T) is LIGHTLIKE
         n_vec = jet.acceleration(s)
-        if abs(float(lorentz_dot(n_vec, n_vec)) - 1.0) > 1e-6:
+        n = n_vec.tolist()
+        if abs(_squares3(n, "N")[0] - 1.0) > 1e-6:
             raise GeometryError("lightlike curve must be pseudo-arc-length parametrized")
-        b_vec = _null_partner(n_vec, t_vec, pair_with_null=False)
-        return t_vec, n_vec, b_vec, FrenetCase.LIGHTLIKE, None
+        return t_vec, n_vec, _finite_array(_null_partner(n, t, False), "B"), FrenetCase.LIGHTLIKE, None
     if abs(abs(q) - 1.0) > 1e-6:
         raise GeometryError("curve must be arc-length parametrized (|<T,T>| = 1)")
-    tp = jet.acceleration(s)
-    if float(np.linalg.norm(tp)) <= 1e-12:
+    tp_vec = jet.acceleration(s)
+    tp = tp_vec.tolist()
+    qp, ep = _squares3(tp, "T'")
+    if math.sqrt(ep) <= 1e-12:
         raise GeometryError("T' vanishes: straight line, no Frenet frame")
-    if cc is CausalClass.TIMELIKE:
-        case = FrenetCase.TIMELIKE  # T' of a timelike curve is always spacelike
-    else:
-        case = _SPACELIKE_CASE[_classify_normal(tp)]
+    # T is timelike iff q < 0 here, and T' of a timelike curve is always spacelike
+    case = FrenetCase.TIMELIKE if q < 0 else _SPACELIKE_CASE[_classify_normal(qp, ep)]
     if case is FrenetCase.SPACELIKE_LL_N:
-        return t_vec, tp, _null_partner(t_vec, tp, pair_with_null=True), case, None
-    kappa = float(lorentz_norm(tp))
-    n_vec = tp / kappa
-    return t_vec, n_vec, cross(t_vec, n_vec), case, kappa
+        return t_vec, tp_vec, _finite_array(_null_partner(t, tp, True), "B"), case, None
+    kappa = math.sqrt(abs(qp))
+    if not kappa:
+        raise GeometryError("T' is lightlike: no unit normal N = T'/kappa")
+    n = [x / kappa for x in tp]
+    (t1, t2, t3), (n1, n2, n3) = t, n
+    b = [t2 * n3 - t3 * n2, t3 * n1 - t1 * n3, -(t1 * n2 - t2 * n1)]
+    return t_vec, np.array(n), _finite_array(b, "B"), case, kappa  # B is finite only if N is
 
 
 def frenet(jet: CurveJet, s: float) -> FrenetFrame:
@@ -473,16 +490,19 @@ def frenet(jet: CurveJet, s: float) -> FrenetFrame:
     The jet must be arc-length parametrized (pseudo-arc-length for lightlike
     curves).  Torsion is read off the jet's third derivative in the one frame,
     tau = <alpha''', B> / kappa (no division in the null-normal cases), so
-    its accuracy is that of the jet's `jerk` evaluator alone.
+    its accuracy is that of the jet's `jerk` evaluator alone.  A frame or
+    torsion that overflows raises GeometryError.
     """
     t_vec, n_vec, b_vec, case, kappa = _frame_at(jet, s)
     # <N',B> = tau in every case (see frenet_matrix) but the spacelike-normal
     # one, where B is timelike and N' = -kappa T + tau B gives <N',B> = -tau.
     # N is alpha''/kappa, or alpha'' itself in the null-normal cases, and
     # <N,B> = 0, so the kappa' part of N' drops out: <N',B> = <alpha''',B>/kappa
-    tau = float(lorentz_dot(jet.jerk(s), b_vec))
+    tau = _dot3(jet.jerk(s).tolist(), b_vec.tolist())
     if kappa is not None:
         tau /= kappa
+    if not math.isfinite(tau):
+        raise GeometryError("torsion overflows: <alpha''', B> / kappa is not finite")
     if case is FrenetCase.SPACELIKE_SP_N:
         tau = -tau
     return FrenetFrame(t_vec, n_vec, b_vec, case, kappa, tau)

@@ -330,7 +330,7 @@ def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
         chart, us, vs, "curvature data undefined at a lightlike point")
     # the second form evaluates X_u and X_v again for its normal, as
     # second_form does on its own; perfbench asserts ten evaluator calls per
-    # mesh vertex, so this stays until that test changes (ROADMAP item 4)
+    # mesh vertex, so this stays until that test changes (ROADMAP item 3)
     e, f, g = _second_coeffs(chart, us, vs)
     imat = np.array([E, F, F, G]).T.reshape(-1, 2, 2)
     iimat = np.array([e, f, f, g]).T.reshape(-1, 2, 2)
@@ -343,8 +343,10 @@ def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
     H = sign * half
     K = sign * det
     umbilic = H * H + K <= UMBILIC_TOL * (1.0 + H * H)
-    # A is self-adjoint for a definite first form, so spacelike spectra are real
-    real = space.copy()
+    # A is self-adjoint for a definite first form, so spacelike spectra are
+    # real; an A that is not finite has no spectrum and is not diagonalizable
+    finite = np.isfinite(a).all(axis=(1, 2))
+    real = space & finite
     scalar = np.zeros_like(space)
     principal = np.full((len(us), 2), np.nan)
     timelike = ~space
@@ -356,11 +358,11 @@ def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
         ascale = 1.0 + np.abs(at).reshape(-1, 4).max(axis=1)
         umbilic[timelike] = (np.abs(at - ht[:, None, None] * _EYE2).reshape(-1, 4).max(axis=1)
                          <= UMBILIC_TOL * ascale)
-        real[timelike] = disc > UMBILIC_TOL * hscale
+        real[timelike] = (disc > UMBILIC_TOL * hscale) & finite[timelike]
         # a repeated eigenvalue is diagonalizable only when A is scalar
         repeated = ~real[timelike] & ~(disc < -UMBILIC_TOL * hscale)
         offdiag = np.maximum(np.abs(at[:, 0, 1]), np.abs(at[:, 1, 0]))
-        scalar[timelike] = repeated & (offdiag <= UMBILIC_TOL * ascale)
+        scalar[timelike] = repeated & (offdiag <= UMBILIC_TOL * ascale) & finite[timelike]
         principal[scalar] = half[scalar, None]
     if real.any():
         # eigenvalues half -+ sqrt(d^2 + a12 a21) of the 2x2 shape matrix

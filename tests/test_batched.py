@@ -402,3 +402,19 @@ def test_point_path_makes_the_batch_evaluator_calls():
     assert point_calls == calls
     assert [c[0] for c in calls] == ["du", "dv", "du", "dv", "duu", "duv", "dvv"]
     assert all(c[1] is c[2] is np.float64 for c in calls)
+
+
+@pytest.mark.parametrize("xu", [(1.0, 0.0, 0.5), (1.0, 0.0, 1.2)])
+def test_shape_matrix_not_finite_is_not_diagonalizable(xu):
+    # a spacelike and a timelike plane whose second partials overflow the
+    # shape matrix: no spectrum, on the point path and in the batch
+    xu, big = np.array(xu), np.array([0.0, 0.0, 1.5e308])
+    chart = SurfaceChart(lambda u, v: u * xu + v * np.array([0.0, 1.0, 0.0]),
+                         lambda u, v: xu, lambda u, v: np.array([0.0, 1.0, 0.0]),
+                         lambda u, v: big, lambda u, v: big, lambda u, v: np.zeros(3))
+    with np.errstate(all="ignore"):
+        point = shape_and_curvatures(chart, 0.1, 0.2)
+        batch = shape_and_curvatures(chart, np.array([0.1, 0.3]), np.array([0.2, 0.4]))
+    assert not np.isfinite(point.shape_matrix).all()
+    assert point.principal is None and point.diagonalizable is False
+    assert not batch.diagonalizable.any() and np.isnan(batch.principal).all()

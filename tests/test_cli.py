@@ -307,6 +307,9 @@ class TestBadInput:
         ["riemann", "--r0", "1e80", "--csv", "p.csv", "--mesh", "p.obj"],
         ["rotational", "--r0", "1e80", "--rp0", "1.5", "--span", "0:1", "--csv", "p.csv"],
         ["riemann", "--rp0", "1e200", "--csv", "p.csv"],
+        # |T'|^2 of the circle and |T|^2 of the parabola overflow in the frame
+        ["curve", "--kind", "circle", "--a", "1e155"],
+        ["curve", "--kind", "parabola", "--a", "1e160"],
     ])
     def test_huge_input_is_one_error_line(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)

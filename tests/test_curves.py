@@ -1,18 +1,26 @@
+import math
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkowski3.core import (
+    AmbiguousCaseError,
     CausalClass,
     CausalTypeError,
     GeometryError,
     E1,
     E2,
     E3,
+    causal_class,
+    cross,
     lorentz_dot,
     lorentz_norm,
 )
-from minkowski3 import curves
+from minkowski3 import curves, isometry
 from minkowski3.curves import (
     BertrandFit,
     CurveJet,
@@ -796,3 +804,292 @@ def test_csv_export(tmp_path):
     assert len(lines) == 6
     row = [float(x) for x in lines[1].split(",")]
     npt.assert_allclose(row[1:4], jet.position(ts[0]), rtol=1e-15)
+
+
+# -- frames on Python floats ------------------------------------------------
+#
+# `curves._frame_at` and the torsion step of `frenet` run on Python floats.
+# The numpy code they replaced is kept here as an oracle: on every jet below
+# the float path gives the same T, N, B, kappa and tau, bit for bit, and the
+# same exceptions.
+
+
+def numpy_classify_normal(tp):
+    q = float(lorentz_dot(tp, tp))
+    scale = 1.0 + float((tp * tp).sum())
+    if abs(q) <= curves.REL_TOL * scale:
+        return CausalClass.LIGHTLIKE
+    if abs(q) <= curves.CASE_TOL * scale:
+        raise AmbiguousCaseError(
+            "T' sits within tolerance of the light cone; causal case is ambiguous"
+        )
+    return CausalClass.SPACELIKE if q > 0 else CausalClass.TIMELIKE
+
+
+def numpy_null_partner(unit, null, pair_with_null):
+    w = np.array([0.0, 0.0, 1.0])
+    d = float(lorentz_dot(w, null))
+    if abs(d) < 1e-14:
+        raise GeometryError("degenerate null direction")
+    c = 1.0 / d
+    if pair_with_null:
+        t, n = unit, null
+        a = -c * float(lorentz_dot(w, t))
+        b = -0.5 * (a * a + c * c * float(lorentz_dot(w, w)) + 2 * a * c * float(lorentz_dot(t, w)))
+        return a * t + b * n + c * w
+    t, n = null, unit
+    b = -c * float(lorentz_dot(w, n))
+    a = -0.5 * (b * b + c * c * float(lorentz_dot(w, w)) + 2 * b * c * float(lorentz_dot(n, w)))
+    return a * t + b * n + c * w
+
+
+def numpy_frenet(jet, s):
+    """(T, N, B, case, kappa, tau) as the numpy frame code computed them."""
+    t_vec = jet.velocity(s)
+    cc = causal_class(t_vec)
+    q = float(lorentz_dot(t_vec, t_vec))
+    if cc is CausalClass.LIGHTLIKE:
+        n_vec = jet.acceleration(s)
+        if abs(float(lorentz_dot(n_vec, n_vec)) - 1.0) > 1e-6:
+            raise GeometryError("lightlike curve must be pseudo-arc-length parametrized")
+        b_vec = numpy_null_partner(n_vec, t_vec, pair_with_null=False)
+        case, kappa = FrenetCase.LIGHTLIKE, None
+    else:
+        if abs(abs(q) - 1.0) > 1e-6:
+            raise GeometryError("curve must be arc-length parametrized (|<T,T>| = 1)")
+        tp = jet.acceleration(s)
+        if float(np.linalg.norm(tp)) <= 1e-12:
+            raise GeometryError("T' vanishes: straight line, no Frenet frame")
+        if cc is CausalClass.TIMELIKE:
+            case = FrenetCase.TIMELIKE
+        else:
+            case = curves._SPACELIKE_CASE[numpy_classify_normal(tp)]
+        if case is FrenetCase.SPACELIKE_LL_N:
+            n_vec, b_vec, kappa = tp, numpy_null_partner(t_vec, tp, pair_with_null=True), None
+        else:
+            kappa = float(lorentz_norm(tp))
+            n_vec = tp / kappa
+            b_vec = cross(t_vec, n_vec)
+    tau = float(lorentz_dot(jet.jerk(s), b_vec))
+    if kappa is not None:
+        tau /= kappa
+    if case is FrenetCase.SPACELIKE_SP_N:
+        tau = -tau
+    return t_vec, n_vec, b_vec, case, kappa, tau
+
+
+def frame_bytes(t_vec, n_vec, b_vec, case, kappa, tau):
+    """The frame as bytes, so -0.0 and 0.0 differ."""
+    as_bytes = [np.asarray(x, dtype=float).tobytes() for x in (t_vec, n_vec, b_vec, tau)]
+    return as_bytes, case, None if kappa is None else np.float64(kappa).tobytes()
+
+
+def timelike_helix_jet(rho: float, a: float) -> CurveJet:
+    """(rho cos(s/c), rho sin(s/c), a s/c), c^2 = a^2 - rho^2: unit-speed
+    timelike helix."""
+    c = np.sqrt(a * a - rho * rho)
+    return CurveJet(
+        lambda s: np.array([rho * np.cos(s / c), rho * np.sin(s / c), a * s / c]),
+        lambda s: np.array([-rho * np.sin(s / c) / c, rho * np.cos(s / c) / c, a / c]),
+        lambda s: np.array([-rho * np.cos(s / c), -rho * np.sin(s / c), 0.0]) / c ** 2,
+        lambda s: np.array([rho * np.sin(s / c), -rho * np.cos(s / c), 0.0]) / c ** 3,
+        domain=(-1.0, 1.0),
+    )
+
+
+def random_frame_jet(rng, kind):
+    """A jet of one of the five Frenet cases, with random parameters, moved
+    by a random future-preserving rigid motion seven times in ten."""
+    a = float(rng.uniform(0.3, 3.0)) * float(rng.choice([-1.0, 1.0]))
+    b = float(rng.uniform(-0.5, 0.5))
+    if kind == "circle":
+        jet = generate_constant_curvature(PlaneCase.SPACELIKE_PLANE, a, b)
+    elif kind == "hyperbola-spacelike":
+        jet = generate_constant_curvature(PlaneCase.TIMELIKE_PLANE_SPACELIKE_CURVE, a, b)
+    elif kind == "hyperbola-timelike":
+        jet = generate_constant_curvature(PlaneCase.TIMELIKE_PLANE_TIMELIKE_CURVE, a, b)
+    elif kind == "parabola":
+        jet = generate_constant_curvature(PlaneCase.LIGHTLIKE_PLANE, a, b)
+    elif kind == "null-helix":
+        jet = scaled_null_helix_jet(abs(a))
+    elif kind == "timelike-helix":
+        jet = timelike_helix_jet(abs(a), abs(a) * float(rng.uniform(1.2, 3.0)))
+    else:
+        jet = reparam_arclength(euclidean_helix_jet(float(rng.uniform(1.5, 2.5))), 0.0)
+    return jet.transformed(random_pp_motion(rng)) if rng.random() < 0.7 else jet
+
+
+FRAME_CASES = {
+    "circle": FrenetCase.SPACELIKE_SP_N,
+    "hyperbola-spacelike": FrenetCase.SPACELIKE_TL_N,
+    "hyperbola-timelike": FrenetCase.TIMELIKE,
+    "parabola": FrenetCase.SPACELIKE_LL_N,
+    "null-helix": FrenetCase.LIGHTLIKE,
+    "timelike-helix": FrenetCase.TIMELIKE,
+    "reparam-helix": FrenetCase.TIMELIKE,
+}
+FRAME_KINDS = list(FRAME_CASES)
+
+
+class TestFloatFrames:
+    @pytest.mark.parametrize("kind", FRAME_KINDS)
+    def test_bits_match_the_numpy_frame(self, kind):
+        rng = np.random.default_rng(FRAME_KINDS.index(kind))
+        for _ in range(40):
+            jet = random_frame_jet(rng, kind)
+            lo, hi = jet.domain
+            for s in rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5).tolist():
+                fr = frenet(jet, s)
+                assert fr.case is FRAME_CASES[kind]
+                got = frame_bytes(fr.T, fr.N, fr.B, fr.case, fr.kappa, fr.tau)
+                assert got == frame_bytes(*numpy_frenet(jet, s))
+                assert type(fr.tau) is float
+                assert fr.kappa is None or type(fr.kappa) is float
+
+    def test_frame_at_returns_the_jets_tangent(self):
+        vel = np.array([0.0, 0.0, 1.0])
+        jet = CurveJet(lambda t: t * vel, lambda t: vel, lambda t: np.array([1.0, 0.0, 0.0]),
+                       lambda t: np.zeros(3), domain=(-1, 1))
+        t_vec, n_vec, b_vec, case, kappa = curves._frame_at(jet, 0.0)
+        assert t_vec is vel and case is FrenetCase.TIMELIKE and kappa == 1.0
+        assert type(n_vec) is np.ndarray and type(b_vec) is np.ndarray
+
+    @pytest.mark.parametrize("make, expected", [
+        (lambda: CurveJet(lambda t: np.array([0.0, np.cosh(2 * t), np.sinh(2 * t)]),
+                          lambda t: np.array([0.0, 2 * np.sinh(2 * t), 2 * np.cosh(2 * t)]),
+                          lambda t: np.array([0.0, 4 * np.cosh(2 * t), 4 * np.sinh(2 * t)]),
+                          domain=(-1, 1)),
+         "curve must be arc-length parametrized (|<T,T>| = 1)"),
+        (lambda: CurveJet(lambda t: np.array([t, 0.0, 0.0]), lambda t: np.array([1.0, 0.0, 0.0]),
+                          lambda t: np.array([1e-13, 0.0, 0.0]), lambda t: np.zeros(3),
+                          domain=(-1, 1)),
+         "T' vanishes: straight line, no Frenet frame"),
+        (double_null_helix_jet, "lightlike curve must be pseudo-arc-length parametrized"),
+        # a tangent of length just over 1e-6 counts as lightlike (|<T,T>| is
+        # within 1e-12), and its third coordinate, the null direction, is 0
+        (lambda: CurveJet(lambda t: np.zeros(3), lambda t: np.array([1.00000000000025e-6, 0.0, 0.0]),
+                          lambda t: np.array([0.0, 1.0, 0.0]), lambda t: np.zeros(3), domain=(-1, 1)),
+         "degenerate null direction"),
+    ])
+    def test_same_errors_as_the_numpy_frame(self, make, expected):
+        jet = make()
+        with pytest.raises(GeometryError) as want:
+            numpy_frenet(jet, 0.3)
+        with pytest.raises(GeometryError) as got:
+            frenet(jet, 0.3)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        assert str(got.value) == expected
+
+    @pytest.mark.parametrize("pair_with_null", [True, False])
+    def test_null_partner_keeps_signed_zeros(self, pair_with_null):
+        # a t + b n sums to -0.0 in one coordinate, and the c * 0.0 term (c > 0)
+        # turns it into 0.0: dropping that term would flip the sign bit
+        for unit, null in (([1.0, 0.0, 0.0], [-0.0, 1.0, -1.0]), ([-0.0, 1.0, 0.0], [1.0, -0.0, -1.0])):
+            got = np.array(curves._null_partner(unit, null, pair_with_null))
+            want = numpy_null_partner(np.array(unit), np.array(null), pair_with_null)
+            assert got.tobytes() == want.tobytes()
+
+
+def tilted_circle_jet(k: float) -> CurveJet:
+    """Unit-speed circle of curvature k in the spacelike plane spanned by
+    e1 = (1, 0, 0) and e2 = (0, cosh 1e-3, sinh 1e-3)."""
+    e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, np.cosh(1e-3), np.sinh(1e-3)])
+    return CurveJet(
+        lambda s: (np.cos(k * s) * e1 + np.sin(k * s) * e2) / k,
+        lambda s: -np.sin(k * s) * e1 + np.cos(k * s) * e2,
+        lambda s: -k * (np.cos(k * s) * e1 + np.sin(k * s) * e2),
+        lambda s: k * (k * (np.sin(k * s) * e1 - np.cos(k * s) * e2)),
+        domain=(-1.0 / k, 1.0 / k),
+    )
+
+
+class TestFrameOverflow:
+    def test_curvature_1e155_is_an_error_not_a_null_normal(self):
+        # |T'|^2 overflows: the numpy frame called T' lightlike and returned
+        # SPACELIKE_LL_N with kappa None, with only RuntimeWarnings
+        assert frenet(tilted_circle_jet(1.0), 0.5).case is FrenetCase.SPACELIKE_SP_N
+        jet = tilted_circle_jet(1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="T' too large: its squared length overflows"):
+                curves._frame_at(jet, 0.5 / 1e155)
+            with pytest.raises(GeometryError, match="T' too large"):
+                frenet(jet, 0.5 / 1e155)
+
+    def test_tangent_overflow_keeps_its_message(self):
+        jet = generate_constant_curvature(PlaneCase.LIGHTLIKE_PLANE, 1e160)
+        with pytest.raises(GeometryError, match="^vector too large: its squared length overflows$"):
+            frenet(jet, 0.1)
+
+    def test_torsion_overflow_is_named(self):
+        # T, N and B are unit, B = (0, -sinh 1, -cosh 1), and <alpha''', B> overflows
+        jet = CurveJet(lambda s: np.zeros(3), lambda s: np.array([1.0, 0.0, 0.0]),
+                       lambda s: np.array([0.0, np.cosh(1.0), np.sinh(1.0)]),
+                       lambda s: np.array([0.0, 1e308, -1e308]), domain=(-1, 1))
+        with pytest.raises(GeometryError, match="^torsion overflows"):
+            frenet(jet, 0.0)
+
+    def test_null_timelike_normal_is_an_error(self):
+        # <T,T> = -1 and T' = (1, 0, 1) is lightlike: kappa = 0, no unit normal
+        jet = CurveJet(lambda s: np.zeros(3), lambda s: np.array([0.0, 0.0, 1.0]),
+                       lambda s: np.array([1.0, 0.0, 1.0]), lambda s: np.zeros(3), domain=(-1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="no unit normal"):
+                frenet(jet, 0.0)
+
+
+#: unit-curvature curves as (alpha', alpha'', alpha''') at parameter u, with
+#: their Frenet case; the null helix is in pseudo-arc length
+UNIT_CURVES = {
+    "circle": (FrenetCase.SPACELIKE_SP_N,
+               lambda u: [[-np.sin(u), np.cos(u), 0.0], [-np.cos(u), -np.sin(u), 0.0],
+                          [np.sin(u), -np.cos(u), 0.0]]),
+    "hyperbola-spacelike": (FrenetCase.SPACELIKE_TL_N,
+                            lambda u: [[0.0, np.cosh(u), np.sinh(u)], [0.0, np.sinh(u), np.cosh(u)],
+                                       [0.0, np.cosh(u), np.sinh(u)]]),
+    "hyperbola-timelike": (FrenetCase.TIMELIKE,
+                           lambda u: [[0.0, np.sinh(u), np.cosh(u)], [0.0, np.cosh(u), np.sinh(u)],
+                                      [0.0, np.sinh(u), np.cosh(u)]]),
+    "null-helix": (FrenetCase.LIGHTLIKE,
+                   lambda u: [[-np.sin(u), np.cos(u), 1.0], [-np.cos(u), -np.sin(u), 0.0],
+                              [np.sin(u), -np.cos(u), 0.0]]),
+}
+
+
+def scaled_moved_jet(kind: str, lam: float, motion: np.ndarray) -> CurveJet:
+    """UNIT_CURVES[kind] scaled by lam and moved by the Lorentz matrix
+    `motion`: s -> lam alpha(s/lam), or lam^2 alpha(s/lam) for the null helix,
+    so that the parameter stays arc length (pseudo-arc length)."""
+    derivs = UNIT_CURVES[kind][1]
+    f1, f2, f3 = (lam, 1.0, 1.0 / lam) if kind == "null-helix" else (1.0, 1.0 / lam, 1.0 / lam / lam)
+
+    def nth(i, f):
+        def value(s):
+            with np.errstate(all="ignore"):  # the jet's own overflow is its business
+                return motion @ (np.array(derivs(s / lam)[i]) * f)
+        return value
+
+    return CurveJet(lambda s: np.zeros(3), nth(0, f1), nth(1, f2), nth(2, f3), domain=(-lam, lam))
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(UNIT_CURVES)), k=st.floats(-300, 300), u=st.floats(-1, 1),
+       theta=st.floats(0, 2 * np.pi), phi=st.floats(-3, 3), psi=st.floats(0, 2 * np.pi))
+def test_scaled_and_boosted_frames_keep_their_case_or_raise(kind, k, u, theta, phi, psi):
+    # boosts of rapidity up to 3 keep |<T',T'>| above 1e-3 |T'|^2, far from
+    # the null band; the scale 10^k runs from underflow to overflow
+    lam = 10.0 ** k
+    motion = isometry.boost_timelike(theta) @ isometry.boost_spacelike(phi) @ isometry.boost_timelike(psi)
+    jet = scaled_moved_jet(kind, lam, motion)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fr = frenet(jet, lam * u)
+        except GeometryError as exc:
+            assert str(exc)
+            return
+    assert fr.case is UNIT_CURVES[kind][0]
+    assert math.isfinite(fr.tau)
+    assert (fr.kappa is None) == (kind == "null-helix")
+    assert fr.kappa is None or math.isfinite(fr.kappa)

@@ -111,54 +111,59 @@ def as_vec3(v) -> np.ndarray:
 def lorentz_dot(u, v) -> np.ndarray | float:
     """<u,v> = u1 v1 + u2 v2 - u3 v3.  Broadcasts over leading axes.
 
-    Two single vectors are multiplied on Python floats, the same products
-    in the same order as numpy's; a result that is not finite is computed
-    again in numpy, so overflow warns or raises as np.errstate says.
+    Two single vectors are multiplied on Python floats; a result that is
+    not finite is computed again in numpy, so overflow warns or raises as
+    np.errstate says.
     """
     u, v = as_vec3(u), as_vec3(v)
     if u.ndim == 1 and v.ndim == 1:
         r = _dot3(u.tolist(), v.tolist())
         if math.isfinite(r):
             return r
-    r = _lorentz_dot(u, v)
+    r = _dot3(_coords(u), _coords(v))
     return r if r.ndim else float(r)
 
 
-def _dot3(u: list, v: list) -> float:
-    """`_lorentz_dot` of two vectors given as lists of three Python floats."""
+# Each formula of the metric is written out once, below, on coordinate
+# triples: three Python floats, or the three coordinate arrays of an (..., 3)
+# array (`_coords(a)`, or `a.T` for shape (n, 3)), which get the same bits.
+
+
+def _coords(a: np.ndarray) -> tuple:
+    """The coordinate triple of an (..., 3) array.  A single vector gives
+    0-d arrays, so overflow signals as numpy's array arithmetic does."""
+    return a[..., 0], a[..., 1], a[..., 2]
+
+
+def _dot3(u, v):
+    """Lorentz product of two coordinate triples."""
     (u1, u2, u3), (v1, v2, v3) = u, v
     return u1 * v1 + u2 * v2 - u3 * v3
 
 
-def _lorentz_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`lorentz_dot` of arrays already checked by `as_vec3`."""
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
+def _edot3(u, v):
+    """Euclidean product of two coordinate triples."""
+    (u1, u2, u3), (v1, v2, v3) = u, v
+    return u1 * v1 + u2 * v2 + u3 * v3
+
+
+def _cross3(u, v) -> list:
+    """Lorentzian cross product of two coordinate triples, as a list of the
+    three coordinates: np.cross's products with the third one negated."""
+    (u1, u2, u3), (v1, v2, v3) = u, v
+    return [u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, -(u1 * v2 - u2 * v1)]
 
 
 def _squares3(v: list, name: str = "vector") -> tuple[float, float]:
-    """(<v,v>, |v|_euclid^2) of a vector given as three Python floats: the
-    sums of `_lorentz_dot` and `_euclid_sq`, term for term.  Raises
-    GeometryError naming `name` when the second (so possibly the first,
-    which is no larger) overflows."""
+    """(<v,v>, |v|_euclid^2) of a vector given as three Python floats, the
+    sums of `_dot3` and `_edot3` fused for speed.  Raises GeometryError
+    naming `name` when the second (so possibly the first, which is no
+    larger) overflows."""
     x, y, z = v
     xy = x * x + y * y
     q, e = xy - z * z, xy + z * z
     if not math.isfinite(e):
         raise GeometryError(f"{name} too large: its squared length overflows")
-    return q, e
-
-
-def _squares(v: np.ndarray):
-    """(<v,v>, |v|_euclid^2) of an array already checked by `as_vec3`, or
-    GeometryError when either overflows."""
-    if v.ndim == 1:
-        q, e = _squares3(v.tolist())
-        return np.float64(q), np.float64(e)
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = _lorentz_dot(v, v)
-        e = _euclid_sq(v)
-    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(e))):
-        raise GeometryError("vector too large: its squared length overflows")
     return q, e
 
 
@@ -174,14 +179,10 @@ def lorentz_norm(v) -> np.ndarray | float:
         if math.isfinite(q):
             return np.float64(math.sqrt(abs(q)))
     with np.errstate(over="ignore", invalid="ignore"):
-        q = _lorentz_dot(v, v)
+        q = _dot3(_coords(v), _coords(v))
     if not np.all(np.isfinite(q)):
         raise GeometryError("vector too large: its Lorentz square overflows")
     return np.sqrt(np.abs(q))
-
-
-def _euclid_sq(v: np.ndarray) -> np.ndarray | float:
-    return (v * v).sum(axis=-1)
 
 
 def _is_null_product(q, scale_sq) -> bool:
@@ -197,21 +198,10 @@ def cross(u, v) -> np.ndarray:
     """
     u, v = as_vec3(u), as_vec3(v)
     if u.ndim == 1 and v.ndim == 1:
-        (u1, u2, u3), (v1, v2, v3) = u.tolist(), v.tolist()
-        e = [u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, -(u1 * v2 - u2 * v1)]
+        e = _cross3(u.tolist(), v.tolist())
         if math.isfinite(e[0] + e[1] + e[2]):
             return np.array(e)
-    return _cross(u, v)
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`cross` of arrays already checked by `as_vec3`; the same products
-    and differences as np.cross, with the third component negated."""
-    e = np.empty(np.broadcast(u, v).shape)
-    e[..., 0] = u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1]
-    e[..., 1] = u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2]
-    e[..., 2] = -(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
-    return e
+    return np.stack(_cross3(_coords(u), _coords(v)), axis=-1)
 
 
 def causal_class(v) -> CausalClass:
@@ -222,7 +212,7 @@ def causal_class(v) -> CausalClass:
     v = as_vec3(v)
     if v.ndim != 1:
         raise GeometryError("causal_class expects a single vector")
-    q, e = _squares(v)
+    q, e = _squares3(v.tolist())
     if _is_null_product(q, e):
         if e <= REL_TOL:
             return CausalClass.SPACELIKE  # zero vector, by convention
@@ -251,7 +241,7 @@ class Subspace:
         scale = float(np.prod(1.0 + np.diag(ge)))
         if np.linalg.det(ge) <= REL_TOL * scale and len(gens) == 2:
             raise GeometryError("generators are linearly dependent")
-        if len(gens) == 1 and _euclid_sq(gens[0]) <= REL_TOL:
+        if len(gens) == 1 and _edot3(gens[0], gens[0]) <= REL_TOL:
             raise GeometryError("a single generator must be nonzero")
         object.__setattr__(self, "generators", gens)
         gl = m @ METRIC @ m.T
@@ -267,12 +257,12 @@ def causal_class_subspace(s: Subspace) -> CausalClass:
     lightlike = degenerate (and the subspace is nonzero)."""
     if s.dim == 1:
         g = float(s.gram[0, 0])
-        scale = float(_euclid_sq(s.generators[0]))
+        scale = float(_edot3(s.generators[0], s.generators[0]))
         if _is_null_product(g, scale):
             return CausalClass.LIGHTLIKE
         return CausalClass.SPACELIKE if g > 0 else CausalClass.TIMELIKE
     det = float(np.linalg.det(s.gram))
-    scale = float(np.prod([1.0 + _euclid_sq(g) for g in s.generators]))
+    scale = float(np.prod([1.0 + _edot3(g, g) for g in s.generators]))
     if abs(det) <= REL_TOL * scale:
         return CausalClass.LIGHTLIKE
     # In index-1 ambient a definite restriction to a plane is positive definite.

@@ -48,7 +48,7 @@ from .core import (
     lorentz_norm,
     write_csv,
 )
-from .core import _dot3, _is_null_product, _squares3
+from .core import _cross3, _dot3, _edot3, _squares3
 
 __all__ = [
     "CurveJet",
@@ -412,8 +412,9 @@ def _classify_normal(q: float, e: float) -> CausalClass:
     return CausalClass.SPACELIKE if q > 0 else CausalClass.TIMELIKE
 
 
-def _null_partner(unit: list, null: list, pair_with_null: bool) -> list:
-    """The unique lightlike B with <B,null> = 1 that completes the frame.
+def _null_partner(unit: list, null: list, null_sq: float, pair_with_null: bool) -> list:
+    """The unique lightlike B with <B,null> = 1 that completes the frame;
+    null_sq is |null|_euclid^2.
 
     pair_with_null=True : unit=T spacelike, null=N;   <B,B>=0, <B,T>=0, <B,N>=1
     pair_with_null=False: null=T lightlike, unit=N;   <B,B>=0, <B,N>=0, <B,T>=1
@@ -422,7 +423,7 @@ def _null_partner(unit: list, null: list, pair_with_null: bool) -> list:
     """
     w = [0.0, 0.0, 1.0]  # <w, null> = -null_z, nonzero for null vectors
     d = _dot3(w, null)
-    if abs(d) < 1e-14:
+    if abs(d) < 1e-14 * math.sqrt(null_sq):
         raise GeometryError("degenerate null direction")
     c = 1.0 / d
     if pair_with_null:
@@ -453,17 +454,19 @@ _SPACELIKE_CASE = {
 
 def _frame_at(jet: CurveJet, s: float):
     """Frame (T, N, B) and case at s, without torsion, on Python floats: one
-    `tolist()` per jet value, then the bits of `causal_class`, `lorentz_norm`
-    and `cross`.  T, and N in the null-normal cases, are the jet's arrays."""
+    `tolist()` per jet value, then the formulas of `core` on those triples.
+    T, and N in the null-normal cases, are the jet's arrays."""
     t_vec = jet.velocity(s)
     t = t_vec.tolist()
     q, e = _squares3(t)
-    if _is_null_product(q, e) and e > REL_TOL:  # causal_class(T) is LIGHTLIKE
+    # relative to |T|^2 > 0, as in `_classify_normal`: `causal_class` would
+    # take a small lightlike T, |T|^2 <= REL_TOL, for the zero vector
+    if 0.0 < e and abs(q) <= REL_TOL * e:
         n_vec = jet.acceleration(s)
         n = n_vec.tolist()
         if abs(_squares3(n, "N")[0] - 1.0) > 1e-6:
             raise GeometryError("lightlike curve must be pseudo-arc-length parametrized")
-        return t_vec, n_vec, _finite_array(_null_partner(n, t, False), "B"), FrenetCase.LIGHTLIKE, None
+        return t_vec, n_vec, _finite_array(_null_partner(n, t, e, False), "B"), FrenetCase.LIGHTLIKE, None
     if abs(abs(q) - 1.0) > 1e-6:
         raise GeometryError("curve must be arc-length parametrized (|<T,T>| = 1)")
     tp_vec = jet.acceleration(s)
@@ -474,13 +477,12 @@ def _frame_at(jet: CurveJet, s: float):
     # T is timelike iff q < 0 here, and T' of a timelike curve is always spacelike
     case = FrenetCase.TIMELIKE if q < 0 else _SPACELIKE_CASE[_classify_normal(qp, ep)]
     if case is FrenetCase.SPACELIKE_LL_N:
-        return t_vec, tp_vec, _finite_array(_null_partner(t, tp, True), "B"), case, None
+        return t_vec, tp_vec, _finite_array(_null_partner(t, tp, ep, True), "B"), case, None
     kappa = math.sqrt(abs(qp))
     if not kappa:
         raise GeometryError("T' is lightlike: no unit normal N = T'/kappa")
     n = [x / kappa for x in tp]
-    (t1, t2, t3), (n1, n2, n3) = t, n
-    b = [t2 * n3 - t3 * n2, t3 * n1 - t1 * n3, -(t1 * n2 - t2 * n1)]
+    b = _cross3(t, n)
     return t_vec, np.array(n), _finite_array(b, "B"), case, kappa  # B is finite only if N is
 
 
@@ -538,8 +540,8 @@ def curvature_torsion_general(jet: CurveJet, t: float) -> tuple[float, float]:
     cva = cross(v, a)
     cva_sq = float(lorentz_dot(cva, cva))
     speed_sq = -float(lorentz_dot(v, v))
-    scale = (1.0 + float((v * v).sum())) * (1.0 + float((a * a).sum()))
-    if abs(cva_sq) <= REL_TOL * scale:
+    # relative to |v|^2 |a|^2, so a small curvature is not taken for a line
+    if abs(cva_sq) <= REL_TOL * _edot3(v, v) * _edot3(a, a):
         return 0.0, 0.0
     kappa = float(np.sqrt(abs(cva_sq))) / speed_sq ** 1.5
     j = jet.jerk(t)

@@ -34,8 +34,9 @@ from .core import (
     CausalClass,
     CausalTypeError,
     GeometryError,
-    _cross,
-    _lorentz_dot,
+    _cross3,
+    _dot3,
+    _edot3,
     as_vec3,
     lorentz_dot,
 )
@@ -215,12 +216,16 @@ class CurvatureBatch:
 # accept scalars (a batch of one, returning the per-point types) or 1-D
 # arrays (broadcast against each other).  A single point of
 # `shape_and_curvatures` goes through `_point_curvatures` instead, and
-# `mean_curvature_foliated` through `_point_first_coeffs`: the same
-# evaluator calls, products and sums in the same order on Python floats, so
-# the same bits.  The batch keeps no step that Python floats round
-# differently (`np.vecdot`, `np.linalg.det`, `np.linalg.eigvals`); both
-# paths take the shape matrix from the same 2x2 `np.linalg.solve`.  At its
-# first value that is not finite, a point goes to the batch of one, whose
+# `mean_curvature_foliated` through `_point_first_coeffs`: Python floats,
+# with the same evaluator calls in the same order.  Each formula of the
+# metric is written once, in `core`, on coordinate triples (`_dot3`,
+# `_edot3`, `_cross3`), and the first form once, in `_first_terms`; both
+# paths call them, and both take the shape matrix from the same 2x2
+# `np.linalg.solve`, so they give the same bits.  The 2x2 algebra after the
+# solve (trace, determinant, eigenvalues) has a float and an array copy,
+# and the batch keeps no step that Python floats round differently
+# (`np.vecdot`, `np.linalg.det`, `np.linalg.eigvals`).  At its first value
+# that is not finite, a point goes to the batch of one, whose
 # numpy arithmetic warns or raises as np.errstate says.
 
 
@@ -245,6 +250,16 @@ def _not_immersed(u, v) -> GeometryError:
     return GeometryError(f"chart is not an immersion at (u,v)=({u:g},{v:g})")
 
 
+def _first_terms(xu, xv):
+    """(Euclidean Gram determinant, E, F, G, W = EG - F^2, immersion and
+    lightlike tolerances) of the coordinate triples X_u and X_v."""
+    uu, uv, vv = _edot3(xu, xu), _edot3(xu, xv), _edot3(xv, xv)
+    pu, pv = 1.0 + uu, 1.0 + vv
+    gram, flat_tol = uu * vv - uv * uv, REL_TOL * pu * pv
+    E, F, G = _dot3(xu, xu), _dot3(xu, xv), _dot3(xv, xv)
+    return gram, E, F, G, E * G - F * F, flat_tol, _DEGENERATE_TOL * (pu * pv)
+
+
 def _first_coeffs(chart: SurfaceChart, us, vs, lightlike: Optional[str] = None):
     """X_u, X_v, E, F, G, W = EG - F^2 and the lightlike mask at every point.
 
@@ -255,15 +270,9 @@ def _first_coeffs(chart: SurfaceChart, us, vs, lightlike: Optional[str] = None):
     xu = _values(chart.du, us, vs)
     xv = _values(chart.dv, us, vs)
     # immersion check with the Euclidean Gram determinant
-    uu, uv, vv = (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
-                  for a, b in ((xu, xu), (xu, xv), (xv, xv)))
-    pu, pv = 1.0 + uu, 1.0 + vv
-    flat = uu * vv - uv * uv <= REL_TOL * pu * pv
-    E = _lorentz_dot(xu, xu)
-    F = _lorentz_dot(xu, xv)
-    G = _lorentz_dot(xv, xv)
-    w = E * G - F * F
-    null = np.abs(w) <= _DEGENERATE_TOL * (pu * pv)
+    gram, E, F, G, w, flat_tol, null_tol = _first_terms(xu.T, xv.T)
+    flat = gram <= flat_tol
+    null = np.abs(w) <= null_tol
     bad = flat | null if lightlike else flat
     if bad.any():
         k = int(np.argmax(bad))
@@ -287,17 +296,7 @@ def _point_first_coeffs(chart: SurfaceChart, u, v, lightlike: Optional[str] = No
     xu, xv = _point_value(chart.du, u, v), _point_value(chart.dv, u, v)
     if xu is None or xv is None:
         return None
-    (a0, a1, a2), (b0, b1, b2) = xu, xv
-    uu = a0 * a0 + a1 * a1 + a2 * a2
-    uv = a0 * b0 + a1 * b1 + a2 * b2
-    vv = b0 * b0 + b1 * b1 + b2 * b2
-    pu, pv = 1.0 + uu, 1.0 + vv
-    gram, flat_tol = uu * vv - uv * uv, REL_TOL * pu * pv
-    E = a0 * a0 + a1 * a1 - a2 * a2
-    F = a0 * b0 + a1 * b1 - a2 * b2
-    G = b0 * b0 + b1 * b1 - b2 * b2
-    w = E * G - F * F
-    null_tol = _DEGENERATE_TOL * (pu * pv)
+    gram, E, F, G, w, flat_tol, null_tol = _first_terms(xu, xv)
     # every value the batch computes is a term, or inside one: an inf or NaN
     # anywhere makes the sum non-finite
     if not math.isfinite(gram + flat_tol + E + F + G + w + null_tol):
@@ -311,18 +310,23 @@ def _point_first_coeffs(chart: SurfaceChart, u, v, lightlike: Optional[str] = No
 
 def _unit_normals(chart: SurfaceChart, us, vs, lightlike: str) -> np.ndarray:
     xu, xv, _, _, _, w, _ = _first_coeffs(chart, us, vs, lightlike)
-    n = _cross(xu, xv)
-    n = n / np.sqrt(np.abs(_lorentz_dot(n, n)))[:, None]  # lorentz_norm
+    n = _cross3(xu.T, xv.T)
+    n = np.stack(n, axis=-1) / np.sqrt(np.abs(_dot3(n, n)))[:, None]  # lorentz_norm
     # future-directed on spacelike points
     return n * np.where((w > 0) & (n[:, 2] < 0), -1.0, 1.0)[:, None]
 
 
 def _second_coeffs(chart: SurfaceChart, us, vs):
     n = _unit_normals(chart, us, vs, "no unit normal at a lightlike point")
-    e = _lorentz_dot(n, _values(chart.duu, us, vs))
-    f = _lorentz_dot(n, _values(chart.duv, us, vs))
-    g = _lorentz_dot(n, _values(chart.dvv, us, vs))
+    e, f, g = (_dot3(n.T, _values(d, us, vs).T) for d in (chart.duu, chart.duv, chart.dvv))
     return e, f, g
+
+
+def _half_gap_sq(a: np.ndarray) -> np.ndarray:
+    """d^2 + a12 a21 with d = (a11 - a22)/2, for a stack of 2x2 matrices:
+    the square of half the gap between their eigenvalues."""
+    d = (a[:, 0, 0] - a[:, 1, 1]) / 2
+    return d * d + a[:, 0, 1] * a[:, 1, 0]
 
 
 def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
@@ -365,12 +369,22 @@ def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
         scalar[timelike] = repeated & (offdiag <= UMBILIC_TOL * ascale) & finite[timelike]
         principal[scalar] = half[scalar, None]
     if real.any():
-        # eigenvalues half -+ sqrt(d^2 + a12 a21) of the 2x2 shape matrix
+        # eigenvalues half -+ sqrt(d^2 + a12 a21) of the 2x2 shape matrix;
+        # where that sum overflows, the root is taken of the entries scaled
+        # by their largest magnitude
         ar, hr = a[real], half[real]
-        d = (ar[:, 0, 0] - ar[:, 1, 1]) / 2
-        root = np.sqrt(np.maximum(d * d + ar[:, 0, 1] * ar[:, 1, 0], 0.0))
+        rad = _half_gap_sq(ar)
+        big = ~np.isfinite(rad)
+        m = np.abs(ar[big]).reshape(-1, 4).max(axis=1)
+        rad[big] = _half_gap_sq(ar[big] / m[:, None, None])
+        root = np.sqrt(np.maximum(rad, 0.0))
+        root[big] *= m
         principal[real, 0] = hr - root
         principal[real, 1] = hr + root
+        # an eigenvalue that is not finite leaves the point not diagonalizable
+        lost = real & ~np.isfinite(principal).all(axis=1)
+        principal[lost] = np.nan
+        real &= ~lost
     return CurvatureBatch(H, K, a, principal, real | scalar, umbilic, space)
 
 
@@ -386,19 +400,20 @@ def _point_curvatures(chart: SurfaceChart, u, v) -> Optional[CurvatureData]:
     second = _point_first_coeffs(chart, u, v, "no unit normal at a lightlike point")
     if second is None:
         return None
-    (a0, a1, a2), (b0, b1, b2), _, _, _, wn = second
-    n0, n1, n2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, -(a0 * b1 - a1 * b0)
-    norm = math.sqrt(abs(n0 * n0 + n1 * n1 - n2 * n2))
+    xu, xv, _, _, _, wn = second
+    n = _cross3(xu, xv)
+    norm = math.sqrt(abs(_dot3(n, n)))
     if not 0.0 < norm < math.inf:
         return None
-    n0, n1, n2 = n0 / norm, n1 / norm, n2 / norm
+    n0, n1, n2 = n[0] / norm, n[1] / norm, n[2] / norm
     flip = -1.0 if wn > 0 and n2 < 0 else 1.0
-    n0, n1, n2 = n0 * flip, n1 * flip, n2 * flip
-    second_partials = [_point_value(d, u, v) for d in (chart.duu, chart.duv, chart.dvv)]
-    if None in second_partials:
+    n = n0 * flip, n1 * flip, n2 * flip
+    xuu, xuv = _point_value(chart.duu, u, v), _point_value(chart.duv, u, v)
+    xvv = _point_value(chart.dvv, u, v)
+    if xuu is None or xuv is None or xvv is None:
         return None
-    e, f, g = (n0 * x0 + n1 * x1 - n2 * x2 for x0, x1, x2 in second_partials)
-    if not math.isfinite(n0 + n1 + n2 + e + f + g):
+    e, f, g = _dot3(n, xuu), _dot3(n, xuv), _dot3(n, xvv)
+    if not math.isfinite(n[0] + n[1] + n[2] + e + f + g):
         return None
     a = np.linalg.solve(np.array([[E, F], [F, G]]), np.array([[e, f], [f, g]]))
     (p, q), (r, t) = a.tolist()

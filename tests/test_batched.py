@@ -418,3 +418,31 @@ def test_shape_matrix_not_finite_is_not_diagonalizable(xu):
     assert not np.isfinite(point.shape_matrix).all()
     assert point.principal is None and point.diagonalizable is False
     assert not batch.diagonalizable.any() and np.isnan(batch.principal).all()
+
+
+@pytest.mark.parametrize("xuu, xvv, eigenvalue", [
+    # A = [[1.15e308, 0], [0, 0]]: d^2 in sqrt(d^2 + a12 a21) overflows
+    (1.5e308, 0.0, 1.1547005383792517e+308),
+    # A = diag(a, -a), a = 9.2e307: a11 - a22 itself overflows
+    (1.2e308, -1.6e308, 9.237604307034012e+307),
+    # A = diag(1.15e308, 8.7e307): its trace overflows, so the eigenvalues do
+    (1.5e308, 1.5e308, None),
+])
+def test_large_finite_shape_matrix(xuu, xvv, eigenvalue):
+    xu, xv = np.array([1.0, 0.0, 0.5]), np.array([0.0, 1.0, 0.0])
+    chart = SurfaceChart(lambda u, v: u * xu + v * xv, lambda u, v: xu, lambda u, v: xv,
+                         lambda u, v: np.array([xuu, 0.0, 0.0]), lambda u, v: np.zeros(3),
+                         lambda u, v: np.array([xvv, 0.0, 0.0]))
+    with np.errstate(all="ignore"):
+        point = shape_and_curvatures(chart, 0.1, 0.2)
+        batch = shape_and_curvatures(chart, np.array([0.1, 0.3]), np.array([0.2, 0.4]))
+    assert np.isfinite(point.shape_matrix).all()
+    if eigenvalue is None:
+        assert point.principal is None and point.diagonalizable is False
+        assert not batch.diagonalizable.any() and np.isnan(batch.principal).all()
+    else:
+        smaller = 0.0 if xvv == 0.0 else -eigenvalue
+        assert point.diagonalizable and point.principal == (smaller, eigenvalue)
+        assert batch.diagonalizable.all() and (batch.principal == [smaller, eigenvalue]).all()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        shape_and_curvatures(chart, 0.1, 0.2)

@@ -209,10 +209,10 @@ class TestSingleVectorFloatPath:
         assert np.isfinite(euclid_ref).all() and (np.abs(dot_ref) < 1e-300).any()
         dots = [lorentz_dot(a, b) for a, b in zip(u, v)]
         norms = [lorentz_norm(a) for a in u]
-        squares = [core._squares(a) for a in u]
+        squares = [core._squares3(a) for a in u.tolist()]
         assert {type(x) for x in dots} == {float}
         assert {type(x) for x in norms} == {np.float64}
-        assert {type(x) for pair in squares for x in pair} == {np.float64}
+        assert {type(x) for pair in squares for x in pair} == {float}
         assert np.array_equal(_bits(dots), _bits(dot_ref))
         assert np.array_equal(_bits(norms), _bits(norm_ref))
         assert np.array_equal(_bits([q for q, _ in squares]), _bits(sq_ref))
@@ -220,6 +220,23 @@ class TestSingleVectorFloatPath:
         ref = np.cross(u[:2000], v[:2000])
         ref[:, 2] = -ref[:, 2]
         assert np.array_equal(_bits([cross(a, b) for a, b in zip(u[:2000], v[:2000])]), _bits(ref))
+
+    def test_triples_of_floats_and_of_arrays_give_the_same_bits(self):
+        rng = np.random.default_rng(22)
+        u, v = _spread_vectors(rng, 20_000), _spread_vectors(rng, 20_000)
+        # finite coordinates whose products overflow to inf, and sums of those that are NaN
+        big = rng.choice([-1.0, 1.0], size=(2, 200, 3)) * 10.0 ** rng.uniform(155, 300, size=(2, 200, 3))
+        u[:200], v[:200] = big
+        with np.errstate(over="ignore", invalid="ignore"):
+            refs = {core._dot3: u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] - u[:, 2] * v[:, 2],
+                    core._edot3: (u * v).sum(axis=-1),
+                    core._cross3: np.cross(u, v) * [1.0, 1.0, -1.0]}
+            for helper, ref in refs.items():
+                arrays = np.array(helper(u.T, v.T)).T
+                floats = np.array([helper(a, b) for a, b in zip(u.tolist(), v.tolist())])
+                assert np.array_equal(_bits(floats), _bits(arrays))
+                assert np.array_equal(floats, ref, equal_nan=True)
+                assert np.isinf(floats).any() and np.isnan(floats).any()
 
     def test_overflow_still_signals_through_numpy(self):
         big = [1e200, 0.0, 0.0]

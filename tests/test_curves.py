@@ -599,11 +599,12 @@ class TestGeneralFormulas:
         npt.assert_allclose(k1, fr.kappa, atol=1e-6)
         npt.assert_allclose(t1, fr.tau, atol=1e-6)
 
-    @pytest.mark.parametrize("rho, a", [(0.8, 1.5), (1.2, -2.0)])
+    @pytest.mark.parametrize("rho, a", [(0.8, 1.5), (1.2, -2.0), (1e-6, 1.0)])
     def test_agrees_with_frenet_on_a_unit_speed_helix(self, rho, a):
         # (rho cos(t/w), rho sin(t/w), a t/w), w^2 = a^2 - rho^2: unit-speed
         # timelike, so frenet needs no reparametrization and both routes read
-        # the same closed-form jet
+        # the same closed-form jet; at rho = 1e-6, |a' x a''|^2 = 1e-12 is
+        # small, but it is no straight piece
         w = np.sqrt(a * a - rho * rho)
         jet = CurveJet(
             lambda t: np.array([rho * np.cos(t / w), rho * np.sin(t / w), a * t / w]),
@@ -774,8 +775,10 @@ class TestPlanarityTorsion:
         assert abs(np.linalg.det(diffs)) > 1e-3
 
     def test_scaled_null_helix_torsion(self):
-        for c in (1.0, 1.5):
+        # |T|^2 = 2 c^2: at c = 1e-7 within 1e-12 of 0, yet a null tangent
+        for c in (1.0, 1.5, 1e-7):
             fr = frenet(scaled_null_helix_jet(c), 0.3)
+            assert fr.case is FrenetCase.LIGHTLIKE
             npt.assert_allclose(fr.tau, -1.0 / (2 * c * c), atol=1e-9)
 
 
@@ -965,11 +968,6 @@ class TestFloatFrames:
                           domain=(-1, 1)),
          "T' vanishes: straight line, no Frenet frame"),
         (double_null_helix_jet, "lightlike curve must be pseudo-arc-length parametrized"),
-        # a tangent of length just over 1e-6 counts as lightlike (|<T,T>| is
-        # within 1e-12), and its third coordinate, the null direction, is 0
-        (lambda: CurveJet(lambda t: np.zeros(3), lambda t: np.array([1.00000000000025e-6, 0.0, 0.0]),
-                          lambda t: np.array([0.0, 1.0, 0.0]), lambda t: np.zeros(3), domain=(-1, 1)),
-         "degenerate null direction"),
     ])
     def test_same_errors_as_the_numpy_frame(self, make, expected):
         jet = make()
@@ -980,12 +978,25 @@ class TestFloatFrames:
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
         assert str(got.value) == expected
 
+    def test_short_spacelike_tangent_is_not_lightlike(self):
+        # |<T,T>| = |T|^2 is within 1e-12 of 0, the band the numpy frame used,
+        # but not within 1e-12 |T|^2; nor can such a T reach the null
+        # partner, whose third-coordinate test is relative too
+        jet = CurveJet(lambda t: np.zeros(3), lambda t: np.array([1.00000000000025e-6, 0.0, 0.0]),
+                       lambda t: np.array([0.0, 1.0, 0.0]), lambda t: np.zeros(3), domain=(-1, 1))
+        with pytest.raises(GeometryError, match=r"^curve must be arc-length parametrized \(\|<T,T>\| = 1\)$"):
+            frenet(jet, 0.3)
+        with pytest.raises(GeometryError, match="^degenerate null direction$"):
+            curves._null_partner([0.0, 1.0, 0.0], [1e-6, 0.0, 1e-21], 1e-12, False)
+        null = [1e-15, 0.0, 1e-15]
+        assert lorentz_dot(curves._null_partner([0.0, 1.0, 0.0], null, 2e-30, False), null) == 1.0
+
     @pytest.mark.parametrize("pair_with_null", [True, False])
     def test_null_partner_keeps_signed_zeros(self, pair_with_null):
         # a t + b n sums to -0.0 in one coordinate, and the c * 0.0 term (c > 0)
         # turns it into 0.0: dropping that term would flip the sign bit
         for unit, null in (([1.0, 0.0, 0.0], [-0.0, 1.0, -1.0]), ([-0.0, 1.0, 0.0], [1.0, -0.0, -1.0])):
-            got = np.array(curves._null_partner(unit, null, pair_with_null))
+            got = np.array(curves._null_partner(unit, null, 2.0, pair_with_null))
             want = numpy_null_partner(np.array(unit), np.array(null), pair_with_null)
             assert got.tobytes() == want.tobytes()
 

@@ -109,18 +109,11 @@ def as_vec3(v) -> np.ndarray:
 
 
 def lorentz_dot(u, v) -> np.ndarray | float:
-    """<u,v> = u1 v1 + u2 v2 - u3 v3.  Broadcasts over leading axes.
-
-    Two single vectors are multiplied on Python floats; a result that is
-    not finite is computed again in numpy, so overflow warns or raises as
+    """<u,v> = u1 v1 + u2 v2 - u3 v3.  Broadcasts over leading axes; two
+    single vectors give a Python float.  Overflow warns or raises as
     np.errstate says.
     """
-    u, v = as_vec3(u), as_vec3(v)
-    if u.ndim == 1 and v.ndim == 1:
-        r = _dot3(u.tolist(), v.tolist())
-        if math.isfinite(r):
-            return r
-    r = _dot3(_coords(u), _coords(v))
+    r = _dot3(_coords(as_vec3(u)), _coords(as_vec3(v)))
     return r if r.ndim else float(r)
 
 
@@ -172,14 +165,9 @@ def lorentz_norm(v) -> np.ndarray | float:
 
     Raises GeometryError when <v,v> overflows.
     """
-    v = as_vec3(v)
-    if v.ndim == 1:
-        x = v.tolist()
-        q = _dot3(x, x)
-        if math.isfinite(q):
-            return np.float64(math.sqrt(abs(q)))
+    x = _coords(as_vec3(v))
     with np.errstate(over="ignore", invalid="ignore"):
-        q = _dot3(_coords(v), _coords(v))
+        q = _dot3(x, x)
     if not np.all(np.isfinite(q)):
         raise GeometryError("vector too large: its Lorentz square overflows")
     return np.sqrt(np.abs(q))
@@ -193,15 +181,10 @@ def cross(u, v) -> np.ndarray:
     """Lorentzian vector product, defined by <u x v, w> = det(u, v, w).
 
     Equals the Euclidean cross product reflected through the plane {z=0};
-    the result is Lorentz-orthogonal to both factors.  Two single vectors
-    are multiplied on Python floats, as in `lorentz_dot`.
+    the result is Lorentz-orthogonal to both factors.  Broadcasts over
+    leading axes; overflow warns or raises as np.errstate says.
     """
-    u, v = as_vec3(u), as_vec3(v)
-    if u.ndim == 1 and v.ndim == 1:
-        e = _cross3(u.tolist(), v.tolist())
-        if math.isfinite(e[0] + e[1] + e[2]):
-            return np.array(e)
-    return np.stack(_cross3(_coords(u), _coords(v)), axis=-1)
+    return np.stack(_cross3(_coords(as_vec3(u)), _coords(as_vec3(v))), axis=-1)
 
 
 def causal_class(v) -> CausalClass:

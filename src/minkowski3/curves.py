@@ -42,10 +42,7 @@ from .core import (
     GeometryError,
     as_vec3,
     causal_class,
-    cross,
     hyperbolic_angle,
-    lorentz_dot,
-    lorentz_norm,
     write_csv,
 )
 from .core import _cross3, _dot3, _edot3, _squares3
@@ -265,6 +262,8 @@ def _monotone_map(rate: Callable[[float], float], t0: float, domain):
         if s == 0.0:
             return t0
         s_a, width, t_a, t_half, dcoef, scoef = table[min(bisect_right(s_ends, s), len(table)) - 1]
+        if not width:  # a panel of zero length: t0 within rounding of a domain end
+            return t_a
         target = s - s_a
         x, lo, hi = min(max(2.0 * target / width - 1.0, -1.0), 1.0), -1.0, 1.0
         for _ in range(_NEWTON_MAX):
@@ -294,6 +293,16 @@ def _monotone_map(rate: Callable[[float], float], t0: float, domain):
     return s_lo, s_hi, t_of_s
 
 
+def _norm(x: list) -> float:
+    """sqrt(|<x,x>|) of three Python floats; GeometryError when |x|^2 overflows."""
+    return math.sqrt(abs(_squares3(x)[0]))
+
+
+#: speeds |alpha'| at which the arc-length chain rule, with powers up to
+#: |alpha'|^5 and |alpha'|^-3, stays in the normal float range
+_SPEED_MIN, _SPEED_MAX = 1e-60, 1e60
+
+
 def reparam_arclength(jet: CurveJet, t0: float) -> CurveJet:
     """Arc-length reparametrization of a (strictly) spacelike or timelike curve.
 
@@ -301,7 +310,8 @@ def reparam_arclength(jet: CurveJet, t0: float) -> CurveJet:
     original point alpha(t0).  The unit-speed identity holds to rounding:
     the chain-rule factors are evaluated analytically at the inverted
     parameter, so errors in the inversion only slide along the curve.
-    t0 must lie in the closed domain.
+    t0 must lie in the closed domain.  The derivatives of beta raise
+    GeometryError where |alpha'| leaves [1e-60, 1e60].
     """
     _check_t0(jet, t0)
     c0 = classify_curve(jet, t0)
@@ -311,43 +321,49 @@ def reparam_arclength(jet: CurveJet, t0: float) -> CurveJet:
     eps = 1.0 if c0 is CausalClass.SPACELIKE else -1.0
 
     def speed(t: float) -> float:
-        return float(lorentz_norm(jet.velocity(t)))
+        return _norm(jet.velocity(t).tolist())
 
     s_lo, s_hi, t_of_s = _monotone_map(speed, t0, jet.domain)
 
+    def chain_speed(vel: list) -> float:
+        v = _norm(vel)
+        if not _SPEED_MIN <= v <= _SPEED_MAX:
+            raise GeometryError(f"|alpha'| = {v:.3g} lies outside [{_SPEED_MIN:g}, {_SPEED_MAX:g}], "
+                                "where the arc-length chain rule stays in the float range")
+        return v
+
     def speed_rates(t: float):
-        """alpha', alpha'', |alpha'| and d|alpha'|/dt at t, each derivative
-        evaluated once."""
-        vel, acc = jet.velocity(t), jet.acceleration(t)
-        v = float(lorentz_norm(vel))
+        """alpha' and alpha'' as lists, |alpha'| and d|alpha'|/dt at t, each
+        derivative evaluated once."""
+        vel, acc = jet.velocity(t).tolist(), jet.acceleration(t).tolist()
+        v = chain_speed(vel)
         # d|alpha'|/dt = eps <alpha'', alpha'> / |alpha'|
-        return vel, acc, v, eps * float(lorentz_dot(acc, vel)) / v
+        return vel, acc, v, eps * _dot3(acc, vel) / v
 
     def beta(s):
         return jet.position(t_of_s(s))
 
     def dbeta(s):
-        vel = jet.velocity(t_of_s(s))
-        return vel / float(lorentz_norm(vel))
+        vel = jet.velocity(t_of_s(s)).tolist()
+        v = chain_speed(vel)
+        return [x / v for x in vel]
 
     def ddbeta(s):
         vel, acc, v, vd = speed_rates(t_of_s(s))
         tp = 1.0 / v
         tpp = -vd / v ** 3
-        return acc * tp * tp + vel * tpp
+        return [a * tp * tp + x * tpp for a, x in zip(acc, vel)]
 
     def dddbeta(s):
         t = t_of_s(s)
         vel, acc, v, vd = speed_rates(t)
-        jerk = jet.jerk(t)
-        vdd = (
-            eps * (float(lorentz_dot(jerk, vel)) + float(lorentz_dot(acc, acc))) / v
-            - vd * vd / v
-        )
+        jerk = jet.jerk(t).tolist()
+        vdd = eps * (_dot3(jerk, vel) + _dot3(acc, acc)) / v - vd * vd / v
         tp = 1.0 / v
         tpp = -vd / v ** 3
         tppp = -vdd / v ** 4 + 3.0 * vd * vd / v ** 5
-        return jerk * tp ** 3 + 3.0 * acc * tp * tpp + vel * tppp
+        tp3 = tp ** 3
+        return [j * tp3 + 3.0 * a * tp * tpp + x * tppp for j, a, x in zip(jerk, acc, vel)]
 
     return CurveJet(beta, dbeta, ddbeta, dddbeta, domain=(s_lo, s_hi), h_fd=jet.h_fd)
 
@@ -365,36 +381,37 @@ def reparam_pseudo_arclength(jet: CurveJet, t0: float) -> CurveJet:
     light_tol = 1e-9 + 100.0 * jet.h_fd ** 2
     ts = np.linspace(jet.domain[0], jet.domain[1], 65)
     for t in ts:
-        vel = jet.velocity(t)
-        q = float(lorentz_dot(vel, vel))
-        if abs(q) > light_tol * (1.0 + float((vel * vel).sum())):
+        q, e = _squares3(jet.velocity(t).tolist())
+        if abs(q) > light_tol * (1.0 + e):
             raise CausalTypeError(
                 f"curve is not lightlike at t={t:g} (<a',a'> = {q:.3e})"
             )
-        acc = jet.acceleration(t)
-        if float(lorentz_dot(acc, acc)) <= REL_TOL * (1.0 + float((acc * acc).sum())):
+        q, e = _squares3(jet.acceleration(t).tolist())
+        if q <= REL_TOL * (1.0 + e):
             raise GeometryError("alpha'' must be spacelike and nonzero for pseudo-arc length")
 
     def w(t: float) -> float:
-        return float(lorentz_norm(jet.acceleration(t)))
+        return _norm(jet.acceleration(t).tolist())
 
-    s_lo, s_hi, t_of_s = _monotone_map(lambda t: np.sqrt(w(t)), t0, jet.domain)
+    s_lo, s_hi, t_of_s = _monotone_map(lambda t: math.sqrt(w(t)), t0, jet.domain)
 
     def beta(s):
         return jet.position(t_of_s(s))
 
     def dbeta(s):
         t = t_of_s(s)
-        return jet.velocity(t) / np.sqrt(w(t))
+        r = math.sqrt(w(t))
+        return [x / r for x in jet.velocity(t).tolist()]
 
     def ddbeta(s):
         t = t_of_s(s)
-        acc = jet.acceleration(t)
-        wt = float(lorentz_norm(acc))
-        pp = 1.0 / np.sqrt(wt)
+        acc = jet.acceleration(t).tolist()
+        wt = _norm(acc)
+        pp = 1.0 / math.sqrt(wt)
         # dw/dt = <alpha''', alpha''> / w, with alpha'' evaluated once
-        ppp = -0.5 * (float(lorentz_dot(jet.jerk(t), acc)) / wt) / (wt * wt)
-        return acc * pp * pp + jet.velocity(t) * ppp
+        ppp = -0.5 * (_dot3(jet.jerk(t).tolist(), acc) / wt) / (wt * wt)
+        # an array: the Richardson stencil for beta''' takes differences of it
+        return np.array([a * pp * pp + x * ppp for a, x in zip(acc, jet.velocity(t).tolist())])
 
     return CurveJet(beta, dbeta, ddbeta, None, domain=(s_lo, s_hi), h_fd=jet.h_fd)
 
@@ -465,6 +482,10 @@ def _frame_at(jet: CurveJet, s: float):
         n_vec = jet.acceleration(s)
         n = n_vec.tolist()
         if abs(_squares3(n, "N")[0] - 1.0) > 1e-6:
+            if REL_TOL * e >= 1.0:
+                # the band holds <T,T> = +-1 too: T may be unit, not lightlike
+                raise GeometryError(f"causal type of T not resolved: the null band "
+                                    f"REL_TOL*|T|^2 = {REL_TOL * e:.3g} holds <T,T> = +-1")
             raise GeometryError("lightlike curve must be pseudo-arc-length parametrized")
         return t_vec, n_vec, _finite_array(_null_partner(n, t, e, False), "B"), FrenetCase.LIGHTLIKE, None
     if abs(abs(q) - 1.0) > 1e-6:
@@ -528,7 +549,7 @@ def curvature_torsion_general(jet: CurveJet, t: float) -> tuple[float, float]:
     """Curvature and torsion of a timelike curve without reparametrizing:
 
         kappa = |a' x a''| / (-<a',a'>)^(3/2)
-        tau   = det(a', a'', a''') / |a' x a''|^2
+        tau   = det(a', a'', a''') / |a' x a''|^2 = <a' x a'', a'''> / |a' x a''|^2
 
     Straight pieces return (0, 0).  The torsion sign matches the arc-length
     definition tau = <N', B>.
@@ -536,16 +557,14 @@ def curvature_torsion_general(jet: CurveJet, t: float) -> tuple[float, float]:
     v = jet.velocity(t)
     if causal_class(v) is not CausalClass.TIMELIKE:
         raise CausalTypeError("the closed-form kappa/tau formulas assume a timelike curve")
-    a = jet.acceleration(t)
-    cva = cross(v, a)
-    cva_sq = float(lorentz_dot(cva, cva))
-    speed_sq = -float(lorentz_dot(v, v))
+    v, a = v.tolist(), jet.acceleration(t).tolist()
+    cva = _cross3(v, a)
+    cva_sq = _squares3(cva, "alpha' x alpha''")[0]
     # relative to |v|^2 |a|^2, so a small curvature is not taken for a line
     if abs(cva_sq) <= REL_TOL * _edot3(v, v) * _edot3(a, a):
         return 0.0, 0.0
-    kappa = float(np.sqrt(abs(cva_sq))) / speed_sq ** 1.5
-    j = jet.jerk(t)
-    tau = float(np.linalg.det(np.column_stack([v, a, j]))) / abs(cva_sq)
+    kappa = math.sqrt(abs(cva_sq)) / (-_dot3(v, v)) ** 1.5
+    tau = _dot3(cva, jet.jerk(t).tolist()) / abs(cva_sq)
     return kappa, tau
 
 
@@ -605,7 +624,8 @@ def theorem_angle_check(jet: CurveJet, v, s: float) -> tuple[float, float]:
     v = as_vec3(v)
     if causal_class(jet.velocity(s)) is not CausalClass.TIMELIKE:
         raise CausalTypeError("angle/curvature comparison is for timelike curves")
-    if float(np.linalg.norm(jet.acceleration(s))) <= 1e-12:
+    a = jet.acceleration(s).tolist()
+    if math.sqrt(_edot3(a, a)) <= 1e-12:
         kappa = 0.0  # straight line: zero curvature, constant angle
     else:
         fr = frenet(jet, s)

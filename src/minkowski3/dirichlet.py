@@ -480,10 +480,11 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
     order, the half-point guard sqrt(max m) < 1 - delta/2 (m the squared
     half-point slopes), the light cone max m < _SLOPE2_MAX (which only a
     delta below ~2e-12 leaves to it) and the node guard max|Du| <= 1 - delta.
-    A singular factorization, a line search that finds no such trial, or
-    MAX_NEWTON_ITERS iterations without max|r| <= newton_tol raise
-    ConvergenceError.  At H = 0 the first residual is exactly 0, so u = 0
-    returns after no iteration.
+    A Jacobian whose diagonal lost an entry in rounding (at a large |H| the
+    perturbation does not move the residual), a singular factorization, a
+    line search that finds no such trial, or MAX_NEWTON_ITERS iterations
+    without max|r| <= newton_tol raise ConvergenceError.  At H = 0 the
+    first residual is exactly 0, so u = 0 returns after no iteration.
 
     Rate: the Jacobian is a forward difference with delta = 1e-7 (1 + max|u|),
     so it is exact only to O(delta), and the tail is superlinear rather
@@ -509,6 +510,11 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
         if iters >= MAX_NEWTON_ITERS:
             raise fail(f"the iteration budget MAX_NEWTON_ITERS = {MAX_NEWTON_ITERS} is spent")
         jac = _jacobian(dom, u, H, cfg.eps, r)
+        # an entry is dropped when the perturbed residual rounds to the base
+        # one; the operator's own node always moves it otherwise
+        if not jac.diagonal().all():
+            raise fail("a diagonal entry of the finite-difference Jacobian was lost "
+                       "in rounding against the residual")
         try:
             du = splu(jac).solve(-r)
         except RuntimeError:

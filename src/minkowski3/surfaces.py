@@ -37,6 +37,7 @@ from .core import (
     _cross3,
     _dot3,
     _edot3,
+    _squares3,
     as_vec3,
     lorentz_dot,
 )
@@ -344,12 +345,16 @@ def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
     space = w > 0
     sign = np.where(space, -1.0, 1.0)
     half = 0.5 * tr
+    # where the trace overflows but A is finite, half of A's trace with
+    # each term halved before the sum
+    finite = np.isfinite(a).all(axis=(1, 2))
+    tr_over = finite & ~np.isfinite(tr)
+    half[tr_over] = 0.5 * a[tr_over, 0, 0] + 0.5 * a[tr_over, 1, 1]
     H = sign * half
     K = sign * det
     umbilic = H * H + K <= UMBILIC_TOL * (1.0 + H * H)
     # A is self-adjoint for a definite first form, so spacelike spectra are
     # real; an A that is not finite has no spectrum and is not diagonalizable
-    finite = np.isfinite(a).all(axis=(1, 2))
     real = space & finite
     scalar = np.zeros_like(space)
     principal = np.full((len(us), 2), np.nan)
@@ -357,6 +362,8 @@ def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
     if timelike.any():
         at, ht = a[timelike], half[timelike]
         quarter = 0.25 * tr[timelike] * tr[timelike]
+        over = tr_over[timelike]
+        quarter[over] = ht[over] * ht[over]
         disc = quarter - det[timelike]  # discriminant of A's characteristic polynomial
         hscale = 1.0 + quarter
         ascale = 1.0 + np.abs(at).reshape(-1, 4).max(axis=1)
@@ -684,10 +691,7 @@ def _center(p0) -> np.ndarray:
     """A catalog chart's base point; GeometryError when |p0|^2 overflows,
     since sample fits then sum and square coordinates near the float limit."""
     p0 = as_vec3(p0)
-    with np.errstate(over="ignore"):
-        sq = float(p0 @ p0)
-    if not np.isfinite(sq):
-        raise GeometryError("center too large: its squared length overflows")
+    _squares3(p0.tolist(), "center")
     return p0
 
 

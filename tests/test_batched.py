@@ -420,15 +420,16 @@ def test_shape_matrix_not_finite_is_not_diagonalizable(xu):
     assert not batch.diagonalizable.any() and np.isnan(batch.principal).all()
 
 
-@pytest.mark.parametrize("xuu, xvv, eigenvalue", [
+@pytest.mark.parametrize("xuu, xvv, principal", [
     # A = [[1.15e308, 0], [0, 0]]: d^2 in sqrt(d^2 + a12 a21) overflows
-    (1.5e308, 0.0, 1.1547005383792517e+308),
+    (1.5e308, 0.0, (0.0, 1.1547005383792517e+308)),
     # A = diag(a, -a), a = 9.2e307: a11 - a22 itself overflows
-    (1.2e308, -1.6e308, 9.237604307034012e+307),
-    # A = diag(1.15e308, 8.7e307): its trace overflows, so the eigenvalues do
-    (1.5e308, 1.5e308, None),
+    (1.2e308, -1.6e308, (-9.237604307034012e+307, 9.237604307034012e+307)),
+    # A = diag(1.15e308, 8.7e307): (eG - 2fF + gE)/w overflows, so H is half
+    # of A's trace, halved term by term, within an ulp of each eigenvalue
+    (1.5e308, 1.5e308, (8.660254037844389e+307, 1.1547005383792519e+308)),
 ])
-def test_large_finite_shape_matrix(xuu, xvv, eigenvalue):
+def test_large_finite_shape_matrix(xuu, xvv, principal):
     xu, xv = np.array([1.0, 0.0, 0.5]), np.array([0.0, 1.0, 0.0])
     chart = SurfaceChart(lambda u, v: u * xu + v * xv, lambda u, v: xu, lambda u, v: xv,
                          lambda u, v: np.array([xuu, 0.0, 0.0]), lambda u, v: np.zeros(3),
@@ -436,13 +437,12 @@ def test_large_finite_shape_matrix(xuu, xvv, eigenvalue):
     with np.errstate(all="ignore"):
         point = shape_and_curvatures(chart, 0.1, 0.2)
         batch = shape_and_curvatures(chart, np.array([0.1, 0.3]), np.array([0.2, 0.4]))
-    assert np.isfinite(point.shape_matrix).all()
-    if eigenvalue is None:
-        assert point.principal is None and point.diagonalizable is False
-        assert not batch.diagonalizable.any() and np.isnan(batch.principal).all()
-    else:
-        smaller = 0.0 if xvv == 0.0 else -eigenvalue
-        assert point.diagonalizable and point.principal == (smaller, eigenvalue)
-        assert batch.diagonalizable.all() and (batch.principal == [smaller, eigenvalue]).all()
+    # A is diagonal: its eigenvalues are its diagonal entries, H minus their mean
+    a = np.diag(point.shape_matrix)
+    assert np.isfinite(a).all()
+    assert np.allclose(principal, sorted(a), rtol=3e-16, atol=0.0)
+    assert point.H == batch.H[0] and np.isclose(point.H, -(0.5 * a[0] + 0.5 * a[1]), rtol=3e-16)
+    assert point.diagonalizable and point.principal == principal
+    assert batch.diagonalizable.all() and (batch.principal == principal).all()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         shape_and_curvatures(chart, 0.1, 0.2)

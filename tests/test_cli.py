@@ -323,6 +323,18 @@ class TestBadInput:
         assert [str(w.message) for w in caught] == []
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, cause", [
+        # <T,T> = 1 of the parabola's tangent sits inside the null band REL_TOL*|T|^2
+        (["curve", "--kind", "parabola", "--a", "1e8"], "causal type of T not resolved"),
+        # the Jacobian's perturbation rounds away against the residual -2H
+        (["dirichlet", "--disk", "1", "--H", "1e12", "--h", "0.1"],
+         "a diagonal entry of the finite-difference Jacobian was lost in rounding"),
+    ])
+    def test_stop_names_its_cause(self, capsys, argv, cause):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and cause in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, code", [
         # sizes above their bound: RK4 steps (rotational.MAX_RK4_STEPS) and
         # samples (core.MAX_POINTS) are domain errors, counts that argparse

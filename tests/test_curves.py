@@ -297,6 +297,16 @@ class TestBaseParameter:
         null = reparam_pseudo_arclength(lightlike_helix_jet(span=(-1.0, 1.0)), t0)
         npt.assert_allclose(null.domain, sorted([0.0, -2 * t0]), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("t0", [np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)])
+    def test_t0_an_ulp_inside_an_end(self, t0):
+        # the short side's panels have zero length: a query there, or the
+        # Richardson stencil of the pseudo jet's beta''', divided by it
+        for beta in (reparam_arclength(euclidean_helix_jet(2.0, span=(-1.0, 1.0)), t0),
+                     reparam_pseudo_arclength(lightlike_helix_jet(span=(-1.0, 1.0)), t0)):
+            for s in (*beta.domain, 0.0):
+                assert np.isfinite(beta.position(s)).all()
+                assert frenet(beta, s).case in (FrenetCase.TIMELIKE, FrenetCase.LIGHTLIKE)
+
 
 class TestReparamMemo:
     """The one-entry (s, t) memo changes no bits, whatever the order of s."""
@@ -1040,6 +1050,22 @@ class TestFrameOverflow:
         with pytest.raises(GeometryError, match="^torsion overflows"):
             frenet(jet, 0.0)
 
+    @pytest.mark.parametrize("a", [1e6, 1e8, 1e100])
+    def test_unresolved_tangent_is_named(self, a):
+        # the parabola's T = (1, a + s, a + s) has <T,T> = 1, inside the null
+        # band REL_TOL*|T|^2 >= 1, and its N = T' = (0, 1, 1) is not unit
+        jet = generate_constant_curvature(PlaneCase.LIGHTLIKE_PLANE, a)
+        with pytest.raises(GeometryError, match=r"^causal type of T not resolved: the null band "
+                                                r"REL_TOL\*\|T\|\^2 = .* holds <T,T> = \+-1$"):
+            frenet(jet, 0.1)
+        assert frenet(generate_constant_curvature(PlaneCase.LIGHTLIKE_PLANE, 1e5), 0.1).case \
+            is FrenetCase.SPACELIKE_LL_N
+        # a null tangent with REL_TOL*|T|^2 < 1 keeps the parametrization message
+        twice = CurveJet(lambda s: np.zeros(3), lambda s: np.array([0.0, 2.0, 2.0]),
+                         lambda s: np.array([2.0, 0.0, 0.0]), lambda s: np.zeros(3), domain=(-1, 1))
+        with pytest.raises(GeometryError, match="^lightlike curve must be pseudo-arc-length parametrized$"):
+            frenet(twice, 0.0)
+
     def test_null_timelike_normal_is_an_error(self):
         # <T,T> = -1 and T' = (1, 0, 1) is lightlike: kappa = 0, no unit normal
         jet = CurveJet(lambda s: np.zeros(3), lambda s: np.array([0.0, 0.0, 1.0]),
@@ -1104,3 +1130,57 @@ def test_scaled_and_boosted_frames_keep_their_case_or_raise(kind, k, u, theta, p
     assert math.isfinite(fr.tau)
     assert (fr.kappa is None) == (kind == "null-helix")
     assert fr.kappa is None or math.isfinite(fr.kappa)
+
+
+#: helix lam (cos t, sin t, a t) by kind: its a and the Frenet case of its
+#: (pseudo-)arc-length reparametrization
+HELICES = {"timelike": (2.0, FrenetCase.TIMELIKE),
+           "spacelike": (0.5, FrenetCase.SPACELIKE_SP_N),
+           "null": (1.0, FrenetCase.LIGHTLIKE)}
+
+
+def scaled_helix_jet(kind: str, lam: float, motion: np.ndarray) -> CurveJet:
+    """HELICES[kind] scaled by lam and moved by the Lorentz matrix `motion`,
+    in its own parameter t on (-1, 1)."""
+    a = HELICES[kind][0]
+    derivs = (lambda t: [-np.sin(t), np.cos(t), a], lambda t: [-np.cos(t), -np.sin(t), 0.0],
+              lambda t: [np.sin(t), -np.cos(t), 0.0])
+    return CurveJet(lambda t: lam * (motion @ np.array([np.cos(t), np.sin(t), a * t])),
+                    *(lambda t, d=d: lam * (motion @ np.array(d(t))) for d in derivs),
+                    domain=(-1.0, 1.0))
+
+
+def _finite_or_geometry_error(f):
+    """f(), whose numbers must all be finite, or None after a GeometryError
+    with a message; any other exception fails."""
+    try:
+        out = f()
+    except GeometryError as exc:
+        assert str(exc)
+        return None
+    numbers = out if isinstance(out, (tuple, np.ndarray)) else [out.kappa or 0.0, out.tau, out.T, out.N, out.B]
+    assert all(np.isfinite(x).all() for x in numbers), out
+    return out
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(kind=st.sampled_from(sorted(HELICES)), k=st.floats(-300, 300), t0=st.floats(-1, 1),
+       frac=st.floats(0, 1), theta=st.floats(0, 2 * np.pi), phi=st.floats(-3, 3))
+def test_scaled_helices_reparametrize_finitely_or_raise(kind, k, t0, frac, theta, phi):
+    # the scale 10^k runs from underflow to overflow of |alpha'|^2; the boost
+    # of rapidity up to 3 mixes the coordinates
+    jet = scaled_helix_jet(kind, 10.0 ** k, isometry.boost_timelike(theta) @ isometry.boost_spacelike(phi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if kind == "timelike":
+            _finite_or_geometry_error(lambda: curvature_torsion_general(jet, t0))
+        try:
+            beta = (reparam_pseudo_arclength if kind == "null" else reparam_arclength)(jet, t0)
+        except GeometryError as exc:
+            assert str(exc)
+            return
+        s = beta.domain[0] + frac * (beta.domain[1] - beta.domain[0])
+        for name in ("position", "velocity", "acceleration", "jerk"):
+            _finite_or_geometry_error(lambda: getattr(beta, name)(s))
+        fr = _finite_or_geometry_error(lambda: frenet(beta, s))
+    assert fr is None or fr.case is HELICES[kind][1]

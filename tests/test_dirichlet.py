@@ -781,6 +781,24 @@ class TestSolveDirichlet:
             solve_dirichlet(dom, SolverConfig(eps=-1, H=7.1))
         assert 0 < len(factors) <= MAX_NEWTON_ITERS
 
+    @pytest.mark.parametrize("H", [1e12, 8.9e307])
+    def test_jacobian_lost_in_rounding_is_named(self, monkeypatch, H):
+        # at u = 0 the residual is -2H, and the perturbation's change of about
+        # 1e-7 / h^2 rounds away against it at most nodes (at H = 1e12, 12
+        # diagonal entries of 305 survive): the stop names that cause before
+        # any factorization
+        dom = GridDomain(Disk(1.0), 0.1)
+        jac = _jacobian(dom, np.zeros(dom.n), H, -1, np.full(dom.n, -2.0 * H))
+        assert jac.nnz == np.count_nonzero(jac.diagonal()) < dom.n
+        factors = record_factors(monkeypatch)
+        with pytest.raises(ConvergenceError, match="after 0 iterations .*: a diagonal entry of the "
+                                                   "finite-difference Jacobian was lost in rounding"):
+            solve_dirichlet(dom, SolverConfig(eps=-1, H=H))
+        assert factors == []
+        # at H = 1e11 every diagonal entry survives, and the line search stops it
+        with pytest.raises(ConvergenceError, match="the line search found no admissible trial"):
+            solve_dirichlet(dom, SolverConfig(eps=-1, H=1e11))
+
 
 class TestReports:
     def test_height_bound_lorentzian_cap(self):

@@ -14,16 +14,18 @@ broadcast over leading axes.  Classification helpers operate on single
 vectors and return enums.
 
 A vector v is spacelike when <v,v> > 0 *or* v = 0, timelike when
-<v,v> < 0, lightlike when <v,v> = 0 and v != 0.  The zero-vector
-convention (spacelike) is deliberate.  Exact-zero tests use the
-scale-invariant tolerance |q| <= REL_TOL * (1 + |v|_euclid^2), which
-keeps exact integer inputs exact.
+<v,v> < 0, lightlike when <v,v> = 0 and v != 0.  Every causal decision asks
+one rule, `_causal3`: v is lightlike when |<v,v>| <= REL_TOL |v|_euclid^2
+and v != 0, so 10^k v has the class of v while |v|^2 is a normal float
+(|v| from about 1e-150 to 1e150).  By the paper's proposition a plane is
+spacelike, timelike or lightlike as its normal is timelike, spacelike or
+lightlike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -52,7 +54,7 @@ __all__ = [
     "write_csv",
 ]
 
-#: relative tolerance used for all "is this Lorentz product zero" decisions
+#: relative tolerance of `_causal3`, the one "is this Lorentz square zero" rule
 REL_TOL = 1e-12
 
 #: most points an array sized from input may hold (profile steps, mesh vertices,
@@ -173,10 +175,6 @@ def lorentz_norm(v) -> np.ndarray | float:
     return np.sqrt(np.abs(q))
 
 
-def _is_null_product(q, scale_sq) -> bool:
-    return abs(q) <= REL_TOL * (1.0 + scale_sq)
-
-
 def cross(u, v) -> np.ndarray:
     """Lorentzian vector product, defined by <u x v, w> = det(u, v, w).
 
@@ -187,6 +185,21 @@ def cross(u, v) -> np.ndarray:
     return np.stack(_cross3(_coords(as_vec3(u)), _coords(as_vec3(v))), axis=-1)
 
 
+def _null3(q, e):
+    """The lightlike test of `_causal3`, on floats or arrays alike."""
+    return (e > 0) & (abs(q) <= REL_TOL * e)
+
+
+def _causal3(q, e) -> CausalClass:
+    """Causal class from q = <v,v> and e = |v|_euclid^2: lightlike by
+    `_null3`, otherwise the sign of q, so the zero vector (e = 0) is
+    spacelike.  Every causal decision in the package asks this rule, or
+    `_null3` alone where only lightlike or not is needed."""
+    if _null3(q, e):
+        return CausalClass.LIGHTLIKE
+    return CausalClass.SPACELIKE if q >= 0 else CausalClass.TIMELIKE
+
+
 def causal_class(v) -> CausalClass:
     """Causal character of a single vector (zero vector counts as spacelike).
 
@@ -195,61 +208,44 @@ def causal_class(v) -> CausalClass:
     v = as_vec3(v)
     if v.ndim != 1:
         raise GeometryError("causal_class expects a single vector")
-    q, e = _squares3(v.tolist())
-    if _is_null_product(q, e):
-        if e <= REL_TOL:
-            return CausalClass.SPACELIKE  # zero vector, by convention
-        return CausalClass.LIGHTLIKE
-    return CausalClass.SPACELIKE if q > 0 else CausalClass.TIMELIKE
+    return _causal3(*_squares3(v.tolist()))
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """One- or two-dimensional linear subspace, given by independent generators.
-
-    `gram` is the matrix of pairwise Lorentz products of the generators;
-    its signature decides the causal character of the subspace.
-    """
+    """A line or a plane through the origin, spanned by one nonzero vector
+    or two independent ones: u, v are dependent when their normal n = u x v
+    has |n|^2 <= REL_TOL |u|^2 |v|^2 (Euclidean squares; |n| = |u||v| sin of
+    their angle)."""
 
     generators: tuple
-    gram: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         gens = tuple(as_vec3(g) for g in self.generators)
-        if len(gens) not in (1, 2):
-            raise GeometryError("a Subspace needs 1 or 2 generators")
-        # Euclidean Gram determinant detects dependence regardless of causal type.
-        m = np.stack(gens)
-        ge = m @ m.T
-        scale = float(np.prod(1.0 + np.diag(ge)))
-        if np.linalg.det(ge) <= REL_TOL * scale and len(gens) == 2:
-            raise GeometryError("generators are linearly dependent")
-        if len(gens) == 1 and _edot3(gens[0], gens[0]) <= REL_TOL:
-            raise GeometryError("a single generator must be nonzero")
+        if len(gens) not in (1, 2) or any(g.ndim != 1 for g in gens):
+            raise GeometryError("a Subspace needs 1 or 2 generators, each one vector")
         object.__setattr__(self, "generators", gens)
-        gl = m @ METRIC @ m.T
-        object.__setattr__(self, "gram", gl)
+        self._squares()
 
-    @property
-    def dim(self) -> int:
-        return len(self.generators)
+    def _squares(self) -> tuple[float, float]:
+        """(q, e) whose `_causal3` class is the subspace's: a line's generator's
+        squares, or -<n,n> and |n|^2 of a plane's normal n."""
+        u, *v = (g.tolist() for g in self.generators)
+        qu, eu = _squares3(u, "generator")
+        if not v:
+            if not eu:
+                raise GeometryError("a single generator must be nonzero")
+            return qu, eu
+        q, e = _squares3(_cross3(u, v[0]), "normal")
+        if e <= REL_TOL * eu * _squares3(v[0], "generator")[1]:
+            raise GeometryError("generators are linearly dependent")
+        return -q, e
 
 
 def causal_class_subspace(s: Subspace) -> CausalClass:
-    """Spacelike = induced metric positive definite, timelike = index 1,
-    lightlike = degenerate (and the subspace is nonzero)."""
-    if s.dim == 1:
-        g = float(s.gram[0, 0])
-        scale = float(_edot3(s.generators[0], s.generators[0]))
-        if _is_null_product(g, scale):
-            return CausalClass.LIGHTLIKE
-        return CausalClass.SPACELIKE if g > 0 else CausalClass.TIMELIKE
-    det = float(np.linalg.det(s.gram))
-    scale = float(np.prod([1.0 + _edot3(g, g) for g in s.generators]))
-    if abs(det) <= REL_TOL * scale:
-        return CausalClass.LIGHTLIKE
-    # In index-1 ambient a definite restriction to a plane is positive definite.
-    return CausalClass.SPACELIKE if det > 0 else CausalClass.TIMELIKE
+    """A line has its generator's class.  A plane is spacelike, timelike or
+    lightlike as its normal u x v is timelike, spacelike or lightlike."""
+    return _causal3(*s._squares())
 
 
 def _require_timelike(v: np.ndarray, name: str) -> None:

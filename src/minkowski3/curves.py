@@ -27,6 +27,7 @@ one frame per point and is as accurate as the jet's third derivative.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -45,7 +46,7 @@ from .core import (
     hyperbolic_angle,
     write_csv,
 )
-from .core import _cross3, _dot3, _edot3, _squares3
+from .core import _causal3, _cross3, _dot3, _edot3, _null3, _squares3
 
 __all__ = [
     "CurveJet",
@@ -74,7 +75,8 @@ class CurveJet:
 
     Missing derivative callbacks are replaced by central finite differences
     of step `h_fd` (default 1e-4 times the domain length); the third
-    derivative uses a Richardson-extrapolated stencil.  Evaluators must be
+    derivative uses a Richardson-extrapolated stencil, one-sided within
+    2 h_fd of a domain end.  Evaluators must be
     re-entrant; everything here is a pure closure over them.
     """
 
@@ -95,10 +97,17 @@ class CurveJet:
             ) / (h * h)
         if dddx is None:
             def dddx(t, _d2=ddx):
-                # Richardson extrapolation of the central difference of alpha''
-                d_h = (_d2(t + h) - _d2(t - h)) / (2 * h)
-                d_2h = (_d2(t + 2 * h) - _d2(t - 2 * h)) / (4 * h)
-                return (4.0 * d_h - d_2h) / 3.0
+                # Richardson extrapolation of the central difference of alpha'';
+                # within 2h of a domain end the fourth-order one-sided
+                # difference, so a reparametrized jet, whose map clamps s to
+                # the domain, is not sampled past its end
+                if t0 + 2 * h <= t <= t1 - 2 * h:
+                    d_h = (_d2(t + h) - _d2(t - h)) / (2 * h)
+                    d_2h = (_d2(t + 2 * h) - _d2(t - 2 * h)) / (4 * h)
+                    return (4.0 * d_h - d_2h) / 3.0
+                k = -h if t + 2 * h > t1 else h
+                f = [_d2(t + i * k) for i in range(5)]
+                return (48 * f[1] - 25 * f[0] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * k)
         self._dx, self._ddx, self._dddx = dx, ddx, dddx
 
     def position(self, t: float) -> np.ndarray:
@@ -375,20 +384,23 @@ def reparam_pseudo_arclength(jet: CurveJet, t0: float) -> CurveJet:
     Requires alpha'' spacelike and nonzero along the span.  The lightlike
     acceptance tolerance widens with h_fd^2 so that position-only jets,
     whose derivative products carry stencil noise, are still accepted.
-    t0 must lie in the closed domain.
+    t0 must lie in the closed domain.  beta''' is a Richardson stencil with
+    a step in s units, CurveJet's default.
     """
     _check_t0(jet, t0)
     light_tol = 1e-9 + 100.0 * jet.h_fd ** 2
     ts = np.linspace(jet.domain[0], jet.domain[1], 65)
     for t in ts:
         q, e = _squares3(jet.velocity(t).tolist())
-        if abs(q) > light_tol * (1.0 + e):
+        if abs(q) > light_tol * e:
             raise CausalTypeError(
                 f"curve is not lightlike at t={t:g} (<a',a'> = {q:.3e})"
             )
         q, e = _squares3(jet.acceleration(t).tolist())
-        if q <= REL_TOL * (1.0 + e):
-            raise GeometryError("alpha'' must be spacelike and nonzero for pseudo-arc length")
+        # a subnormal |alpha''|^2 has lost the digits the chain rule needs
+        if e < sys.float_info.min or _causal3(q, e) is not CausalClass.SPACELIKE:
+            raise GeometryError("alpha'' must be spacelike, with |alpha''|^2 a normal float, "
+                                "for pseudo-arc length")
 
     def w(t: float) -> float:
         return _norm(jet.acceleration(t).tolist())
@@ -413,20 +425,7 @@ def reparam_pseudo_arclength(jet: CurveJet, t0: float) -> CurveJet:
         # an array: the Richardson stencil for beta''' takes differences of it
         return np.array([a * pp * pp + x * ppp for a, x in zip(acc, jet.velocity(t).tolist())])
 
-    return CurveJet(beta, dbeta, ddbeta, None, domain=(s_lo, s_hi), h_fd=jet.h_fd)
-
-
-def _classify_normal(q: float, e: float) -> CausalClass:
-    """Causal case of T' from <T',T'> and |T'|^2, with an ambiguity band
-    around the null cone.  Both bands are relative to |T'|^2 > 0, so the
-    case of a curve does not change when it is scaled."""
-    if abs(q) <= REL_TOL * e:
-        return CausalClass.LIGHTLIKE
-    if abs(q) <= CASE_TOL * e:
-        raise AmbiguousCaseError(
-            "T' sits within tolerance of the light cone; causal case is ambiguous"
-        )
-    return CausalClass.SPACELIKE if q > 0 else CausalClass.TIMELIKE
+    return CurveJet(beta, dbeta, ddbeta, None, domain=(s_lo, s_hi))
 
 
 def _null_partner(unit: list, null: list, null_sq: float, pair_with_null: bool) -> list:
@@ -476,9 +475,7 @@ def _frame_at(jet: CurveJet, s: float):
     t_vec = jet.velocity(s)
     t = t_vec.tolist()
     q, e = _squares3(t)
-    # relative to |T|^2 > 0, as in `_classify_normal`: `causal_class` would
-    # take a small lightlike T, |T|^2 <= REL_TOL, for the zero vector
-    if 0.0 < e and abs(q) <= REL_TOL * e:
+    if _null3(q, e):
         n_vec = jet.acceleration(s)
         n = n_vec.tolist()
         if abs(_squares3(n, "N")[0] - 1.0) > 1e-6:
@@ -496,7 +493,10 @@ def _frame_at(jet: CurveJet, s: float):
     if math.sqrt(ep) <= 1e-12:
         raise GeometryError("T' vanishes: straight line, no Frenet frame")
     # T is timelike iff q < 0 here, and T' of a timelike curve is always spacelike
-    case = FrenetCase.TIMELIKE if q < 0 else _SPACELIKE_CASE[_classify_normal(qp, ep)]
+    case = FrenetCase.TIMELIKE if q < 0 else _SPACELIKE_CASE[_causal3(qp, ep)]
+    # outside the null band, T' within CASE_TOL |T'|^2 of the cone is ambiguous
+    if q > 0 and case is not FrenetCase.SPACELIKE_LL_N and abs(qp) <= CASE_TOL * ep:
+        raise AmbiguousCaseError("T' sits within tolerance of the light cone; causal case is ambiguous")
     if case is FrenetCase.SPACELIKE_LL_N:
         return t_vec, tp_vec, _finite_array(_null_partner(t, tp, ep, True), "B"), case, None
     kappa = math.sqrt(abs(qp))

@@ -34,9 +34,11 @@ from .core import (
     CausalClass,
     CausalTypeError,
     GeometryError,
+    _causal3,
     _cross3,
     _dot3,
     _edot3,
+    _null3,
     _squares3,
     as_vec3,
     lorentz_dot,
@@ -70,9 +72,6 @@ UMBILIC_TOL = 1e-8
 
 #: tolerance on the fitted data of `classify_totally_umbilical`
 UMBILIC_FIT_TOL = 1e-6
-
-#: tolerance on EG - F^2 (relative) below which a point counts as lightlike
-_DEGENERATE_TOL = 1e-12
 
 _EYE2 = np.eye(2)
 
@@ -252,17 +251,19 @@ def _not_immersed(u, v) -> GeometryError:
 
 
 def _first_terms(xu, xv):
-    """(Euclidean Gram determinant, E, F, G, W = EG - F^2, immersion and
-    lightlike tolerances) of the coordinate triples X_u and X_v."""
+    """(Euclidean Gram determinant, E, F, G, W = EG - F^2, immersion
+    tolerance) of the coordinate triples X_u and X_v.  A point is classified
+    as its tangent plane: the normal n = X_u x X_v has <n,n> = -W and
+    |n|^2 = gram, so the point is lightlike where `_null3(W, gram)`."""
     uu, uv, vv = _edot3(xu, xu), _edot3(xu, xv), _edot3(xv, xv)
-    pu, pv = 1.0 + uu, 1.0 + vv
-    gram, flat_tol = uu * vv - uv * uv, REL_TOL * pu * pv
+    gram = uu * vv - uv * uv
     E, F, G = _dot3(xu, xu), _dot3(xu, xv), _dot3(xv, xv)
-    return gram, E, F, G, E * G - F * F, flat_tol, _DEGENERATE_TOL * (pu * pv)
+    return gram, E, F, G, E * G - F * F, REL_TOL * (uu * vv)
 
 
 def _first_coeffs(chart: SurfaceChart, us, vs, lightlike: Optional[str] = None):
-    """X_u, X_v, E, F, G, W = EG - F^2 and the lightlike mask at every point.
+    """X_u, X_v, E, F, G, W = EG - F^2 and the Euclidean Gram determinant at
+    every point.
 
     Raises at the first point, in input order, that is not an immersion
     (GeometryError) or, when a `lightlike` message is given, that is
@@ -271,16 +272,15 @@ def _first_coeffs(chart: SurfaceChart, us, vs, lightlike: Optional[str] = None):
     xu = _values(chart.du, us, vs)
     xv = _values(chart.dv, us, vs)
     # immersion check with the Euclidean Gram determinant
-    gram, E, F, G, w, flat_tol, null_tol = _first_terms(xu.T, xv.T)
+    gram, E, F, G, w, flat_tol = _first_terms(xu.T, xv.T)
     flat = gram <= flat_tol
-    null = np.abs(w) <= null_tol
-    bad = flat | null if lightlike else flat
+    bad = flat | _null3(w, gram) if lightlike else flat
     if bad.any():
         k = int(np.argmax(bad))
         if flat[k]:
             raise _not_immersed(us[k], vs[k])
         raise CausalTypeError(lightlike)
-    return xu, xv, E, F, G, w, null
+    return xu, xv, E, F, G, w, gram
 
 
 def _point_value(evaluate, u, v):
@@ -297,14 +297,14 @@ def _point_first_coeffs(chart: SurfaceChart, u, v, lightlike: Optional[str] = No
     xu, xv = _point_value(chart.du, u, v), _point_value(chart.dv, u, v)
     if xu is None or xv is None:
         return None
-    gram, E, F, G, w, flat_tol, null_tol = _first_terms(xu, xv)
+    gram, E, F, G, w, flat_tol = _first_terms(xu, xv)
     # every value the batch computes is a term, or inside one: an inf or NaN
     # anywhere makes the sum non-finite
-    if not math.isfinite(gram + flat_tol + E + F + G + w + null_tol):
+    if not math.isfinite(gram + flat_tol + E + F + G + w):
         return None
     if gram <= flat_tol:
         raise _not_immersed(u, v)
-    if lightlike and abs(w) <= null_tol:
+    if lightlike and _null3(w, gram):
         raise CausalTypeError(lightlike)
     return xu, xv, E, F, G, w
 
@@ -352,7 +352,14 @@ def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
     half[tr_over] = 0.5 * a[tr_over, 0, 0] + 0.5 * a[tr_over, 1, 1]
     H = sign * half
     K = sign * det
-    umbilic = H * H + K <= UMBILIC_TOL * (1.0 + H * H)
+    gap = H * H + K
+    umbilic = np.isfinite(gap) & (gap <= UMBILIC_TOL * (1.0 + H * H))
+    # H^2 + K is the squared half-gap of A's eigenvalues; where it overflows
+    # but A is finite, the test is taken of A scaled by its largest entry m
+    over = space & finite & ~np.isfinite(gap)
+    m = np.abs(a[over]).reshape(-1, 4).max(axis=1)
+    umbilic[over] = (_half_gap_sq(a[over] / m[:, None, None])
+                     <= UMBILIC_TOL * ((1.0 / m) ** 2 + (half[over] / m) ** 2))
     # A is self-adjoint for a definite first form, so spacelike spectra are
     # real; an A that is not finite has no spectrum and is not diagonalizable
     real = space & finite
@@ -460,22 +467,17 @@ def _point_curvatures(chart: SurfaceChart, u, v) -> Optional[CurvatureData]:
     return CurvatureData(H, K, a, principal, real or scalar, umbilic, causal)
 
 
-def _causal(null: bool, w: float) -> CausalClass:
-    if null:
-        return CausalClass.LIGHTLIKE
-    return CausalClass.SPACELIKE if w > 0 else CausalClass.TIMELIKE
-
-
 def first_form(chart: SurfaceChart, u, v):
     """First-form coefficients and causal type: ((E, F, G), CausalClass).
 
     For arrays of points, E, F, G are arrays and the classes an object array.
     """
     us, vs, scalar = _batch(u, v)
-    _, _, E, F, G, w, null = _first_coeffs(chart, us, vs)
+    _, _, E, F, G, w, gram = _first_coeffs(chart, us, vs)
+    classes = [_causal3(*p) for p in zip(w.tolist(), gram.tolist())]
     if scalar:
-        return (float(E[0]), float(F[0]), float(G[0])), _causal(null[0], w[0])
-    return (E, F, G), np.array([_causal(*p) for p in zip(null, w)], dtype=object)
+        return (float(E[0]), float(F[0]), float(G[0])), classes[0]
+    return (E, F, G), np.array(classes, dtype=object)
 
 
 def gauss_map(chart: SurfaceChart, u, v) -> np.ndarray:
@@ -620,8 +622,8 @@ def mean_curvature_foliated(chart: SurfaceChart, u: float, v: float) -> float:
 
 def _metric_inverse_weights(chart: SurfaceChart, us, vs):
     """sqrt|g| g^11, sqrt|g| g^12, sqrt|g| g^22 and sqrt|g| at every point."""
-    _, _, E, F, G, det, _ = _first_coeffs(chart, us, vs)
-    if np.any(np.abs(det) <= _DEGENERATE_TOL):
+    _, _, E, F, G, det, gram = _first_coeffs(chart, us, vs)
+    if _null3(det, gram).any():
         raise GeometryError("degenerate metric in Laplace-Beltrami stencil")
     s = np.sqrt(np.abs(det))
     return s * G / det, -s * F / det, s * E / det, s

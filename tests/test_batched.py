@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from minkowski3 import rotational
-from minkowski3.core import CausalTypeError, GeometryError
+from minkowski3.core import E1, E2, E3, CausalClass, CausalTypeError, GeometryError
 from minkowski3.curves import CurveJet
 from minkowski3.meshing import disk_graph_mesh, triangulate_chart
 from minkowski3.surfaces import (
@@ -446,3 +446,46 @@ def test_large_finite_shape_matrix(xuu, xvv, principal):
     assert batch.diagonalizable.all() and (batch.principal == principal).all()
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         shape_and_curvatures(chart, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("c, causal", [(0.5, CausalClass.SPACELIKE), (2.0, CausalClass.TIMELIKE)])
+def test_plane_chart_scaled_to_1e_minus_7_keeps_its_classes(c, causal):
+    # the immersion and lightlike tests are relative to |X_u|^2 |X_v|^2, so
+    # partials of length 1e-7 classify as at length 1
+    us = np.linspace(-0.5, 0.5, 5)
+    uu, vv = (x.ravel() for x in np.meshgrid(us, us, indexing="ij"))
+    f = np.add.outer(us ** 2, us ** 3)
+    laps = []
+    for scale in (1.0, 1e-7):
+        chart = plane_chart(np.zeros(3), scale * E1, scale * (E2 + c * E3))
+        assert first_form(chart, 0.1, 0.2)[1] is causal
+        assert list(first_form(chart, uu, vv)[1]) == [causal] * len(uu)
+        point, batch = shape_and_curvatures(chart, 0.1, 0.2), shape_and_curvatures(chart, uu, vv)
+        assert point.causal is causal and point.H == 0.0 and point.K == 0.0
+        assert (batch.spacelike == (causal is CausalClass.SPACELIKE)).all() and (batch.H == 0.0).all()
+        laps.append(laplace_beltrami_grid(chart, f, us, us)[1:-1, 1:-1])
+    # the metric scales by 1e-14, its Laplace-Beltrami operator by 1e14
+    assert np.allclose(laps[1] * 1e-14, laps[0], rtol=1e-9, atol=1e-12 * np.abs(laps[0]).max())
+
+
+@pytest.mark.parametrize("xuu, xvv, umbilic", [
+    # A = diag(1.15e308, -8.66e307): H*H + K = inf + inf, eigenvalues apart
+    (1.5e308, -1.5e308, False),
+    # A = [[1.15e308, 0], [0, 0]]: K = -0.0, H*H overflows
+    (1.5e308, 0.0, False),
+    # A = 9.24e307 I: H*H + K = inf - inf, one repeated eigenvalue
+    (1.2e308, 1.6e308, True),
+])
+def test_umbilic_where_h_squared_overflows(xuu, xvv, umbilic):
+    # H^2 + K is not finite, so the point path hands the point to the batch,
+    # which takes the squared half-gap of A scaled by its largest entry
+    xu, xv = np.array([1.0, 0.0, 0.5]), np.array([0.0, 1.0, 0.0])
+    chart = SurfaceChart(lambda u, v: u * xu + v * xv, lambda u, v: xu, lambda u, v: xv,
+                         lambda u, v: np.array([xuu, 0.0, 0.0]), lambda u, v: np.zeros(3),
+                         lambda u, v: np.array([xvv, 0.0, 0.0]))
+    with np.errstate(all="ignore"):
+        point = shape_and_curvatures(chart, 0.1, 0.2)
+        batch = shape_and_curvatures(chart, np.array([0.1, 0.3]), np.array([0.2, 0.4]))
+        assert not np.isfinite(point.H * point.H + point.K)
+    assert point.umbilic == umbilic
+    assert (batch.umbilic == umbilic).all()

@@ -57,6 +57,17 @@ class TestClassify:
         assert code == 0
         assert json.loads(out)["outputs"]["causal_class"] == "lightlike"
 
+    @pytest.mark.parametrize("argv, causal", [
+        # the null band is relative to |v|^2, so a small vector keeps its class
+        (["--vec", "0,0,1e-6"], "timelike"),
+        # an orthonormal pair scaled by 1e-3 spans the plane z = 0
+        (["--plane", "1e-3,0,0;0,1e-3,0"], "spacelike"),
+    ])
+    def test_small_input_keeps_its_class(self, capsys, argv, causal):
+        code, out, _ = run(capsys, "classify", *argv)
+        assert code == 0
+        assert json.loads(out)["outputs"]["causal_class"] == causal
+
     def test_domain_error_exit_one(self, capsys):
         code, _, err = run(capsys, "classify", "--plane", "1,0,0;2,0,0")
         assert code == 1

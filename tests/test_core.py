@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minkowski3 import core
@@ -25,6 +25,8 @@ from minkowski3.core import (
     lorentz_norm,
     same_timelike_cone,
 )
+
+from conftest import random_pp_motion
 
 TIMELIKE_COMPONENTS = st.tuples(
     st.floats(-3, 3), st.floats(-3, 3), st.floats(0.01, 3), st.booleans()
@@ -148,6 +150,55 @@ class TestSubspaces:
             v = cross(u, w)
             v = v / lorentz_norm(v)
             assert np.linalg.norm(v) >= 1.0 - 1e-12
+
+
+#: the proposition: a plane is spacelike, timelike or lightlike as its
+#: normal is timelike, spacelike or lightlike
+PLANE_OF_NORMAL = {
+    CausalClass.SPACELIKE: CausalClass.TIMELIKE,
+    CausalClass.TIMELIKE: CausalClass.SPACELIKE,
+    CausalClass.LIGHTLIKE: CausalClass.LIGHTLIKE,
+}
+
+CLASSES = st.sampled_from(list(CausalClass))
+
+
+def _motion(seed: int) -> np.ndarray:
+    return random_pp_motion(np.random.default_rng(seed)).linear
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cls=CLASSES, rho=st.floats(0, 0.7), a=st.floats(0, 2 * np.pi), size=st.floats(0.5, 2),
+       future=st.booleans(), seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-150, 150))
+def test_vector_class_is_scale_and_motion_invariant(cls, rho, a, size, future, seed, k):
+    # |<v,v>| >= 0.34 |v|^2 off the cone, so a PP motion (entries up to
+    # about 12) keeps v far from the null band; 10^k runs over the range
+    # where |v|^2 is a normal float
+    c, s, z = np.cos(a), np.sin(a), 1.0 if future else -1.0
+    v = size * {CausalClass.SPACELIKE: np.array([c, s, rho * z]),
+                CausalClass.TIMELIKE: np.array([rho * c, rho * s, z]),
+                CausalClass.LIGHTLIKE: np.array([c, s, z])}[cls]
+    w = _motion(seed) @ v
+    assert causal_class(w) is cls
+    assert causal_class(10.0 ** k * w) is cls
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cls=CLASSES, mix=st.lists(st.floats(-2, 2), min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1), k=st.integers(-75, 75))
+def test_plane_class_is_scale_and_motion_invariant(cls, mix, seed, k):
+    # two independent combinations of a catalog pair, moved by a PP motion;
+    # |u x v|^2 stays within about [1e-3, 1e5], so 10^k runs over the range
+    # where the normal's squares are normal floats
+    p, q = {CausalClass.SPACELIKE: (E1, E2), CausalClass.TIMELIKE: (E1, E3),
+            CausalClass.LIGHTLIKE: (E1, E2 + E3)}[cls]
+    al, be, ga, de = mix
+    assume(abs(al * de - be * ga) >= 0.5)
+    m = _motion(seed)
+    u, v = m @ (al * p + be * q), m @ (ga * p + de * q)
+    assert causal_class_subspace(Subspace((u, v))) is cls
+    assert PLANE_OF_NORMAL[causal_class(np.cross(u, v))] is cls
+    assert causal_class_subspace(Subspace((10.0 ** k * u, 10.0 ** k * v))) is cls
 
 
 class TestNorm:

@@ -416,8 +416,8 @@ def _pseudo_oracle(jet: CurveJet, t0: float) -> CurveJet:
         ppp = -0.5 * wdot(t) / (wt * wt)
         return jet.acceleration(t) * pp * pp + jet.velocity(t) * ppp
 
-    return CurveJet(lambda s: jet.position(t_of_s(s)), dbeta, ddbeta, None,
-                    domain=(s_lo, s_hi), h_fd=jet.h_fd)
+    # the stencil of beta''' steps in s units: CurveJet's default, 1e-4 of the s-domain
+    return CurveJet(lambda s: jet.position(t_of_s(s)), dbeta, ddbeta, None, domain=(s_lo, s_hi))
 
 
 def _frame_bytes(fr) -> tuple:
@@ -1132,11 +1132,13 @@ def test_scaled_and_boosted_frames_keep_their_case_or_raise(kind, k, u, theta, p
     assert fr.kappa is None or math.isfinite(fr.kappa)
 
 
-#: helix lam (cos t, sin t, a t) by kind: its a and the Frenet case of its
-#: (pseudo-)arc-length reparametrization
-HELICES = {"timelike": (2.0, FrenetCase.TIMELIKE),
-           "spacelike": (0.5, FrenetCase.SPACELIKE_SP_N),
-           "null": (1.0, FrenetCase.LIGHTLIKE)}
+#: helix lam (cos t, sin t, a t) by kind: its a, the Frenet case of its
+#: (pseudo-)arc-length reparametrization, and lam kappa and lam tau there:
+#: 1/(a^2 - 1) and a/(a^2 - 1) when timelike, 1/(1 - a^2) and -a/(1 - a^2)
+#: when spacelike, and tau = -1/2 (no kappa) for the null helix
+HELICES = {"timelike": (2.0, FrenetCase.TIMELIKE, 1 / 3, 2 / 3),
+           "spacelike": (0.5, FrenetCase.SPACELIKE_SP_N, 4 / 3, -2 / 3),
+           "null": (1.0, FrenetCase.LIGHTLIKE, None, -0.5)}
 
 
 def scaled_helix_jet(kind: str, lam: float, motion: np.ndarray) -> CurveJet:
@@ -1169,7 +1171,8 @@ def _finite_or_geometry_error(f):
 def test_scaled_helices_reparametrize_finitely_or_raise(kind, k, t0, frac, theta, phi):
     # the scale 10^k runs from underflow to overflow of |alpha'|^2; the boost
     # of rapidity up to 3 mixes the coordinates
-    jet = scaled_helix_jet(kind, 10.0 ** k, isometry.boost_timelike(theta) @ isometry.boost_spacelike(phi))
+    lam = 10.0 ** k
+    jet = scaled_helix_jet(kind, lam, isometry.boost_timelike(theta) @ isometry.boost_spacelike(phi))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if kind == "timelike":
@@ -1183,4 +1186,24 @@ def test_scaled_helices_reparametrize_finitely_or_raise(kind, k, t0, frac, theta
         for name in ("position", "velocity", "acceleration", "jerk"):
             _finite_or_geometry_error(lambda: getattr(beta, name)(s))
         fr = _finite_or_geometry_error(lambda: frenet(beta, s))
-    assert fr is None or fr.case is HELICES[kind][1]
+    if fr is not None:
+        _, case, kappa, tau = HELICES[kind]
+        assert fr.case is case
+        assert (fr.kappa is None) if kappa is None else math.isclose(fr.kappa, kappa / lam, rel_tol=1e-6)
+        assert math.isclose(fr.tau, tau / lam, rel_tol=1e-6), (fr.tau, tau / lam)
+
+
+@pytest.mark.parametrize("lam", [1e-150, 1e-10, 1.0, 1e30, 1e150])
+def test_null_helix_torsion_in_s_units_up_to_the_domain_ends(lam):
+    # beta''' is a Richardson stencil of beta'' with a step in s units, and
+    # one-sided within two steps of an end, where t(s) clamps s
+    beta = reparam_pseudo_arclength(scaled_helix_jet("null", lam, np.eye(3)), 0.2)
+    lo, hi = beta.domain
+    for s in (lo, lo + 1e-5 * (hi - lo), 0.3 * hi, hi):
+        assert math.isclose(frenet(beta, s).tau, -0.5 / lam, rel_tol=1e-10), s
+
+
+def test_subnormal_null_acceleration_is_refused():
+    # |alpha''|^2 of the null helix scaled by 1e-160 is subnormal
+    with pytest.raises(GeometryError, match=r"\|alpha''\|\^2 a normal float"):
+        reparam_pseudo_arclength(scaled_helix_jet("null", 1e-160, np.eye(3)), 0.2)

@@ -382,13 +382,15 @@ def reparam_pseudo_arclength(jet: CurveJet, t0: float) -> CurveJet:
 
     Normalizes |beta''| = 1 by solving phi'(s) = |alpha''(phi)|^(-1/2).
     Requires alpha'' spacelike and nonzero along the span.  The lightlike
-    acceptance tolerance widens with h_fd^2 so that position-only jets,
-    whose derivative products carry stencil noise, are still accepted.
+    acceptance tolerance widens with (h_fd / domain length)^2 so that
+    position-only jets, whose derivative products carry stencil noise, are
+    still accepted; it has no units, so a long domain does not widen it.
     t0 must lie in the closed domain.  beta''' is a Richardson stencil with
     a step in s units, CurveJet's default.
     """
     _check_t0(jet, t0)
-    light_tol = 1e-9 + 100.0 * jet.h_fd ** 2
+    t_lo, t_hi = jet.domain
+    light_tol = 1e-9 + 100.0 * (jet.h_fd / (t_hi - t_lo)) ** 2
     ts = np.linspace(jet.domain[0], jet.domain[1], 65)
     for t in ts:
         q, e = _squares3(jet.velocity(t).tolist())

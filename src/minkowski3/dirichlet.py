@@ -12,17 +12,19 @@ Discretization: conservative half-node flux differencing on a uniform grid
 (second order), with Shortley-Weller-style unequal arms where a grid arm
 crosses the curved or polygonal boundary, so u = 0 holds exactly on the
 boundary trace.  The nonlinear system is solved by damped Newton steps with
-a sparse finite-difference Jacobian (9-point stencil coloring, built in CSC
-from one residual call on the stack of the nine perturbed vectors), run
-once from u = 0 at the target H, with no continuation in H.  Each trial
-step is one stencil pass, whose half-point slopes the spacelike guard reads
-before the light cone and the node slopes.  In every failure measured the
-discrete solution had reached the guard band (the Lorentzian cap's slope
-meets 1 - delta near R H = 7), which no path in H gets past.  Each step is
-solved by one sparse LU of that iteration's Jacobian in SuperLU's symmetric
-mode: a minimum-degree ordering of the pattern of J + J^T, applied to rows
-and columns alike, with the diagonal pivots kept; no ordering or factor is
-kept from one iteration to the next.
+a finite-difference Jacobian (9-point stencil coloring, from one residual
+call on the stack of the nine perturbed vectors), run once from u = 0 at
+the target H, with no continuation in H.  Each trial step is one stencil
+pass, whose half-point slopes the spacelike guard reads before the light
+cone and the node slopes.  In every failure measured the discrete solution
+had reached the guard band (the Lorentzian cap's slope meets 1 - delta near
+R H = 7), which no path in H gets past.  Nodes are numbered column by
+column, so the Jacobian is block tridiagonal over the grid columns, and
+each step is solved by one block LU of that iteration's Jacobian (Golub &
+Van Loan, Matrix Computations, 4.5), in dense numpy per column; no factor
+is kept from one iteration to the next.  Its work grows as the sum of the
+cubed column lengths, about (2R/h)^4, where a sparse minimum-degree
+ordering grows as n^1.5: at R = 1, h = 0.01 it is the larger cost.
 
 Solvability differs sharply by ambient: the Lorentzian problem is solvable
 for any H on bounded convex domains, while the Euclidean one requires the
@@ -34,6 +36,7 @@ surrogate, refusing targets it cannot certify.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,6 +68,9 @@ MAX_GRID_POINTS = MAX_POINTS
 #: Newton iterations of one solve before it fails; successful solves were
 #: measured to take at most 11
 MAX_NEWTON_ITERS = 40
+
+#: rows of the largest block that _inv hands to np.linalg.inv whole
+_INV_SPLIT = 48
 
 _SLOPE2_MAX = 1.0 - 1e-12  # squared half-point slope of the light cone: the flux clamps there
 
@@ -271,6 +277,29 @@ class GridDomain:
         di = (c % 3 - ij[:, :1] + 1) % 3 - 1
         dj = (c // 3 - ij[:, 1:] + 1) % 3 - 1
         self.color_nbr = index[pi[:, None] + di, pj[:, None] + dj]
+        # the Jacobian is block tridiagonal over grid columns: nodes are
+        # numbered i-major, so each column is a run of nodes, and the 3x3
+        # stencil couples it only to itself and the columns on either side.
+        # The rows of column k are stored, in one flat buffer, as
+        # [L_k | D_k | U_k]: the node range from the previous column's first
+        # node to the next column's last, one tuple (start, stop, lo, hi,
+        # offset) of Python ints per column
+        start = np.r_[np.flatnonzero(np.r_[True, np.diff(ij[:, 0]) != 0]), self.n]
+        col = np.repeat(np.arange(len(start) - 1), np.diff(start))
+        lo = start[np.maximum(col - 1, 0)]
+        width = start[np.minimum(col + 2, len(start) - 1)] - lo
+        row_at = np.r_[0, np.cumsum(width)]
+        self._jac_size = int(row_at[-1])
+        self._blocks = [(int(s), int(e), int(lo[s]), int(lo[s] + width[s]), int(row_at[s]))
+                        for s, e in zip(start[:-1], start[1:])]
+        # where the colored forward difference's entries go: entry (row k,
+        # column color_nbr[k, c]) of color c, color-major
+        nbr = self.color_nbr.T
+        valid = nbr >= 0
+        rows = np.broadcast_to(np.arange(self.n), nbr.shape)[valid]
+        self._jac_from = np.flatnonzero(valid)
+        self._jac_at = row_at[rows] + nbr[valid] - lo[rows]
+        self._jac_diag = row_at[:-1] + np.arange(self.n) - lo
         # the stencil works on arm-major (..., 4, n) arrays, so that each
         # pass over a (k, n) stack of node values runs along whole arms; its
         # theta-only factors are formed once, each exactly as the stencil
@@ -428,47 +457,107 @@ def cmc_operator_residual(dom: GridDomain, u: np.ndarray, H: float, eps: int,
     return r
 
 
-def splu(a):
-    """`scipy.sparse.linalg.splu` in symmetric mode, loaded on the first call;
-    returns its SuperLU.
+class _BlockTridiagonal:
+    """An n x n matrix over a GridDomain's columns: row r of column k holds
+    its entries [L_k | D_k | U_k] in the columns lo:hi of its band, in the
+    flat buffer `data` (see GridDomain._blocks)."""
 
-    The Jacobian couples each node to its 3x3 neighborhood both ways, so a
-    minimum-degree ordering of the pattern of A + A^T serves rows and columns
-    alike, and the diagonal pivots are kept (diag_pivot_thresh = 0): less
-    fill than a column-only ordering with partial pivoting.
-    """
-    from scipy.sparse.linalg import splu as factor
-    return factor(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+    def __init__(self, dom: GridDomain, data: np.ndarray):
+        self.dom = dom
+        self.data = data
+        self.shape = (dom.n, dom.n)
+
+    def bands(self):
+        """(start, stop, lo, hi, [L_k | D_k | U_k]) per column, the band a view."""
+        for s, e, lo, hi, off in self.dom._blocks:
+            yield s, e, lo, hi, self.data[off:off + (e - s) * (hi - lo)].reshape(e - s, hi - lo)
+
+    @property
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.data))
+
+    def diagonal(self) -> np.ndarray:
+        return self.data[self.dom._jac_diag]
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        for s, e, lo, hi, band in self.bands():
+            out[s:e, lo:hi] = band
+        return out
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """Inverse of a square block.  Past _INV_SPLIT rows it is formed from the
+    inverses of the leading half and of that half's Schur complement, so
+    most of the O(m^3) work runs in matmuls: 0.5-0.7x the time of one
+    np.linalg.inv at m = 64 to 200 (one BLAS thread, 2 vCPU Xeon).  Like the
+    block LU, it pivots only inside the blocks that np.linalg.inv inverts."""
+    if len(a) <= _INV_SPLIT:
+        return np.linalg.inv(a)
+    h = len(a) // 2
+    a11i = _inv(a[:h, :h])
+    c = a11i @ a[:h, h:]
+    d = a[h:, :h] @ a11i
+    si = _inv(a[h:, h:] - a[h:, :h] @ c)
+    cs = c @ si
+    return np.block([[a11i + cs @ d, -cs], [-(si @ d), si]])
+
+
+class _BlockLU:
+    """Block LU of a _BlockTridiagonal matrix, column by column (Golub & Van
+    Loan, Matrix Computations, 4.5): Dp_k = D_k - L_k X_{k-1}, with
+    X_k = Dp_k^-1 U_k.  Each column stores Dp_k^-1 and X_k; `L.nnz` counts
+    the stored entries of the L_k and Dp_k^-1 blocks, `U.nnz` those of the
+    X_k (the unit diagonal is implied)."""
+
+    def __init__(self, jac: _BlockTridiagonal):
+        self._cols = []
+        x = np.zeros((0, jac.dom._blocks[0][1]))  # X_{-1}: no column before the first
+        for s, e, lo, hi, band in jac.bands():
+            low = band[:, :s - lo]
+            inv = _inv(band[:, s - lo:e - lo] - low @ x)
+            x = inv @ band[:, e - lo:]
+            self._cols.append((s, e, lo, hi, low, inv, x))
+        self.L = SimpleNamespace(nnz=sum(low.size + inv.size for *_, low, inv, _ in self._cols))
+        self.U = SimpleNamespace(nnz=sum(x.size for *_, x in self._cols))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with J x = b: the forward sweep y_k = Dp_k^-1 (b_k - L_k y_{k-1}),
+        then the back sweep x_k = y_k - X_k x_{k+1}."""
+        y = np.empty(len(b))
+        for s, e, lo, _, low, inv, _ in self._cols:
+            y[s:e] = inv @ (b[s:e] - low @ y[lo:s])
+        for s, e, _, hi, _, _, x in reversed(self._cols):
+            y[s:e] -= x @ y[e:hi]
+        return y
+
+
+def splu(jac: _BlockTridiagonal) -> _BlockLU:
+    """The block LU of the Jacobian `jac`: the solver's one factorization,
+    called once per Newton iteration.  A singular diagonal block raises
+    numpy.linalg.LinAlgError."""
+    return _BlockLU(jac)
 
 
 def _jacobian(dom: GridDomain, u: np.ndarray, H: float, eps: int, base: np.ndarray):
-    """Finite-difference Jacobian of the residual at u, as a scipy.sparse CSC matrix.
+    """Finite-difference Jacobian of the residual at u, block tridiagonal over
+    the grid columns.
 
     Node k's residual reads only its 3x3 neighborhood, which holds one node
     of each color, so perturbing every node of one color at once gives one
     column entry per row.  The nine perturbed vectors go to the residual as
-    one (9, n) stack; entries whose residual did not move are left out.
+    one (9, n) stack, and each entry (rp - base) / delta is scattered to its
+    place in the column blocks; an entry whose residual did not move is 0.
     """
-    import scipy.sparse as sp
-
-    n = dom.n
     delta = 1e-7 * (1.0 + float(np.max(np.abs(u))))
     up = np.tile(u, (dom.n_colors, 1))
-    up[dom.color, np.arange(n)] += delta
+    up[dom.color, np.arange(dom.n)] += delta
     rp = cmc_operator_residual(dom, up, H, eps, check_spacelike=False)
-    # entry (row k, column color_nbr[k, c]) comes from color c, color-major
-    nbr = dom.color_nbr.T
-    valid = (nbr >= 0) & (rp != base)
-    rows = np.broadcast_to(np.arange(n), rp.shape)[valid]
-    cols = nbr[valid]
-    data = (rp[valid] - base[rows]) / delta
-    # every entry of a column comes from its node's color, with rows
-    # ascending there, so a stable sort by column gives CSC order
-    order = np.argsort(cols, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    return sp.csc_matrix((data[order], rows[order], indptr), shape=(n, n))
+    rp -= base
+    rp /= delta
+    data = np.zeros(dom._jac_size)
+    data[dom._jac_at] = rp.ravel()[dom._jac_from]
+    return _BlockTridiagonal(dom, data)
 
 
 def _newton(dom: GridDomain, cfg: SolverConfig):
@@ -481,9 +570,10 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
     half-point slopes), the light cone max m < _SLOPE2_MAX (which only a
     delta below ~2e-12 leaves to it) and the node guard max|Du| <= 1 - delta.
     A Jacobian whose diagonal lost an entry in rounding (at a large |H| the
-    perturbation does not move the residual), a singular factorization, a
-    line search that finds no such trial, or MAX_NEWTON_ITERS iterations
-    without max|r| <= newton_tol raise ConvergenceError.  At H = 0 the
+    perturbation does not move the residual), a singular diagonal block of
+    its block LU, a line search that finds no such trial, or
+    MAX_NEWTON_ITERS iterations without max|r| <= newton_tol raise
+    ConvergenceError.  At H = 0 the
     first residual is exactly 0, so u = 0 returns after no iteration.
 
     Rate: the Jacobian is a forward difference with delta = 1e-7 (1 + max|u|),
@@ -510,15 +600,16 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
         if iters >= MAX_NEWTON_ITERS:
             raise fail(f"the iteration budget MAX_NEWTON_ITERS = {MAX_NEWTON_ITERS} is spent")
         jac = _jacobian(dom, u, H, cfg.eps, r)
-        # an entry is dropped when the perturbed residual rounds to the base
+        # an entry is 0 when the perturbed residual rounds to the base
         # one; the operator's own node always moves it otherwise
         if not jac.diagonal().all():
             raise fail("a diagonal entry of the finite-difference Jacobian was lost "
                        "in rounding against the residual")
         try:
             du = splu(jac).solve(-r)
-        except RuntimeError:
+        except np.linalg.LinAlgError:
             raise fail("the Jacobian's LU factorization is singular") from None
+        del jac  # its dense blocks are not kept alive while the next one is built
         lam = 1.0
         for _ in range(12):
             trial = u + lam * du

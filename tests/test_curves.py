@@ -226,6 +226,15 @@ class TestPseudoArcLength:
         with pytest.raises(CausalTypeError):
             reparam_pseudo_arclength(timelike_hyperbola_jet(1.0), 0.0)
 
+    @pytest.mark.parametrize("derivatives", [True, False], ids=["jet", "position-only"])
+    def test_long_domain_does_not_widen_the_lightlike_band(self, derivatives):
+        # h_fd = 2 on (-1e4, 1e4): a band in t units would be 400, which the
+        # timelike helix's |<a',a'>| / |a'|^2 = 0.6 passes
+        x = lambda t: np.array([np.cos(t), np.sin(t), 2 * t])
+        dx = (lambda t: np.array([-np.sin(t), np.cos(t), 2.0])) if derivatives else None
+        with pytest.raises(CausalTypeError, match="not lightlike"):
+            reparam_pseudo_arclength(CurveJet(x, dx, domain=(-1e4, 1e4)), 0.0)
+
 
 class TestClosedFormLengths:
     """s(t(s)) = s against closed-form lengths, at 201 points and both ends."""

@@ -17,14 +17,16 @@ A vector v is spacelike when <v,v> > 0 *or* v = 0, timelike when
 <v,v> < 0, lightlike when <v,v> = 0 and v != 0.  Every causal decision asks
 one rule, `_causal3`: v is lightlike when |<v,v>| <= REL_TOL |v|_euclid^2
 and v != 0, so 10^k v has the class of v while |v|^2 is a normal float
-(|v| from about 1e-150 to 1e150).  By the paper's proposition a plane is
-spacelike, timelike or lightlike as its normal is timelike, spacelike or
-lightlike.
+(|v| from about 1e-150 to 1e150).  Every dependence decision asks one rule,
+`_parallel3`: u, v are dependent when |u x v|^2 <= REL_TOL |u|^2 |v|^2
+(Euclidean).  By the paper's proposition a plane is spacelike, timelike or
+lightlike as its normal is timelike, spacelike or lightlike.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -54,7 +56,7 @@ __all__ = [
     "write_csv",
 ]
 
-#: relative tolerance of `_causal3`, the one "is this Lorentz square zero" rule
+#: relative tolerance of the one causal rule `_causal3` and dependence rule `_parallel3`
 REL_TOL = 1e-12
 
 #: most points an array sized from input may hold (profile steps, mesh vertices,
@@ -200,6 +202,16 @@ def _causal3(q, e) -> CausalClass:
     return CausalClass.SPACELIKE if q >= 0 else CausalClass.TIMELIKE
 
 
+def _parallel3(d, eu, ev) -> bool:
+    """u, v are dependent (parallel, or eu = 0) when d^2 >= (1 - REL_TOL) eu ev,
+    with d = <u,v>_euclid, eu = |u|^2, ev = |v|^2: |u x v|^2 <= REL_TOL eu ev.
+    A nonzero square below the normal floats raises GeometryError; on normal
+    ones (d / eu) d cannot overflow."""
+    if 0.0 < eu < sys.float_info.min or 0.0 < ev < sys.float_info.min:
+        raise GeometryError("a squared length underflows: it is not a normal float")
+    return not eu or (d / eu) * d >= (1.0 - REL_TOL) * ev
+
+
 def causal_class(v) -> CausalClass:
     """Causal character of a single vector (zero vector counts as spacelike).
 
@@ -214,9 +226,7 @@ def causal_class(v) -> CausalClass:
 @dataclass(frozen=True)
 class Subspace:
     """A line or a plane through the origin, spanned by one nonzero vector
-    or two independent ones: u, v are dependent when their normal n = u x v
-    has |n|^2 <= REL_TOL |u|^2 |v|^2 (Euclidean squares; |n| = |u||v| sin of
-    their angle)."""
+    or two independent ones (by `_parallel3`)."""
 
     generators: tuple
 
@@ -236,9 +246,11 @@ class Subspace:
             if not eu:
                 raise GeometryError("a single generator must be nonzero")
             return qu, eu
-        q, e = _squares3(_cross3(u, v[0]), "normal")
-        if e <= REL_TOL * eu * _squares3(v[0], "generator")[1]:
+        if _parallel3(_edot3(u, v[0]), eu, _squares3(v[0], "generator")[1]):
             raise GeometryError("generators are linearly dependent")
+        q, e = _squares3(_cross3(u, v[0]), "normal")
+        if e < sys.float_info.min:
+            raise GeometryError("normal too small: its squared length underflows")
         return -q, e
 
 

@@ -46,7 +46,7 @@ from .core import (
     hyperbolic_angle,
     write_csv,
 )
-from .core import _causal3, _cross3, _dot3, _edot3, _null3, _squares3
+from .core import _causal3, _cross3, _dot3, _edot3, _null3, _parallel3, _squares3
 
 __all__ = [
     "CurveJet",
@@ -359,6 +359,9 @@ def reparam_arclength(jet: CurveJet, t0: float) -> CurveJet:
 
     def ddbeta(s):
         vel, acc, v, vd = speed_rates(t_of_s(s))
+        # alpha'' along alpha' puts beta'' along beta', Lorentz-orthogonal to it: zero
+        if _parallel3(_edot3(vel, acc), _edot3(vel, vel), _edot3(acc, acc)):
+            return [0.0, 0.0, 0.0]
         tp = 1.0 / v
         tpp = -vd / v ** 3
         return [a * tp * tp + x * tpp for a, x in zip(acc, vel)]
@@ -492,7 +495,7 @@ def _frame_at(jet: CurveJet, s: float):
     tp_vec = jet.acceleration(s)
     tp = tp_vec.tolist()
     qp, ep = _squares3(tp, "T'")
-    if math.sqrt(ep) <= 1e-12:
+    if _parallel3(_edot3(t, tp), e, ep):
         raise GeometryError("T' vanishes: straight line, no Frenet frame")
     # T is timelike iff q < 0 here, and T' of a timelike curve is always spacelike
     case = FrenetCase.TIMELIKE if q < 0 else _SPACELIKE_CASE[_causal3(qp, ep)]
@@ -553,19 +556,20 @@ def curvature_torsion_general(jet: CurveJet, t: float) -> tuple[float, float]:
         kappa = |a' x a''| / (-<a',a'>)^(3/2)
         tau   = det(a', a'', a''') / |a' x a''|^2 = <a' x a'', a'''> / |a' x a''|^2
 
-    Straight pieces return (0, 0).  The torsion sign matches the arc-length
-    definition tau = <N', B>.
+    Straight pieces (a'' along a') return (0, 0); an underflowing <a' x a'',
+    a' x a''> raises GeometryError.  The torsion sign matches tau = <N', B>.
     """
-    v = jet.velocity(t)
-    if causal_class(v) is not CausalClass.TIMELIKE:
+    v, a = jet.velocity(t).tolist(), jet.acceleration(t).tolist()
+    q, e = _squares3(v)
+    if _causal3(q, e) is not CausalClass.TIMELIKE:
         raise CausalTypeError("the closed-form kappa/tau formulas assume a timelike curve")
-    v, a = v.tolist(), jet.acceleration(t).tolist()
+    if _parallel3(_edot3(v, a), e, _squares3(a, "alpha''")[1]):
+        return 0.0, 0.0
     cva = _cross3(v, a)
     cva_sq = _squares3(cva, "alpha' x alpha''")[0]
-    # relative to |v|^2 |a|^2, so a small curvature is not taken for a line
-    if abs(cva_sq) <= REL_TOL * _edot3(v, v) * _edot3(a, a):
-        return 0.0, 0.0
-    kappa = math.sqrt(abs(cva_sq)) / (-_dot3(v, v)) ** 1.5
+    if abs(cva_sq) < sys.float_info.min:
+        raise GeometryError("alpha' x alpha'' underflows: its square is not a normal float")
+    kappa = math.sqrt(abs(cva_sq)) / (-q) ** 1.5
     tau = _dot3(cva, jet.jerk(t).tolist()) / abs(cva_sq)
     return kappa, tau
 
@@ -624,10 +628,11 @@ def theorem_angle_check(jet: CurveJet, v, s: float) -> tuple[float, float]:
     two agree for planar timelike curves.
     """
     v = as_vec3(v)
-    if causal_class(jet.velocity(s)) is not CausalClass.TIMELIKE:
+    vel, a = jet.velocity(s).tolist(), jet.acceleration(s).tolist()
+    q, e = _squares3(vel)
+    if _causal3(q, e) is not CausalClass.TIMELIKE:
         raise CausalTypeError("angle/curvature comparison is for timelike curves")
-    a = jet.acceleration(s).tolist()
-    if math.sqrt(_edot3(a, a)) <= 1e-12:
+    if _parallel3(_edot3(vel, a), e, _edot3(a, a)):
         kappa = 0.0  # straight line: zero curvature, constant angle
     else:
         fr = frenet(jet, s)

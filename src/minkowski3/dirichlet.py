@@ -209,10 +209,12 @@ class ConvexPolygon:
             p0, p1 = v[i], v[(i + 1) % len(v)]
             nn = -self._normals[i]  # inward
             d = v - (p0 + ts * (p1 - p0))[:, None, :]  # (64, V, 2)
-            denom = 2.0 * _dots(d, nn)
-            ok = denom > 1e-12
+            denom, dd = 2.0 * _dots(d, nn), _dots(d, d)
+            # vertices on the edge line bound no disc; the test is relative to
+            # |d|, so the radius of a scaled polygon scales with it
+            ok = denom > 1e-12 * np.sqrt(dd)
             if ok.any():
-                worst = max(worst, float(np.max(_dots(d, d)[ok] / denom[ok])))
+                worst = max(worst, float(np.max(dd[ok] / denom[ok])))
         return worst
 
 

@@ -10,7 +10,7 @@ of their orbits depends on the causal character of the axis:
 
     timelike axis  <E3>      -> Euclidean circles in horizontal planes
     spacelike axis <E1>      -> hyperbola branches in planes {x = const}
-    lightlike axis <E2+E3>   -> parabolas in planes parallel to <E1, E2-E3>
+    lightlike axis <E2+E3>   -> parabolas in planes parallel to <E1, E2+E3>
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .core import (
     GeometryError,
     as_vec3,
 )
+from .core import _edot3, _parallel3, _squares3
 
 __all__ = [
     "IsometryComponent",
@@ -138,7 +139,12 @@ def boost_lightlike(theta: float) -> np.ndarray:
     )
 
 
-_ON_AXIS_TOL = 1e-12
+#: the boost family of each axis type: (axis vector, boost, name of the axis)
+_AXES = {
+    CausalClass.TIMELIKE: ([0.0, 0.0, 1.0], boost_timelike, "timelike axis <E3>"),
+    CausalClass.SPACELIKE: ([1.0, 0.0, 0.0], boost_spacelike, "spacelike axis <E1>"),
+    CausalClass.LIGHTLIKE: ([0.0, 1.0, 1.0], boost_lightlike, "lightlike axis <E2+E3>"),
+}
 
 
 def orbit(axis: CausalClass, p0, params) -> np.ndarray:
@@ -146,31 +152,17 @@ def orbit(axis: CausalClass, p0, params) -> np.ndarray:
 
     Returns the polyline T_theta(p0) for theta in `params`, shape (n, 3).
     No adaptive sampling is done; orbits feed plotting and CSV output.
-    Raises GeometryError if p0 lies on the axis, or if a parameter or a
-    sampled point is not finite.
+    Raises GeometryError if p0 lies on the axis (by `_parallel3`), or if a
+    parameter or a sampled point is not finite.
     """
     p0 = as_vec3(p0)
     params = np.asarray(params, dtype=float)
     if not np.all(np.isfinite(params)):
         raise GeometryError("orbit parameters must be finite")
-    scale = 1.0 + float((p0 * p0).sum())
-    if axis is CausalClass.TIMELIKE:
-        if p0[0] ** 2 + p0[1] ** 2 <= _ON_AXIS_TOL * scale:
-            raise GeometryError("p0 lies on the timelike axis <E3>")
-        boost = boost_timelike
-    elif axis is CausalClass.SPACELIKE:
-        if p0[1] ** 2 + p0[2] ** 2 <= _ON_AXIS_TOL * scale:
-            raise GeometryError("p0 lies on the spacelike axis <E1>")
-        boost = boost_spacelike
-    elif axis is CausalClass.LIGHTLIKE:
-        # axis direction (0,1,1)/sqrt(2); reject p0 proportional to it
-        proj = 0.5 * (p0[1] + p0[2])
-        rest = p0 - proj * np.array([0.0, 1.0, 1.0])
-        if float((rest * rest).sum()) <= _ON_AXIS_TOL * scale:
-            raise GeometryError("p0 lies on the lightlike axis <E2+E3>")
-        boost = boost_lightlike
-    else:  # pragma: no cover - CausalClass is exhaustive
-        raise GeometryError(f"unknown axis type {axis!r}")
+    w, boost, name = _AXES[axis]
+    p = p0.tolist()
+    if _parallel3(_edot3(w, p), _edot3(w, w), _squares3(p, "p0")[1]):
+        raise GeometryError(f"p0 lies on the {name}")
     # large parameters overflow (cosh, t^2); the check below reports them
     with np.errstate(over="ignore", invalid="ignore"):
         pts = np.stack([boost(t) @ p0 for t in params])
@@ -197,14 +189,19 @@ def conic_residual(axis: CausalClass, p0, pts) -> tuple[str, float]:
             resid = np.abs(pts[:, 1] ** 2 - pts[:, 2] ** 2 - (y0 ** 2 - z0 ** 2))
             resid = np.maximum(resid, np.abs(pts[:, 0] - x0))
             conic = "hyperbola y^2-z^2=y0^2-z0^2 in {x=x0}"
-        elif abs(z0 + y0) < 1e-12 * (1 + abs(y0) + abs(z0)) and abs(y0) > 1e-12:
-            resid = np.abs(
-                pts[:, 1] - (y0 + x0 ** 2 / (4 * y0) - pts[:, 0] ** 2 / (4 * y0))
-            )
-            conic = "parabola Y=y+x^2/(4y)-X^2/(4y) in <E1,E2-E3>"
         else:
-            resid = np.zeros(1)
-            conic = "orbit plane is a translate of <E1,E2-E3>; no canonical relation checked"
+            # X = x0 + t c, Y = y0 - t x0 - c t^2 / 2 and Y - Z = c = y0 - z0
+            c = y0 - z0
+            if abs(c) <= 1e-12 * (abs(x0) + abs(y0) + abs(z0)):
+                resid = np.maximum(np.abs(pts[:, 0] - x0), np.abs(pts[:, 1] - pts[:, 2] - c))
+                conic = "line x=x0 in {y-z=y0-z0}"
+            elif abs(z0 + y0) <= 1e-12 * (abs(y0) + abs(z0)):
+                resid = np.abs(pts[:, 1] - (y0 + x0 ** 2 / (4 * y0) - pts[:, 0] ** 2 / (4 * y0)))
+                conic = "parabola Y=y+x^2/(4y)-X^2/(4y) in <E1,E2-E3>"
+            else:
+                resid = np.abs(pts[:, 1] - (y0 + (x0 ** 2 - pts[:, 0] ** 2) / (2 * c)))
+                resid = np.maximum(resid, np.abs(pts[:, 1] - pts[:, 2] - c))
+                conic = "parabola Y=y0+(x0^2-X^2)/(2(y0-z0)) in {y-z=y0-z0}"
         worst = float(resid.max())
     if not np.isfinite(worst):
         raise GeometryError("orbit conic residual overflows")

@@ -12,8 +12,10 @@ Lorentzian catenoid r = sinh(s); spacelike charts require r'^2 > 1 along
 the profile and the full chart condition EG - F^2 > 0 when centers drift.
 
 Integration is a classical fixed-step 4-stage Runge-Kutta scheme with an
-event guard stopping at r'^2 - 1 <= guard or r <= guard, or before a step
-that overflows (a blow-up); fixed stepping keeps runs bit-reproducible.
+event guard stopping at r'^2 - 1 <= guard or r <= guard r0, or before a
+step that overflows (a blow-up); fixed stepping keeps runs bit-reproducible.
+The equations are invariant under r, s, a, b -> lam (r, s, a, b) with
+H -> H / lam and c, d -> (c, d) / lam^2, and so is the guard.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ __all__ = [
     "hyperbolic_cap_chart",
 ]
 
-#: guard band for the spacelike condition r'^2 > 1 and for r > 0
+#: guard band for the spacelike condition r'^2 > 1, and relative to r0 for r > 0
 GUARD = 1e-6
 
 #: most RK4 steps one integration takes: the loop runs on Python floats at a
@@ -149,11 +151,11 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
     r, rp, a, b = float(params.r0), float(params.rp0), 0.0, 0.0
     rpp = _rpp(r, rp, H, c, d)  # finite: ProfileODEParams checks the first slope
     ys[0] = r, rp, a, b, rpp
-    # the guard is tested before a step is taken, so a span of no steps never truncates
-    truncated = n > 0 and (r <= GUARD or rp * rp - 1.0 <= GUARD)
-    blew_up = False
-    last = 0 if truncated else n
-    for k in range(last):
+    # the start lies outside the guard band: ProfileODEParams checks rp0^2 > 1 + GUARD
+    r_guard = GUARD * r
+    truncated = blew_up = False
+    last = n
+    for k in range(n):
         # A step that blows up overflows: `**` raises where an array would
         # hold inf, and a stage radius of exactly 0 divides by zero.  Such a
         # step is rejected, as is one that is not finite, leaves the
@@ -178,7 +180,7 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
                 and isfinite(rpp_n) and isfinite(c * r_n * r_n) and isfinite(d * r_n * r_n)):
             truncated, blew_up, last = True, True, k
             break
-        if r_n <= GUARD or rp_n * rp_n - 1.0 <= GUARD:
+        if r_n <= r_guard or rp_n * rp_n - 1.0 <= GUARD:
             truncated, last = True, k
             break
         r, rp, a, b, rpp = r_n, rp_n, a_n, b_n, rpp_n

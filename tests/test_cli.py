@@ -176,7 +176,7 @@ class TestRotationalCommands:
         (["--H=-2", "--r0", "1", "--rp0", "1.5", "--span", "0:1"], 77, BLOW_UP),
         # r' reaches -1.1e6 as r falls, and the next step overflows
         (["--H", "1", "--r0", "1", "--rp0=-1.5", "--span", "0:3"], 280, BLOW_UP),
-        # r falls into the band r <= GUARD with r' near -1
+        # r falls into the band r <= GUARD r0 with r' near -1
         (["--H", "1", "--r0", "1", "--rp0=-1.2", "--span", "0:3"], 872,
          "integration stopped at the guard band"),
     ], ids=["blow-up", "falling-blow-up", "guard-band"])

@@ -117,6 +117,9 @@ class TestSubspaces:
     def test_line_inherits_vector_class(self):
         assert causal_class_subspace(Subspace((E2 + E3,))) is CausalClass.LIGHTLIKE
         assert causal_class_subspace(Subspace((E3,))) is CausalClass.TIMELIKE
+        # |v|^2 underflows to 0: refused as the zero vector is, not classified
+        with pytest.raises(GeometryError, match="nonzero"):
+            Subspace((1e-200 * E3,))
 
     def test_dependent_generators_rejected(self):
         with pytest.raises(GeometryError):

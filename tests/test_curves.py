@@ -1181,25 +1181,40 @@ def test_scaled_helices_reparametrize_finitely_or_raise(kind, k, t0, frac, theta
     # the scale 10^k runs from underflow to overflow of |alpha'|^2; the boost
     # of rapidity up to 3 mixes the coordinates
     lam = 10.0 ** k
+    a, _, lam_kappa, lam_tau = HELICES[kind]
+    # inside the chain rule's range of |alpha'| = lam sqrt|1 - a^2| there is a frame
+    framed = kind != "null" and 1e-60 <= lam * math.sqrt(abs(1 - a * a)) <= 1e60
     jet = scaled_helix_jet(kind, lam, isometry.boost_timelike(theta) @ isometry.boost_spacelike(phi))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if kind == "timelike":
-            _finite_or_geometry_error(lambda: curvature_torsion_general(jet, t0))
+            # never taken for a straight piece: its own kappa and tau, or an error
+            general = _finite_or_geometry_error(lambda: curvature_torsion_general(jet, t0))
+            assert general is None or (math.isclose(lam * general[0], lam_kappa, rel_tol=1e-6)
+                                       and math.isclose(lam * general[1], lam_tau, rel_tol=1e-6))
         try:
             beta = (reparam_pseudo_arclength if kind == "null" else reparam_arclength)(jet, t0)
         except GeometryError as exc:
-            assert str(exc)
+            assert str(exc) and not framed, exc
             return
         s = beta.domain[0] + frac * (beta.domain[1] - beta.domain[0])
         for name in ("position", "velocity", "acceleration", "jerk"):
             _finite_or_geometry_error(lambda: getattr(beta, name)(s))
         fr = _finite_or_geometry_error(lambda: frenet(beta, s))
+    assert fr is not None or not framed
     if fr is not None:
-        _, case, kappa, tau = HELICES[kind]
-        assert fr.case is case
-        assert (fr.kappa is None) if kappa is None else math.isclose(fr.kappa, kappa / lam, rel_tol=1e-6)
-        assert math.isclose(fr.tau, tau / lam, rel_tol=1e-6), (fr.tau, tau / lam)
+        assert fr.case is HELICES[kind][1]
+        assert (fr.kappa is None) if lam_kappa is None else math.isclose(fr.kappa, lam_kappa / lam, rel_tol=1e-6)
+        assert math.isclose(fr.tau, lam_tau / lam, rel_tol=1e-6), (fr.tau, lam_tau / lam)
+
+
+@pytest.mark.parametrize("k", range(-59, 60))
+def test_arc_length_helix_frame_at_every_scale(k):
+    # the straight-line test has no length scale: kappa = 1/(3 lam) is no line
+    lam = 10.0 ** k
+    fr = frenet(reparam_arclength(scaled_helix_jet("timelike", lam, np.eye(3)), 0.0), 0.0)
+    assert fr.case is FrenetCase.TIMELIKE
+    assert math.isclose(lam * fr.kappa, 1 / 3, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("lam", [1e-150, 1e-10, 1.0, 1e30, 1e150])

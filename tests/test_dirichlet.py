@@ -278,9 +278,9 @@ def loop_rolling_radius(poly):
             p = p0 + t * (p1 - p0)
             for q in v:
                 d = q - p
-                denom = 2.0 * float(d @ nn)
-                if denom > 1e-12:
-                    worst = max(worst, float(d @ d) / denom)
+                denom, dd = 2.0 * float(d @ nn), float(d @ d)
+                if denom > 1e-12 * np.sqrt(dd):
+                    worst = max(worst, dd / denom)
     return worst
 
 

@@ -184,7 +184,8 @@ class TestConicResidual:
         (CausalClass.TIMELIKE, [1.0, 0.5, 2.0], "circle"),
         (CausalClass.SPACELIKE, [0.3, 0.0, 1.0], "hyperbola"),
         (CausalClass.LIGHTLIKE, [1.0, 1.0, -1.0], "parabola"),
-        (CausalClass.LIGHTLIKE, [1.0, 2.0, 0.5], "no canonical relation"),
+        (CausalClass.LIGHTLIKE, [1.0, 2.0, 0.5], "parabola Y=y0+(x0^2-X^2)/(2(y0-z0))"),
+        (CausalClass.LIGHTLIKE, [1.0, 1.0, 1.0], "line x=x0"),
     ])
     def test_orbits_lie_on_their_conic(self, axis, p0, conic):
         pts = orbit(axis, p0, np.linspace(-2, 2, 41))
@@ -195,6 +196,10 @@ class TestConicResidual:
     def test_off_conic_points_measured(self):
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
         assert conic_residual(CausalClass.TIMELIKE, [1.0, 0.0, 0.0], pts)[1] == 3.0
+        # every lightlike orbit has a relation that is checked, off y = -z too
+        for p0 in ([1.0, 2.0, 0.5], [1.0, 1.0, 1.0]):
+            pts = orbit(CausalClass.LIGHTLIKE, p0, [0.0, 0.5]) + [[0.0, 0.0, 0.0], [0.25, 0.0, 0.0]]
+            assert conic_residual(CausalClass.LIGHTLIKE, p0, pts)[1] >= 0.25
 
     def test_overflow_rejected_without_warnings(self):
         pts = orbit(CausalClass.SPACELIKE, [0.0, 1.0, 0.0], np.linspace(0, 700, 5))

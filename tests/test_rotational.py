@@ -219,6 +219,10 @@ class TestRiemannFamily:
             )
 
 
+#: the guard-band fall H = 1, rp0 = -1.2 on [0, 3], scaled by 1e-7
+TINY_FALL = ProfileODEParams(H=1e7, r0=1e-7, rp0=-1.2, s1=3e-7, h=1e-10)
+
+
 def numpy_integrate(params: ProfileODEParams):
     """The RK4 loop on numpy arrays that `rotational._integrate` replaced: its
     float loop must reproduce this one bit for bit."""
@@ -240,7 +244,7 @@ def numpy_integrate(params: ProfileODEParams):
     last = n
 
     def at_guard(y):
-        return y[0] <= GUARD or y[1] * y[1] - 1.0 <= GUARD
+        return y[0] <= GUARD * params.r0 or y[1] * y[1] - 1.0 <= GUARD
 
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = rhs(ys[0])
@@ -287,7 +291,8 @@ class TestFloatLoopOracle:
         # r' blows up (H = -2); r falls to the guard band (H = 1, r' < -1)
         (integrate_rotational, ProfileODEParams(H=-2.0), True),
         (integrate_rotational, ProfileODEParams(H=1.0, rp0=-1.2, s1=3.0), True),
-        (integrate_rotational, ProfileODEParams(r0=1e-7), True),  # starts in the band
+        # the same fall, scaled by 1e-7: the band is relative to r0
+        (integrate_rotational, TINY_FALL, True),
         (integrate_riemann, ProfileODEParams(c=0.3, d=0.1), False),
         # blow-ups: a stage overflows (c = 1), an end slope overflows (c = 10)
         (integrate_riemann, ProfileODEParams(c=1.0), True),
@@ -310,7 +315,7 @@ class TestFloatLoopOracle:
     @pytest.mark.parametrize("integrate, params, blew_up", [
         (integrate_rotational, ProfileODEParams(H=-2.0), True),
         (integrate_rotational, ProfileODEParams(H=1.0, rp0=-1.2, s1=3.0), False),
-        (integrate_rotational, ProfileODEParams(r0=1e-7), False),
+        (integrate_rotational, TINY_FALL, False),
         (integrate_riemann, ProfileODEParams(c=1.0), True),
         (integrate_riemann, ProfileODEParams(c=10.0), True),
     ])

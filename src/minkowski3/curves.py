@@ -557,7 +557,8 @@ def curvature_torsion_general(jet: CurveJet, t: float) -> tuple[float, float]:
         tau   = det(a', a'', a''') / |a' x a''|^2 = <a' x a'', a'''> / |a' x a''|^2
 
     Straight pieces (a'' along a') return (0, 0); an underflowing <a' x a'',
-    a' x a''> raises GeometryError.  The torsion sign matches tau = <N', B>.
+    a' x a''> and a kappa above the float range raise GeometryError.  The
+    torsion sign matches tau = <N', B>.
     """
     v, a = jet.velocity(t).tolist(), jet.acceleration(t).tolist()
     q, e = _squares3(v)
@@ -569,7 +570,11 @@ def curvature_torsion_general(jet: CurveJet, t: float) -> tuple[float, float]:
     cva_sq = _squares3(cva, "alpha' x alpha''")[0]
     if abs(cva_sq) < sys.float_info.min:
         raise GeometryError("alpha' x alpha'' underflows: its square is not a normal float")
-    kappa = math.sqrt(abs(cva_sq)) / (-q) ** 1.5
+    # not over (-q)^(3/2): alone, it overflows where kappa is finite, or underflows to 0
+    kappa = math.sqrt(abs(cva_sq)) / -q / math.sqrt(-q)
+    if kappa == math.inf:
+        raise GeometryError("kappa overflows: |alpha' x alpha''| / (-<alpha',alpha'>)^(3/2) "
+                            "is above the float range")
     tau = _dot3(cva, jet.jerk(t).tolist()) / abs(cva_sq)
     return kappa, tau
 

@@ -60,7 +60,9 @@ class ProfileODEParams:
 
     `H` is the target mean curvature (rotational family, requires c = d = 0);
     `c`, `d` drift the circle centers (minimal family, requires H = 0).
-    Spacelike admissibility at the start demands |rp0| > 1.
+    Spacelike admissibility at the start demands |rp0| > 1, and the step
+    must move both s and r: s0 + h k must not repeat, nor r0 + h rp0 round
+    to r0.
     """
 
     H: float = 0.0
@@ -98,6 +100,11 @@ class ProfileODEParams:
         if not isfinite(rpp0):
             raise GeometryError("initial data too large: r''(s0) overflows for "
                                 "these r0, rp0, c, d")
+        # as for s: below the float spacing of r0, r0 + h rp0 rounds to r0, so
+        # r only moves by rounding and its measured curvature is rounding noise
+        if self.r0 + self.h * self.rp0 == self.r0:
+            raise GeometryError("step h does not move r: r0 + h rp0 rounds to r0, "
+                                "h |rp0| is below the float spacing of r0")
 
 
 @dataclass
@@ -263,6 +270,10 @@ def _hermite(x, y, dydx):
     c = np.stack((t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1]))
     c1 = c[:-1] * np.array([3, 2, 1])[:, None]
     c2 = c1[:-1] * np.array([2, 1])[:, None]
+    # c1 = (3 c_0, 2 c_1, c_2) is finite where c2 = (6 c_0, 2 c_1) and c are
+    if not (np.isfinite(c).all() and np.isfinite(c2).all()):
+        raise GeometryError("profile interpolant overflows: a cubic coefficient "
+                            "is above the float range")
     knots = x.tolist()
     last = len(knots) - 2
 
@@ -299,9 +310,11 @@ def profile_chart(sol: ProfileSolution) -> SurfaceChart:
         raise GeometryError("profile too short to interpolate")
     c, d = sol.params.c, sol.params.d
     dom = ((float(sol.s[0]), float(sol.s[-1])), (0.0, 2 * np.pi))
-    r = _hermite(sol.s, sol.r, sol.rp)
-    a = _hermite(sol.s, sol.a, c * sol.r ** 2)
-    b = _hermite(sol.s, sol.b, d * sol.r ** 2)
+    # a coefficient that overflows is refused by `_hermite`, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = _hermite(sol.s, sol.r, sol.rp)
+        a = _hermite(sol.s, sol.a, c * sol.r ** 2)
+        b = _hermite(sol.s, sol.b, d * sol.r ** 2)
     r, a, b = (tuple(map(_memo_exact, fs)) for fs in (r, a, b))
     return _circle_chart(r, a, b, dom)
 

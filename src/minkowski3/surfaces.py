@@ -213,20 +213,18 @@ class CurvatureBatch:
 # The curvature kernel.  Every function below takes 1-D arrays (us, vs) of
 # parameter points, calls the scalar evaluators once per point and partial,
 # and does the algebra on the stacked (n, 3) values.  The public functions
-# accept scalars (a batch of one, returning the per-point types) or 1-D
-# arrays (broadcast against each other).  A single point of
-# `shape_and_curvatures` goes through `_point_curvatures` instead, and
-# `mean_curvature_foliated` through `_point_first_coeffs`: Python floats,
-# with the same evaluator calls in the same order.  Each formula of the
-# metric is written once, in `core`, on coordinate triples (`_dot3`,
-# `_edot3`, `_cross3`), and the first form once, in `_first_terms`; both
-# paths call them, and both take the shape matrix from the same 2x2
-# `np.linalg.solve`, so they give the same bits.  The 2x2 algebra after the
-# solve (trace, determinant, eigenvalues) has a float and an array copy,
-# and the batch keeps no step that Python floats round differently
-# (`np.vecdot`, `np.linalg.det`, `np.linalg.eigvals`).  At its first value
-# that is not finite, a point goes to the batch of one, whose
-# numpy arithmetic warns or raises as np.errstate says.
+# take a point as a batch of one, or 1-D arrays broadcast together, save one
+# float path: `shape_and_curvatures` at a point runs `_point_curvatures` on
+# Python floats, as the profile checks call it point by point (33-65 us a
+# point there, 260-460 us as a batch of one, on a Xeon core).  It makes five
+# evaluator calls; the batch makes seven, reading X_u and X_v again for its
+# normal only for perfbench's ten calls per mesh vertex.  Each metric formula
+# is written once, in `core`, on coordinate triples, and the first form once,
+# in `_first_terms`; both paths call them and one 2x2 `np.linalg.solve`, and
+# the batch keeps no step that Python floats round differently (`np.vecdot`,
+# `np.linalg.det`, `np.linalg.eigvals`), so they give the same bits.  At its
+# first value that is not finite or not one 3-vector, a point goes to the
+# batch of one, whose numpy arithmetic warns or raises as np.errstate says.
 
 
 def _batch(u, v):
@@ -290,25 +288,6 @@ def _point_value(evaluate, u, v):
     return x.tolist() if x.shape == (3,) else None
 
 
-def _point_first_coeffs(chart: SurfaceChart, u, v, lightlike: Optional[str] = None):
-    """`_first_coeffs` at one point on Python floats: (X_u, X_v, E, F, G, W)
-    with X_u and X_v as lists, raising as the batch does; None when a value
-    is not finite or not one 3-vector."""
-    xu, xv = _point_value(chart.du, u, v), _point_value(chart.dv, u, v)
-    if xu is None or xv is None:
-        return None
-    gram, E, F, G, w, flat_tol = _first_terms(xu, xv)
-    # every value the batch computes is a term, or inside one: an inf or NaN
-    # anywhere makes the sum non-finite
-    if not math.isfinite(gram + flat_tol + E + F + G + w):
-        return None
-    if gram <= flat_tol:
-        raise _not_immersed(u, v)
-    if lightlike and _null3(w, gram):
-        raise CausalTypeError(lightlike)
-    return xu, xv, E, F, G, w
-
-
 def _unit_normals(chart: SurfaceChart, us, vs, lightlike: str) -> np.ndarray:
     xu, xv, _, _, _, w, _ = _first_coeffs(chart, us, vs, lightlike)
     n = _cross3(xu.T, xv.T)
@@ -333,9 +312,8 @@ def _half_gap_sq(a: np.ndarray) -> np.ndarray:
 def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
     _, _, E, F, G, w, _ = _first_coeffs(
         chart, us, vs, "curvature data undefined at a lightlike point")
-    # the second form evaluates X_u and X_v again for its normal, as
-    # second_form does on its own; perfbench asserts ten evaluator calls per
-    # mesh vertex, so this stays until that test changes (ROADMAP item 3)
+    # the normal reads X_u and X_v again, as second_form does on its own, only
+    # because perfbench asserts ten evaluator calls per mesh vertex
     e, f, g = _second_coeffs(chart, us, vs)
     imat = np.array([E, F, F, G]).T.reshape(-1, 2, 2)
     iimat = np.array([e, f, f, g]).T.reshape(-1, 2, 2)
@@ -403,24 +381,27 @@ def _curvatures(chart: SurfaceChart, us, vs) -> CurvatureBatch:
 
 
 def _point_curvatures(chart: SurfaceChart, u, v) -> Optional[CurvatureData]:
-    """`_curvatures` at one point on Python floats, or None when a value is
-    not finite: the same 7 evaluator calls in the same order, and the same
-    products and sums, so the same bits as the batch of one."""
-    first = _point_first_coeffs(chart, u, v, "curvature data undefined at a lightlike point")
-    if first is None:
+    """`_curvatures` at one point on Python floats, with the batch's errors
+    and bits, or None at a value that is not finite or not one 3-vector: five
+    evaluator calls, the normal crossing the first form's X_u and X_v."""
+    xu, xv = _point_value(chart.du, u, v), _point_value(chart.dv, u, v)
+    if xu is None or xv is None:
         return None
-    _, _, E, F, G, w = first
-    # the normal of `_unit_normals`, from X_u and X_v evaluated again
-    second = _point_first_coeffs(chart, u, v, "no unit normal at a lightlike point")
-    if second is None:
+    gram, E, F, G, w, flat_tol = _first_terms(xu, xv)
+    # every value the batch computes is a term, or inside one: an inf or NaN
+    # anywhere makes the sum non-finite
+    if not math.isfinite(gram + flat_tol + E + F + G + w):
         return None
-    xu, xv, _, _, _, wn = second
+    if gram <= flat_tol:
+        raise _not_immersed(u, v)
+    if _null3(w, gram):
+        raise CausalTypeError("curvature data undefined at a lightlike point")
     n = _cross3(xu, xv)
     norm = math.sqrt(abs(_dot3(n, n)))
     if not 0.0 < norm < math.inf:
         return None
     n0, n1, n2 = n[0] / norm, n[1] / norm, n[2] / norm
-    flip = -1.0 if wn > 0 and n2 < 0 else 1.0
+    flip = -1.0 if w > 0 and n2 < 0 else 1.0
     n = n0 * flip, n1 * flip, n2 * flip
     xuu, xuv = _point_value(chart.duu, u, v), _point_value(chart.duv, u, v)
     xvv = _point_value(chart.dvv, u, v)
@@ -507,6 +488,8 @@ def shape_and_curvatures(chart: SurfaceChart, u, v):
     Spacelike points always diagonalize (A is self-adjoint for a definite
     metric); timelike points may not, in which case `principal` is None.
     A point gives a `CurvatureData`, arrays of points a `CurvatureBatch`.
+    A point takes five evaluator calls on Python floats, for speed, with the
+    batch of one's bits; arrays take seven calls per point.
     """
     us, vs, scalar = _batch(u, v)
     if scalar:
@@ -593,15 +576,12 @@ def mean_curvature_foliated(chart: SurfaceChart, u: float, v: float) -> float:
 
     valid at spacelike points (W = EG - F^2 > 0).  The sign corresponds to
     the future-directed normal; |H| always agrees with the shape-operator
-    route, and the two are reconciled in tests.
+    route, and the two are reconciled in tests.  A batch of one.
     """
     if np.ndim(u) or np.ndim(v):
         raise GeometryError("the foliated identity takes one point (u, v)")
     us, vs, _ = _batch(u, v)
-    first = _point_first_coeffs(chart, us[0], vs[0])
-    if first is None:
-        first = (x[0] for x in _first_coeffs(chart, us, vs)[:6])
-    xu, xv, E, F, G, w = first
+    xu, xv, E, F, G, w = (x[0] for x in _first_coeffs(chart, us, vs)[:6])
     E, F, G, w = float(E), float(F), float(G), float(w)
     if w <= 0:
         raise CausalTypeError("the foliated identity requires a spacelike point")

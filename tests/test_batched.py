@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from minkowski3 import rotational
+from minkowski3 import rotational, surfaces
 from minkowski3.core import E1, E2, E3, CausalClass, CausalTypeError, GeometryError
 from minkowski3.curves import CurveJet
 from minkowski3.meshing import disk_graph_mesh, triangulate_chart
@@ -381,7 +381,9 @@ def test_point_path_overflow_is_the_batch_overflow(chart, u, v):
     assert point[0] and point == batch
 
 
-def test_point_path_makes_the_batch_evaluator_calls():
+def test_point_path_reads_each_partial_once():
+    # the point path takes its normal from the X_u and X_v of its first form;
+    # the batch reads them again for the normal, as second_form does
     base = hyperbolic_plane_chart(1.2, (0.1, 0.2, 0.3))
     calls = []
 
@@ -396,12 +398,47 @@ def test_point_path_makes_the_batch_evaluator_calls():
 
     chart = SurfaceChart(*(counted(n) for n in ("position", "du", "dv", "duu", "duv", "dvv")),
                          domain=base.domain)
-    shape_and_curvatures(chart, 0.3, -0.4)
+    point = outcome(shape_and_curvatures, chart, 0.3, -0.4)
     point_calls, calls[:] = list(calls), []
-    shape_and_curvatures(chart, [0.3], [-0.4])
-    assert point_calls == calls
+    batch = outcome(shape_and_curvatures, chart, [0.3], [-0.4])
+    assert [c[0] for c in point_calls] == ["du", "dv", "duu", "duv", "dvv"]
     assert [c[0] for c in calls] == ["du", "dv", "du", "dv", "duu", "duv", "dvv"]
-    assert all(c[1] is c[2] is np.float64 for c in calls)
+    assert all(c[1] is c[2] is np.float64 for c in point_calls + calls)
+    assert point == batch
+
+
+def _constant_chart(xu, xv, xuu=(0.0, 0.0, 0.0), xuv=(0.0, 0.0, 0.0)):
+    """The chart with these constant partials (X_vv = 0), each an array of
+    the shape given."""
+    xu, xv, xuu, xuv = (np.array(x, dtype=float) for x in (xu, xv, xuu, xuv))
+    return SurfaceChart(lambda u, v: u * xu.reshape(3) + v * xv.reshape(3),
+                        lambda u, v: xu, lambda u, v: xv, lambda u, v: xuu,
+                        lambda u, v: xuv, lambda u, v: np.zeros(3))
+
+
+@pytest.mark.parametrize("chart", [
+    # X_u is a (1, 3) array, which the batch stacks and the point path does not read
+    _constant_chart([(1.0, 0.0, 0.5)], (0.0, 1.0, 0.0)),
+    # the first form overflows
+    de_sitter_chart(1e200),
+    # <n,n> of n = X_u x X_v underflows to zero while W = EG - F^2 is the
+    # least subnormal: the batch divides by a zero norm
+    _constant_chart((1e-160, 0.0, 0.0), (0.0, 1.0, 0.9998762106409449)),
+    # X_uv is a (1, 3) array
+    _constant_chart((1.0, 0.0, 0.5), (0.0, 1.0, 0.0), xuv=[(0.0, 0.0, 1.0)]),
+    # e = <n, X_uu> overflows, as |n_3| > 1
+    _constant_chart((1.0, 0.0, 0.5), (0.0, 1.0, 0.0), xuu=(0.0, 0.0, 1.7e308)),
+    # e is finite, the shape matrix is not
+    _constant_chart((1.0, 0.0, 0.5), (0.0, 1.0, 0.0), xuu=(0.0, 0.0, 1.5e308)),
+], ids=["xu-shape", "first-form-overflow", "zero-normal", "xuv-shape", "second-form-overflow",
+        "shape-matrix-overflow"])
+def test_each_point_hand_off_is_the_batch_of_one(chart):
+    u, v = np.float64(0.2), np.float64(0.7)
+    with np.errstate(all="ignore"):
+        assert surfaces._point_curvatures(chart, u, v) is None
+    with np.errstate(all="warn"):
+        assert outcome(shape_and_curvatures, chart, u, v) == outcome(
+            shape_and_curvatures, chart, [u], [v])
 
 
 @pytest.mark.parametrize("xu", [(1.0, 0.0, 0.5), (1.0, 0.0, 1.2)])

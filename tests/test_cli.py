@@ -195,6 +195,19 @@ class TestRotationalCommands:
         assert abs(rep["outputs"]["measured_H_max"] - 0.5) < 1e-8
         assert abs(rep["outputs"]["rim_height"] - np.sqrt(13)) < 1e-12
 
+    def test_cap_csv_holds_the_disk_samples(self, capsys, tmp_path):
+        path = tmp_path / "cap.csv"
+        code, out, _ = run(capsys, "cap", "--r", "2", "--R", "3", "--csv", str(path))
+        assert code == 0
+        assert json.loads(out)["outputs"]["csv"] == str(path)
+        header, *lines = path.read_text().splitlines()
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines])
+        assert header == "x,y,z"
+        # the 41 x 41 grid points of [-3, 3]^2 inside the disk, on z = sqrt(r^2 + x^2 + y^2)
+        assert len(rows) == 1257 and (np.hypot(rows[:, 0], rows[:, 1]) <= 3.0).all()
+        np.testing.assert_allclose(rows[:, 2], np.sqrt(4.0 + rows[:, 0] ** 2 + rows[:, 1] ** 2),
+                                   rtol=1e-15)
+
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -334,7 +347,15 @@ class TestBadInput:
         assert [str(w.message) for w in caught] == []
         assert not list(tmp_path.iterdir())
 
+    def test_non_finite_report_is_one_error_line(self, capsys, monkeypatch):
+        # the last check of main: no handler reaches it today, so one is made to
+        monkeypatch.setattr(minkowski3.cli, "cmd_classify", lambda args: {"x": [1.0, float("nan")]})
+        code, out, err = run(capsys, "classify", "--vec", "0,1,1")
+        assert (code, out, err) == (1, "", "error: the report holds a non-finite number\n")
+
     @pytest.mark.parametrize("argv, cause", [
+        # r0 + h rp0 rounds to r0: r could move only by rounding
+        (["rotational", "--r0", "1e20", "--rp0", "1.5", "--span", "0:1"], "does not move r"),
         # <T,T> = 1 of the parabola's tangent sits inside the null band REL_TOL*|T|^2
         (["curve", "--kind", "parabola", "--a", "1e8"], "causal type of T not resolved"),
         # the Jacobian's perturbation rounds away against the residual -2H

@@ -645,6 +645,35 @@ class TestGeneralFormulas:
                 generate_constant_curvature(PlaneCase.SPACELIKE_PLANE, 1.0), 0.0
             )
 
+    @staticmethod
+    def jet_at_zero(v, a):
+        """A jet whose alpha', alpha'' and alpha''' are v, a and E3 (the
+        formulas read no position)."""
+        v, a = np.array(v), np.array(a)
+        return CurveJet(lambda t: t * v, lambda t: v, lambda t: a,
+                        lambda t: np.array([0.0, 0.0, 1.0]), domain=(-1, 1))
+
+    @pytest.mark.parametrize("v, a, kappa", [
+        # (-<a',a'>)^(3/2) = (3e300)^1.5 overflows; kappa = 3.3e-451 is below the floats
+        ((0.0, 1e150, 2e150), (1e-150, 0.0, 0.0), 0.0),
+        # the same overflow with kappa = sqrt(3e306) / (3e206)^1.5 = 3.3e-157 a normal float
+        ((0.0, 1e103, 2e103), (1e50, 0.0, 0.0), 1 / 3 * 1e-156),
+    ])
+    def test_kappa_finite_where_the_speed_cubed_overflows(self, v, a, kappa):
+        k, tau = curvature_torsion_general(self.jet_at_zero(v, a), 0.0)
+        assert math.isclose(k, kappa, rel_tol=1e-14) and math.isfinite(tau)
+
+    @pytest.mark.parametrize("v, a", [
+        # kappa = sqrt(3e100) / (3e-200)^1.5 = 3.3e349
+        ((0.0, 1e-100, 2e-100), (1e150, 0.0, 0.0)),
+        # -<a',a'> = 9.5e-316 is subnormal, (9.5e-316)^1.5 underflows to zero,
+        # and kappa = 1e100 / 9.5e-316 is above the floats
+        ((0.0, 1.2e-154, 1.2e-154 * (1 + 3.3e-8)), (1e100, 0.0, 0.0)),
+    ])
+    def test_kappa_above_the_floats_is_an_error(self, v, a):
+        with pytest.raises(GeometryError, match="kappa overflows"):
+            curvature_torsion_general(self.jet_at_zero(v, a), 0.0)
+
 
 class TestConstantCurvatureGenerators:
     @pytest.mark.parametrize(

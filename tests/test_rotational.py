@@ -1,8 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicHermiteSpline
 
 from minkowski3 import rotational
@@ -128,6 +131,25 @@ class TestRotationalIntegration:
         # ten times the step separates them
         params = ProfileODEParams(s0=s0, s1=s1, h=10 * h)
         assert np.all(np.diff(integrate_rotational(params).s) > 0)
+
+    def test_step_that_cannot_move_r_rejected(self):
+        # at r0 = 1e20, r0 + h rp0 rounds to r0: r would move only by
+        # rounding, and an H = 0 profile measured |H| near 3e4
+        with pytest.raises(GeometryError, match="does not move r"):
+            ProfileODEParams(r0=1e20, rp0=1.5, s1=1.0)
+        sol = integrate_rotational(ProfileODEParams(r0=1e5, rp0=1.5, s1=1.0))
+        assert not sol.truncated and len(sol.s) == 1001
+
+    def test_interpolant_overflow_is_refused(self):
+        # scaled by 1e-160, the cubic coefficients (about r''' ~ 1e320) overflow
+        lam = 1e-160
+        sol = integrate_rotational(ProfileODEParams(H=1 / lam, r0=lam, rp0=1.5, s1=0.2 * lam,
+                                                    h=1e-3 * lam))
+        assert np.isfinite(sol.r).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="interpolant overflows"):
+                profile_chart(sol)
 
     def test_inadmissible_initial_slope(self):
         with pytest.raises(GeometryError):
@@ -513,3 +535,67 @@ class TestFoliatedHyperbolicPlaneReconstruction:
                 npt.assert_allclose(
                     shape_and_curvatures(chart, u, v).H, 0.5, atol=1e-4
                 )
+
+
+
+def _magnitude(lo: float = -300.0, hi: float = 300.0):
+    return st.floats(lo, hi).map(lambda k: 10.0 ** k)
+
+
+def _signed(values):
+    return st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]), values)
+
+
+@st.composite
+def _extreme_params(draw, riemann: bool):
+    """ProfileODEParams keywords: each value drawn alone on [1e-300, 1e300],
+    or unit-scale data scaled by lam = 10^k, k in [-300, 300] (r, s, h -> lam
+    (r, s, h), H -> H / lam, c, d -> (c, d) / lam^2), which keeps the profile
+    and runs it at every scale."""
+    steps = draw(st.integers(1, 400))
+    if draw(st.booleans()):
+        any_value = st.just(0.0) | _signed(_magnitude())
+        span = draw(_magnitude())
+        kw = {"H": draw(any_value), "c": draw(any_value), "d": draw(any_value),
+              "r0": draw(_magnitude()), "s0": draw(any_value),
+              "rp0": draw(_signed(st.just(1.5) | st.builds(lambda x: 1.0 + x, _magnitude())))}
+    else:
+        lam = draw(_magnitude())
+        span = draw(st.floats(0.01, 3.0)) * lam
+        kw = {"H": draw(st.floats(-2.0, 2.0)) / lam, "c": draw(st.floats(-1.0, 1.0)) / lam / lam,
+              "d": draw(st.floats(-1.0, 1.0)) / lam / lam, "r0": draw(st.floats(0.2, 5.0)) * lam,
+              "s0": draw(st.floats(-1.0, 1.0)) * lam, "rp0": draw(_signed(st.floats(1.05, 3.0)))}
+    if riemann:
+        kw["H"] = 0.0
+    else:
+        kw["c"] = kw["d"] = 0.0
+    return dict(kw, s1=kw["s0"] + span, h=span / steps)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(data=st.data(), riemann=st.booleans(), frac=st.floats(0.0, 1.0),
+       v=st.floats(0.0, 2 * np.pi))
+def test_extreme_profiles_end_finite_flagged_or_refused(data, riemann, frac, v):
+    # r0, spans and H up to 1e300, steps down to 1e-300: each profile, its
+    # chart and the curvature at one chart point is finite, flagged
+    # (truncated, blew_up) or a GeometryError, and warns nothing
+    kw = data.draw(_extreme_params(riemann))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = (integrate_riemann if riemann else integrate_rotational)(ProfileODEParams(**kw))
+        except GeometryError:
+            return
+        fields = (sol.s, sol.r, sol.rp, sol.a, sol.b, sol.residual_max)
+        assert all(np.isfinite(x).all() for x in fields), sol
+        assert sol.truncated or not sol.blew_up
+        try:
+            chart = profile_chart(sol)
+        except GeometryError:
+            return
+        (u0, u1), _ = chart.domain
+        try:
+            point = shape_and_curvatures(chart, u0 + frac * (u1 - u0), v)
+        except GeometryError:
+            return
+    assert math.isfinite(point.H) and math.isfinite(point.K), point

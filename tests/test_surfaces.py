@@ -31,7 +31,7 @@ from minkowski3.surfaces import (
     second_form,
     shape_and_curvatures,
 )
-from minkowski3.curves import frenet
+from minkowski3.curves import PlaneCase, frenet, generate_constant_curvature
 from minkowski3.rotational import catenoid_chart, hyperbolic_cap_chart
 
 from conftest import lightlike_helix_jet, random_pp_motion, scaled_null_helix_jet
@@ -224,6 +224,14 @@ class TestShapeAndCurvatures:
         for u, v in ((0.25, 0.3), (-0.1, -0.8), (0.0, 0.0)):
             fr = frenet(jet, v)
             assert np.array_equal(chart.duv(u, v), -fr.tau * fr.N)
+
+    def test_null_scroll_needs_a_lightlike_base_curve(self):
+        # the frame is taken at the first evaluation: a unit-speed circle is refused there
+        chart = null_scroll_chart(generate_constant_curvature(PlaneCase.SPACELIKE_PLANE, 1.0),
+                                  u_range=(-0.4, 0.4), v_range=(-0.5, 0.5))
+        for evaluate in (chart.position, chart.du, lambda u, v: shape_and_curvatures(chart, u, v)):
+            with pytest.raises(CausalTypeError, match="lightlike base curve"):
+                evaluate(0.1, 0.3)
 
     def test_null_scroll_varying_pitch(self):
         c = 1.5

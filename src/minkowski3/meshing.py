@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MAX_POINTS, GeometryError, cross, lorentz_dot, write_csv
+from .core import MAX_POINTS, GeometryError, _write_rows, cross, lorentz_dot, write_csv
 from .surfaces import SurfaceChart, _values, gauss_map, shape_and_curvatures
 
 __all__ = [
@@ -185,17 +185,14 @@ def first_variation_check(mesh: SurfaceMesh, f: np.ndarray, dt: float):
 def export_obj(mesh: SurfaceMesh, path) -> None:
     """Wavefront-style text mesh: "v x y z" lines then 1-based "f i j k".
 
-    Each row is converted with its own `tolist()`: Python numbers format
-    faster than numpy scalars, and converting whole arrays would hold a
-    list of every vertex in memory.
+    Rows are written by `core._write_rows`: ROW_CHUNK = 1024 rows per
+    `tolist()` and `%`, each face chunk made 1-based as it goes, so a mesh of
+    MAX_POINTS vertices is never held whole as Python numbers, as text or as
+    a second index array.
     """
     with open(path, "w") as fh:
-        for p in mesh.vertices:
-            x, y, z = p.tolist()
-            fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-        for f in mesh.faces:
-            a, b, c = f.tolist()
-            fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n", mesh.vertices)
+        _write_rows(fh, "f %d %d %d\n", mesh.faces, shift=1)
 
 
 def export_mesh_csv(mesh: SurfaceMesh, path) -> None:

@@ -130,16 +130,25 @@ def _rpp(r: float, rp: float, H: float, c: float, d: float) -> float:
 
     The spacelike branch needs rp^2 > 1; inner integrator stages may dip
     below transiently near the guard band, where the clamped power keeps the
-    step finite (the guard then stops the run cleanly).
+    step finite (the guard then stops the run cleanly).  The drift term
+    (c^2 + d^2) r^4 is formed only for drifting centers: for a rotational
+    profile (c = d = 0) r^4 would overflow above r of about 1.2e77, though the
+    scaled problem is well posed there, and -1.0 + 0.0 is -1.0, so where r^4
+    is finite the bits are those of the full term.  The term is written out
+    here and in `_identity_residual`, not shared, since a call per slope
+    would slow the RK4 loop.
     """
     q = max(rp * rp - 1.0, 0.0)
-    return (-1.0 + (c * c + d * d) * r ** 4 + rp * rp
-            - 2.0 * H * r * q ** 1.5) / r
+    drift = (c * c + d * d) * r ** 4 if c or d else 0.0
+    return (-1.0 + drift + rp * rp - 2.0 * H * r * q ** 1.5) / r
 
 
 def _identity_residual(r, rp, rpp, H, c, d):
-    """The identity as printed (not rearranged), evaluated termwise."""
-    return (-1.0 + (c * c + d * d) * r ** 4 + rp * rp - r * rpp
+    """The identity as printed (not rearranged), evaluated termwise, with the
+    drift term of `_rpp`: an r^4 that overflows at c = d = 0 would make it
+    0 * inf, NaN."""
+    drift = (c * c + d * d) * r ** 4 if c or d else 0.0
+    return (-1.0 + drift + rp * rp - r * rpp
             - 2.0 * H * r * (rp * rp - 1.0) ** 1.5)
 
 
@@ -241,15 +250,32 @@ def _circle_chart(r, a, b, domain) -> SurfaceChart:
     """Chart X(u, v) = (a + r cos v, b + r sin v, u) and its partials, with
     each of r(u), a(u), b(u) given as (f, f', f'')."""
     (r0, r1, r2), (a0, a1, a2), (b0, b1, b2) = r, a, b
-    return SurfaceChart(
-        lambda u, v: np.array([a0(u) + r0(u) * np.cos(v), b0(u) + r0(u) * np.sin(v), u]),
-        lambda u, v: np.array([a1(u) + r1(u) * np.cos(v), b1(u) + r1(u) * np.sin(v), 1.0]),
-        lambda u, v: np.array([-r0(u) * np.sin(v), r0(u) * np.cos(v), 0.0]),
-        lambda u, v: np.array([a2(u) + r2(u) * np.cos(v), b2(u) + r2(u) * np.sin(v), 0.0]),
-        lambda u, v: np.array([-r1(u) * np.sin(v), r1(u) * np.cos(v), 0.0]),
-        lambda u, v: np.array([-r0(u) * np.cos(v), -r0(u) * np.sin(v), 0.0]),
-        domain=domain,
-    )
+
+    def x(u, v):
+        ru = r0(u)
+        return np.array([a0(u) + ru * np.cos(v), b0(u) + ru * np.sin(v), u])
+
+    def xu(u, v):
+        ru = r1(u)
+        return np.array([a1(u) + ru * np.cos(v), b1(u) + ru * np.sin(v), 1.0])
+
+    def xv(u, v):
+        ru = r0(u)
+        return np.array([-ru * np.sin(v), ru * np.cos(v), 0.0])
+
+    def xuu(u, v):
+        ru = r2(u)
+        return np.array([a2(u) + ru * np.cos(v), b2(u) + ru * np.sin(v), 0.0])
+
+    def xuv(u, v):
+        ru = r1(u)
+        return np.array([-ru * np.sin(v), ru * np.cos(v), 0.0])
+
+    def xvv(u, v):
+        ru = r0(u)
+        return np.array([-ru * np.cos(v), -ru * np.sin(v), 0.0])
+
+    return SurfaceChart(x, xu, xv, xuu, xuv, xvv, domain=domain)
 
 
 def _hermite(x, y, dydx):
@@ -315,6 +341,12 @@ def profile_chart(sol: ProfileSolution) -> SurfaceChart:
         r = _hermite(sol.s, sol.r, sol.rp)
         a = _hermite(sol.s, sol.a, c * sol.r ** 2)
         b = _hermite(sol.s, sol.b, d * sol.r ** 2)
+        # |X_u|^2 |X_v|^2 at the samples, bounded over v, is the largest product
+        # of the chart's first form: where it overflows no curvature is measured
+        drift = (abs(c) + abs(d)) * sol.r ** 2
+        first_form = (1.0 + 2.0 * (np.abs(sol.rp) + drift) ** 2) * sol.r ** 2
+    if not np.isfinite(first_form).all():
+        raise GeometryError("profile too large: its chart's first form overflows")
     r, a, b = (tuple(map(_memo_exact, fs)) for fs in (r, a, b))
     return _circle_chart(r, a, b, dom)
 

@@ -700,18 +700,19 @@ def hyperbolic_plane_chart(r: float, p0=(0.0, 0.0, 0.0),
     r = float(r)
     if r <= 0:
         raise GeometryError("radius must be positive")
-    p0 = _center(p0)
+    x0, y0, z0 = p0 = _center(p0)
+    rr = r * r
 
     def w(u, v):
-        return np.sqrt(r * r + u * u + v * v)
+        return np.sqrt(rr + u * u + v * v)
 
     return SurfaceChart(
-        lambda u, v: p0 + np.array([u, v, w(u, v)]),
+        lambda u, v: np.array([x0 + u, y0 + v, z0 + w(u, v)]),
         lambda u, v: np.array([1.0, 0.0, u / w(u, v)]),
         lambda u, v: np.array([0.0, 1.0, v / w(u, v)]),
-        lambda u, v: np.array([0.0, 0.0, (v * v + r * r) / w(u, v) ** 3]),
+        lambda u, v: np.array([0.0, 0.0, (v * v + rr) / w(u, v) ** 3]),
         lambda u, v: np.array([0.0, 0.0, -u * v / w(u, v) ** 3]),
-        lambda u, v: np.array([0.0, 0.0, (u * u + r * r) / w(u, v) ** 3]),
+        lambda u, v: np.array([0.0, 0.0, (u * u + rr) / w(u, v) ** 3]),
         domain=domain,
     )
 
@@ -727,15 +728,28 @@ def de_sitter_chart(r: float, p0=(0.0, 0.0, 0.0),
     if r <= 0:
         raise GeometryError("radius must be positive")
     p0 = _center(p0)
-    return SurfaceChart(
-        lambda u, v: p0 + r * np.array([np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), np.sinh(u)]),
-        lambda u, v: r * np.array([np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), np.cosh(u)]),
-        lambda u, v: r * np.array([-np.cosh(u) * np.sin(v), np.cosh(u) * np.cos(v), 0.0]),
-        lambda u, v: r * np.array([np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), np.sinh(u)]),
-        lambda u, v: r * np.array([-np.sinh(u) * np.sin(v), np.sinh(u) * np.cos(v), 0.0]),
-        lambda u, v: r * np.array([-np.cosh(u) * np.cos(v), -np.cosh(u) * np.sin(v), 0.0]),
-        domain=domain,
-    )
+
+    def xuu(u, v):  # X - p0
+        ch = np.cosh(u)
+        return r * np.array([ch * np.cos(v), ch * np.sin(v), np.sinh(u)])
+
+    def xu(u, v):
+        sh = np.sinh(u)
+        return r * np.array([sh * np.cos(v), sh * np.sin(v), np.cosh(u)])
+
+    def xv(u, v):
+        ch = np.cosh(u)
+        return r * np.array([-ch * np.sin(v), ch * np.cos(v), 0.0])
+
+    def xuv(u, v):
+        sh = np.sinh(u)
+        return r * np.array([-sh * np.sin(v), sh * np.cos(v), 0.0])
+
+    def xvv(u, v):
+        ch = np.cosh(u)
+        return r * np.array([-ch * np.cos(v), -ch * np.sin(v), 0.0])
+
+    return SurfaceChart(lambda u, v: p0 + xuu(u, v), xu, xv, xuu, xuv, xvv, domain=domain)
 
 
 def light_cone_chart(domain=((0.5, 2.0), (0.0, 2 * np.pi))) -> SurfaceChart:

@@ -1,4 +1,5 @@
 import importlib
+import re
 import warnings
 
 import numpy as np
@@ -253,6 +254,23 @@ class TestSingleVectorFloatPath:
                 with pytest.raises(GeometryError, match="finite"):
                     core.as_vec3(bad)
 
+    def test_as_vec3_returns_a_float64_vector_itself(self):
+        # a float64 (3,) array is returned as it is, as np.asarray would return
+        # it; anything else is converted, and the same inputs are refused
+        for v in (np.array([1.0, -0.0, 2.5]), np.array([1e308, 1e308, 0.0])):
+            assert core.as_vec3(v) is v
+        for given in (np.array([1, 2, 3], dtype=np.float32), np.array([1, 2, 3]), [1, 2, 3],
+                      (1.0, 2, 3.0), np.array([1.0, 2.0, 3.0], dtype=">f8")):
+            got = core.as_vec3(given)
+            assert got is not given and got.dtype == np.float64 and got.tolist() == [1.0, 2.0, 3.0]
+        assert core.as_vec3(np.float32([0.1, 0, 0]))[0] == float(np.float32(0.1))
+        for bad in (np.array([np.nan, 0.0, 0.0]), np.array([0.0, -np.inf, 0.0]), [np.inf, 0, 0]):
+            with pytest.raises(GeometryError, match="coordinates must be finite"):
+                core.as_vec3(bad)
+        for shape in ((2,), (3, 1), ()):
+            with pytest.raises(GeometryError, match=re.escape(f"got shape {shape}")):
+                core.as_vec3(np.zeros(shape))
+
     def test_bit_equal_to_numpy_expressions(self):
         rng = np.random.default_rng(18)
         u, v = _spread_vectors(rng, 100_000), _spread_vectors(rng, 100_000)
@@ -445,28 +463,50 @@ def _write_csv_loop(path, header, rows):
 
 
 class TestWriteCsvBytes:
-    FLOATS = np.array([[-0.0, np.nan, 5e-324], [1e308, -2.5e-310, 1 / 3], [0.1, -np.inf, 7.0]])
+    FLOATS = np.array([[-0.0, np.nan, 5e-324], [1.7976931348623157e308, -2.5e-310, 1 / 3],
+                       [0.1, -np.inf, np.inf]])
     INTS = np.array([0, -3, 2 ** 53 + 1])
     BOOLS = np.array([True, False, True])
+    KINDS = ["float ndarray", "float32 ndarray", "int ndarray", "bool ndarray", "empty ndarray",
+             "zip", "generator", "lists", "tuples", "no rows"]
 
     def rows(self, kind):
         f, i, b = self.FLOATS, self.INTS, self.BOOLS
         if kind == "float ndarray":
             return f
+        if kind == "float32 ndarray":
+            return np.array([[0.1, -0.0, np.nan], [1e-45, 3.4e38, -np.inf], [1 / 3, 2.5, 7.0]],
+                            dtype=np.float32)
         if kind == "int ndarray":
             return np.column_stack([i, i])
         if kind == "bool ndarray":
             return np.column_stack([b, b])
+        if kind == "empty ndarray":
+            return np.zeros((0, 3))
         if kind == "zip":
             return zip(f[:, 0], i, b, i.tolist(), b.tolist())
+        if kind == "lists":  # Python floats, ints past 2^53 and 2^64, bools
+            return [[*row.tolist(), 2 ** 53 + 1, 2 ** 64 + 3, bool(k)] for row, k in zip(f, b)]
+        if kind == "tuples":  # numpy scalars
+            return [(x, np.float32(y), np.int64(k), np.bool_(t))
+                    for x, y, k, t in zip(f[:, 1], [0.1, -0.0, 1e-45], i, b)]
+        if kind == "no rows":
+            return []
         return ((x, *row, int(k), bool(k)) for x, row, k in zip(f[:, 1], f, i))
 
-    @pytest.mark.parametrize("kind", ["float ndarray", "int ndarray", "bool ndarray", "zip", "generator"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_matches_the_scalar_loop(self, tmp_path, kind):
         core.write_csv(tmp_path / "new.csv", "a,b", self.rows(kind))
         _write_csv_loop(tmp_path / "old.csv", "a,b", self.rows(kind))
         new, old = (tmp_path / "new.csv").read_bytes(), (tmp_path / "old.csv").read_bytes()
-        assert new == old and new.count(b"\n") == 4
+        assert new == old and new.count(b"\n") == (1 if kind in ("empty ndarray", "no rows") else 4)
+
+    def test_chunks_of_a_long_table_match_the_scalar_loop(self, tmp_path):
+        # rows on both sides of a ROW_CHUNK boundary, and a short last chunk
+        table = np.random.default_rng(3).standard_normal((2 * core.ROW_CHUNK + 5, 3))
+        core.write_csv(tmp_path / "new.csv", "x,y,z", table)
+        _write_csv_loop(tmp_path / "old.csv", "x,y,z", table)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from minkowski3.core import GeometryError, E1, E2
+from minkowski3.core import ROW_CHUNK, GeometryError, E1, E2
 from minkowski3.meshing import (
     SurfaceMesh,
     cone_volume,
@@ -14,7 +14,7 @@ from minkowski3.meshing import (
     triangulate_chart,
 )
 from minkowski3.rotational import catenoid_chart, hyperbolic_cap_chart
-from minkowski3.surfaces import SurfaceChart, plane_chart
+from minkowski3.surfaces import SurfaceChart, hyperbolic_plane_chart, plane_chart
 
 
 def bump(mesh, radius):
@@ -144,6 +144,22 @@ class TestExport:
         self._obj_loop(mesh, tmp_path / "old.obj")
         new = (tmp_path / "new.obj").read_bytes()
         assert new == (tmp_path / "old.obj").read_bytes() and new.count(b"\n") == 5
+
+    def test_exports_past_a_chunk_match_the_scalar_loops(self, tmp_path):
+        # 4900 vertices and 9522 faces: several chunks each, the last a short one
+        mesh = triangulate_chart(hyperbolic_plane_chart(1.2, (0.1, 0.2, 0.3)), 70, 70)
+        assert ROW_CHUNK < len(mesh.vertices) < len(mesh.faces)
+        assert len(mesh.vertices) % ROW_CHUNK and len(mesh.faces) % ROW_CHUNK
+        export_obj(mesh, tmp_path / "new.obj")
+        self._obj_loop(mesh, tmp_path / "old.obj")
+        assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
+        export_mesh_csv(mesh, tmp_path / "new.csv")
+        with open(tmp_path / "old.csv", "w") as fh:
+            fh.write("u,v,x,y,z,H,K,umbilic\n")
+            for (u, v), p, H, K, umb in zip(mesh.uv, mesh.vertices, mesh.mean_curvature,
+                                            mesh.gauss_curvature, mesh.umbilic):
+                fh.write(",".join(format(float(x), ".17g") for x in (u, v, *p, H, K, umb)) + "\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_obj_and_sidecar(self, tmp_path):
         mesh = triangulate_chart(hyperbolic_cap_chart(1.0, 1.0)[0], 5, 5)

@@ -140,6 +140,17 @@ class TestRotationalIntegration:
         sol = integrate_rotational(ProfileODEParams(r0=1e5, rp0=1.5, s1=1.0))
         assert not sol.truncated and len(sol.s) == 1001
 
+    def test_rotational_profile_scaled_past_r4_overflow_runs(self):
+        # c = d = 0 forms no (c^2 + d^2) r^4, whose r^4 overflows at r0 = 1e80:
+        # the unit profile scaled by 1e80 runs and is the unit one scaled
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = integrate_rotational(ProfileODEParams(H=1e-80, r0=1e80, rp0=1.5, s1=1e80,
+                                                        h=1e77))
+        unit = integrate_rotational(ProfileODEParams(H=1.0, r0=1.0, rp0=1.5, s1=1.0))
+        assert not sol.truncated and len(sol.s) == len(unit.s) == 1001
+        npt.assert_allclose(sol.r / 1e80, unit.r, rtol=1e-13)
+        assert sol.residual_max <= 1e-13
+
     def test_interpolant_overflow_is_refused(self):
         # scaled by 1e-160, the cubic coefficients (about r''' ~ 1e320) overflow
         lam = 1e-160
@@ -149,6 +160,22 @@ class TestRotationalIntegration:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match="interpolant overflows"):
+                profile_chart(sol)
+
+    @pytest.mark.parametrize("kwargs", [
+        # r rises to 2.7e76 and r' to 2.7e79
+        {"r0": 1e76, "rp0": 1e79, "s1": 1e-3, "h": 1e-5},
+        # three steps of 3.3e7 blow r up to 2.7e85
+        {"r0": 1.0, "rp0": -1.5, "s1": 1e8, "h": 1e8 / 3},
+    ])
+    def test_chart_beyond_the_floats_is_refused(self, kwargs):
+        # each profile integrates, but its chart's |X_u|^2 |X_v|^2 overflows,
+        # and its curvature would warn: refused where the chart is built
+        sol = integrate_rotational(ProfileODEParams(**kwargs))
+        assert np.isfinite(sol.r).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="first form overflows"):
                 profile_chart(sol)
 
     def test_inadmissible_initial_slope(self):
@@ -162,7 +189,7 @@ class TestRotationalIntegration:
             ProfileODEParams(**{name: value})
 
     @pytest.mark.parametrize("kwargs", [
-        {"r0": 1e80},                  # r0^4 overflows
+        {"r0": 1e80, "c": 1e-3},       # c^2 r0^4 overflows
         {"rp0": 1e200},                # rp0^2 is inf, and H = 0 times it is nan
         {"H": 0.5, "rp0": 1e103},      # (rp0^2 - 1)^1.5 overflows
         {"c": 1e160},                  # (c^2 + d^2) r0^4 overflows

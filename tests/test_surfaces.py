@@ -32,7 +32,15 @@ from minkowski3.surfaces import (
     shape_and_curvatures,
 )
 from minkowski3.curves import PlaneCase, frenet, generate_constant_curvature
-from minkowski3.rotational import catenoid_chart, hyperbolic_cap_chart
+from minkowski3 import rotational
+from minkowski3.meshing import triangulate_chart
+from minkowski3.rotational import (
+    ProfileODEParams,
+    _hermite,
+    catenoid_chart,
+    hyperbolic_cap_chart,
+    integrate_riemann,
+)
 
 from conftest import lightlike_helix_jet, random_pp_motion, scaled_null_helix_jet
 
@@ -456,6 +464,100 @@ class TestCatalogCenters:
 
 
 EVALUATORS = ("position", "du", "dv", "duu", "duv", "dvv")
+
+
+def _first_hyperbolic(r, p0):
+    """hyperbolic_plane_chart's evaluators as first written: the bit reference."""
+    def w(u, v):
+        return np.sqrt(r * r + u * u + v * v)
+
+    return (
+        lambda u, v: p0 + np.array([u, v, w(u, v)]),
+        lambda u, v: np.array([1.0, 0.0, u / w(u, v)]),
+        lambda u, v: np.array([0.0, 1.0, v / w(u, v)]),
+        lambda u, v: np.array([0.0, 0.0, (v * v + r * r) / w(u, v) ** 3]),
+        lambda u, v: np.array([0.0, 0.0, -u * v / w(u, v) ** 3]),
+        lambda u, v: np.array([0.0, 0.0, (u * u + r * r) / w(u, v) ** 3]),
+    )
+
+
+def _first_de_sitter(r, p0):
+    """de_sitter_chart's evaluators as first written: the bit reference."""
+    return (
+        lambda u, v: p0 + r * np.array([np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), np.sinh(u)]),
+        lambda u, v: r * np.array([np.sinh(u) * np.cos(v), np.sinh(u) * np.sin(v), np.cosh(u)]),
+        lambda u, v: r * np.array([-np.cosh(u) * np.sin(v), np.cosh(u) * np.cos(v), 0.0]),
+        lambda u, v: r * np.array([np.cosh(u) * np.cos(v), np.cosh(u) * np.sin(v), np.sinh(u)]),
+        lambda u, v: r * np.array([-np.sinh(u) * np.sin(v), np.sinh(u) * np.cos(v), 0.0]),
+        lambda u, v: r * np.array([-np.cosh(u) * np.cos(v), -np.cosh(u) * np.sin(v), 0.0]),
+    )
+
+
+def _first_circle(r, a, b):
+    """rotational._circle_chart's evaluators as first written: the bit reference."""
+    (r0, r1, r2), (a0, a1, a2), (b0, b1, b2) = r, a, b
+    return (
+        lambda u, v: np.array([a0(u) + r0(u) * np.cos(v), b0(u) + r0(u) * np.sin(v), u]),
+        lambda u, v: np.array([a1(u) + r1(u) * np.cos(v), b1(u) + r1(u) * np.sin(v), 1.0]),
+        lambda u, v: np.array([-r0(u) * np.sin(v), r0(u) * np.cos(v), 0.0]),
+        lambda u, v: np.array([a2(u) + r2(u) * np.cos(v), b2(u) + r2(u) * np.sin(v), 0.0]),
+        lambda u, v: np.array([-r1(u) * np.sin(v), r1(u) * np.cos(v), 0.0]),
+        lambda u, v: np.array([-r0(u) * np.cos(v), -r0(u) * np.sin(v), 0.0]),
+    )
+
+
+def _catalog_pairs():
+    """(chart, reference evaluators) for each rewritten catalog chart."""
+    p0 = np.array([0.3, -0.1, 0.2])
+    pairs = [(hyperbolic_plane_chart(1.3, p0), _first_hyperbolic(1.3, p0)),
+             (de_sitter_chart(1.7, p0), _first_de_sitter(1.7, p0))]
+    axis = (lambda u: -0.0,) * 3
+    pairs.append((catenoid_chart(), _first_circle((np.sinh, np.cosh, np.sinh), axis, axis)))
+    # a profile whose centers drift, so a and b are not zero
+    sol = integrate_riemann(ProfileODEParams(c=0.3, d=-0.2, r0=1.0, rp0=1.5, s1=0.5, h=1e-2))
+    fits = [_hermite(sol.s, y, dy) for y, dy in
+            ((sol.r, sol.rp), (sol.a, 0.3 * sol.r ** 2), (sol.b, -0.2 * sol.r ** 2))]
+    pairs.append((rotational._circle_chart(*fits, ((0.0, 0.5), (0.0, 2 * np.pi))),
+                  _first_circle(*fits)))
+    return pairs
+
+
+@pytest.mark.parametrize("pair", _catalog_pairs(), ids=["hyperbolic", "de-sitter", "catenoid",
+                                                        "profile"])
+def test_catalog_evaluators_keep_their_first_bits(pair):
+    # each sub-expression is now formed once per call: the bits must be those
+    # of the expressions as first written, at random points, signed zeros and
+    # the domain ends
+    chart, reference = pair
+    (u0, u1), (v0, v1) = chart.domain
+    rng = np.random.default_rng(29)
+    ends = (u0, u1, v0, v1, 0.0, -0.0)
+    points = [(u, v) for u in ends for v in ends]
+    points += list(zip(rng.uniform(u0, u1, 200), rng.uniform(v0, v1, 200)))
+    for u, v in points:
+        u, v = np.float64(u), np.float64(v)
+        for name, ref in zip(EVALUATORS, reference):
+            assert getattr(chart, name)(u, v).tobytes() == np.asarray(ref(u, v)).tobytes(), (name, u, v)
+
+
+@pytest.mark.parametrize("make, message", [
+    (de_sitter_chart, "overflow encountered in multiply"),
+    (hyperbolic_plane_chart, "invalid value encountered in scalar divide"),
+])
+def test_huge_radius_raises_as_numpy_says(make, message):
+    # at r = 1e200 the first form of de Sitter overflows, and the hyperboloid's
+    # second partials divide inf by inf; the CLI's numeric policy raises both
+    chart = make(1e200)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            triangulate_chart(chart, 5, 5)
+    with np.errstate(over="raise"):
+        if make is de_sitter_chart:
+            with pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+                shape_and_curvatures(chart, 0.3, 0.2)
+        else:
+            with pytest.raises(GeometryError, match="coordinates must be finite"):
+                chart.position(np.float64(0.3), np.float64(0.2))
 
 
 class TestNullScrollMemo:

@@ -300,6 +300,26 @@ def _measured_h_stats(chart):
 _BLOW_UP = "integration stopped where the profile blows up: the next step overflows"
 
 
+def _rounding_floor(sol) -> list:
+    """A warning where a profile chart's measured H is interpolant rounding.
+
+    The Hermite r'' of samples h apart rounds by about eps r / h^2, and by
+    the profile identity an error e in r'' moves H by e / (2 (r'^2 - 1)^1.5);
+    against the curvature scale 1 / r that is eps (r / h)^2 / (2 (r'^2 - 1)^1.5),
+    and where it exceeds 1e-3 at some sample the measured H tells little of
+    the profile's own.  The slope factor keeps steep profiles, whose measured
+    H is truncation error that shrinks with h, from warning.
+    """
+    r, rp = sol.r, sol.rp
+    with np.errstate(over="ignore"):  # an overflow is an inf floor: it warns
+        floor = float(np.max(sys.float_info.epsilon * (r / sol.params.h) ** 2
+                             / (2.0 * (rp * rp - 1.0) ** 1.5)))
+    if floor > 1e-3:
+        return [f"measured H is at its rounding floor: eps (r / h)^2 / (2 (r'^2 - 1)^1.5) "
+                f"= {floor:.2g} of the curvature scale 1 / r, above 1e-3"]
+    return []
+
+
 def cmd_rotational(args) -> dict:
     s0, s1 = _span(args.span)
     warnings = []
@@ -335,6 +355,7 @@ def cmd_rotational(args) -> dict:
     out["measured_H_min"] = hmin
     out["measured_H_max"] = hmax
     out["measured_H_abs_dev"] = max(abs(hmin - params.H), abs(hmax - params.H))
+    warnings += _rounding_floor(sol)
     _export_profile(args, sol, chart, out)
     return _report(args, "rotational", out, warnings)
 
@@ -363,6 +384,7 @@ def cmd_riemann(args) -> dict:
         )
     chart = rotational.profile_chart(sol)
     hmin, hmax = _measured_h_stats(chart)
+    warnings += _rounding_floor(sol)
     out = {
         "samples": len(sol.s),
         "residual_max": sol.residual_max,

@@ -44,8 +44,9 @@ __all__ = [
 #: guard band for the spacelike condition r'^2 > 1, and relative to r0 for r > 0
 GUARD = 1e-6
 
-#: most RK4 steps one integration takes: the loop runs on Python floats at a
-#: few microseconds a step, so this bounds a run to about two seconds
+#: most RK4 steps one integration takes: on Python floats a 250,000-step run
+#: took 0.47-0.54 s without center drift and 0.66-0.67 s with it (Python 3.11,
+#: 2-vCPU Xeon), so this bounds an integration to under a second there
 MAX_RK4_STEPS = 250_000
 
 
@@ -129,8 +130,12 @@ def _rpp(r: float, rp: float, H: float, c: float, d: float) -> float:
     """r'' solved once, analytically, from the curvature identity.
 
     The spacelike branch needs rp^2 > 1; inner integrator stages may dip
-    below transiently near the guard band, where the clamped power keeps the
-    step finite (the guard then stops the run cleanly).  The drift term
+    below transiently near the guard band, where rp^2 - 1 clamped at zero
+    keeps the step finite (the guard then stops the run cleanly).  The clamp
+    is a comparison, not a call of the builtin `max`, which the RK4 loop
+    would pay four times a step; the value is the same for every input,
+    since rp^2 - 1 is never -0.0 and, where it is NaN, so is the numerator's
+    rp * rp.  The drift term
     (c^2 + d^2) r^4 is formed only for drifting centers: for a rotational
     profile (c = d = 0) r^4 would overflow above r of about 1.2e77, though the
     scaled problem is well posed there, and -1.0 + 0.0 is -1.0, so where r^4
@@ -138,7 +143,8 @@ def _rpp(r: float, rp: float, H: float, c: float, d: float) -> float:
     here and in `_identity_residual`, not shared, since a call per slope
     would slow the RK4 loop.
     """
-    q = max(rp * rp - 1.0, 0.0)
+    q = rp * rp - 1.0
+    q = q if q > 0.0 else 0.0
     drift = (c * c + d * d) * r ** 4 if c or d else 0.0
     return (-1.0 + drift + rp * rp - 2.0 * H * r * q ** 1.5) / r
 
@@ -162,13 +168,18 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
     # floats: the same IEEE operations, in the same order, as the array form
     # y + (h/2) k and y + (h/6)(((k1 + 2 k2) + 2 k3) + k4) applied per
     # component, at a fraction of the cost per step.  The stage values of a
-    # and b feed no slope, so they are not formed.  Columns: r, r', a, b, r''.
+    # and b feed no slope, so they are not formed; and without drift
+    # (c = d = 0, the gate `_rpp` uses) a and b are not stepped at all: their
+    # sums are exact zeros, so a and b stay 0.0 bit for bit, and any step
+    # whose sums would not be finite has a stage radius of inf, whose NaN
+    # slope already makes r_n or rp_n not finite.  Columns: r, r', a, b, r''.
     ys = np.empty((n + 1, 5))
     r, rp, a, b = float(params.r0), float(params.rp0), 0.0, 0.0
     rpp = _rpp(r, rp, H, c, d)  # finite: ProfileODEParams checks the first slope
     ys[0] = r, rp, a, b, rpp
     # the start lies outside the guard band: ProfileODEParams checks rp0^2 > 1 + GUARD
     r_guard = GUARD * r
+    drift = bool(c or d)
     truncated = blew_up = False
     last = n
     for k in range(n):
@@ -190,16 +201,20 @@ def _integrate(params: ProfileODEParams) -> ProfileSolution:
         except (OverflowError, ZeroDivisionError):
             truncated, blew_up, last = True, True, k
             break
-        a_n = a + h6 * (((c * r * r + 2 * (c * r2 * r2)) + 2 * (c * r3 * r3)) + c * r4 * r4)
-        b_n = b + h6 * (((d * r * r + 2 * (d * r2 * r2)) + 2 * (d * r3 * r3)) + d * r4 * r4)
-        if not (isfinite(r_n) and isfinite(rp_n) and isfinite(a_n) and isfinite(b_n)
-                and isfinite(rpp_n) and isfinite(c * r_n * r_n) and isfinite(d * r_n * r_n)):
+        if drift:
+            a += h6 * (((c * r * r + 2 * (c * r2 * r2)) + 2 * (c * r3 * r3)) + c * r4 * r4)
+            b += h6 * (((d * r * r + 2 * (d * r2 * r2)) + 2 * (d * r3 * r3)) + d * r4 * r4)
+            if not (isfinite(a) and isfinite(b)
+                    and isfinite(c * r_n * r_n) and isfinite(d * r_n * r_n)):
+                truncated, blew_up, last = True, True, k
+                break
+        if not (isfinite(r_n) and isfinite(rp_n) and isfinite(rpp_n)):
             truncated, blew_up, last = True, True, k
             break
         if r_n <= r_guard or rp_n * rp_n - 1.0 <= GUARD:
             truncated, last = True, k
             break
-        r, rp, a, b, rpp = r_n, rp_n, a_n, b_n, rpp_n
+        r, rp, rpp = r_n, rp_n, rpp_n
         ys[k + 1] = r, rp, a, b, rpp
     ys = ys[: last + 1]
     r, rp, a, b, rpp = ys.T
@@ -335,6 +350,12 @@ def profile_chart(sol: ProfileSolution) -> SurfaceChart:
     if len(sol.s) < 4:
         raise GeometryError("profile too short to interpolate")
     c, d = sol.params.c, sol.params.d
+    # `_hermite` sums powers of u - s_k up to the cube, and |u - s_k| reaches
+    # the widest sample spacing: where its cube overflows, so would a value
+    step = float(np.diff(sol.s).max())
+    if not isfinite(step * step * step):
+        raise GeometryError(f"step h = {sol.params.h:g} too large for the profile chart: "
+                            "the cube of the sample spacing overflows in its interpolant")
     dom = ((float(sol.s[0]), float(sol.s[-1])), (0.0, 2 * np.pi))
     # a coefficient that overflows is refused by `_hermite`, not warned about
     with np.errstate(over="ignore", invalid="ignore"):

@@ -22,6 +22,8 @@ from minkowski3.rotational import MAX_RK4_STEPS
 
 
 BLOW_UP = "integration stopped where the profile blows up: the next step overflows"
+FLOOR = ("measured H is at its rounding floor: eps (r / h)^2 / (2 (r'^2 - 1)^1.5) = {} "
+         "of the curvature scale 1 / r, above 1e-3")
 
 
 def run(capsys, *argv):
@@ -187,6 +189,30 @@ class TestRotationalCommands:
         assert rep["outputs"]["truncated"] is True
         assert rep["outputs"]["samples"] == samples
         assert rep["warnings"] == [warning]
+
+    @pytest.mark.parametrize("argv, floor", [
+        # H = 0 profiles at r0 = 1e5 and 1e13 measure |H| of 1.2e-5 and 973,
+        # and one that starts near lightlike (r'^2 - 1 = 1.2e-6) 0.16: each
+        # grows about 4x as h halves, so it is rounding
+        (["rotational", "--r0", "1e5", "--rp0", "1.5", "--span", "0:1"], "0.79"),
+        (["rotational", "--r0", "1e13", "--rp0", "1.5", "--span", "0:1"], "7.9e+15"),
+        (["rotational", "--r0", "1", "--rp0", "1.0000006", "--span", "0:1"], "0.084"),
+        # the default catenoid, profiles scaled by 1e-7 (whose steep slope, r'
+        # up to 9e4, damps the rounding; its measured |H| of 27 is truncation
+        # error, 4x less as h halves) and by 1e80, a blown-up drift profile,
+        # and the benchmark's cold profiles at their largest r
+        (["rotational", "--catenoid"], None),
+        (["rotational", "--r0", "1e-7", "--rp0", "1.5", "--span", "0:1e-6", "--step", "1e-9"], None),
+        (["rotational", "--r0", "1e80", "--rp0", "1.5", "--span", "0:1e80", "--step", "1e77"], None),
+        (["rotational", "--catenoid", "--span", "0.6:3.1"], None),
+        (["riemann", "--c", "10"], None),
+        (["riemann", "--c", "0.4", "--d", "0.1"], None),
+    ])
+    def test_measured_h_warns_at_its_rounding_floor(self, capsys, argv, floor):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        warned = [w for w in json.loads(out)["warnings"] if "rounding floor" in w]
+        assert warned == ([FLOOR.format(floor)] if floor else [])
 
     def test_cap_run(self, capsys):
         code, out, _ = run(capsys, "cap", "--r", "2", "--R", "3")
@@ -356,6 +382,9 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, cause", [
         # r0 + h rp0 rounds to r0: r could move only by rounding
         (["rotational", "--r0", "1e20", "--rp0", "1.5", "--span", "0:1"], "does not move r"),
+        # a sample spacing whose cube, in the profile's interpolant, overflows
+        (["rotational", "--r0", "1e104", "--rp0=-2", "--span", "0:1e104", "--step", "2.5e103"],
+         "step h = 2.5e+103 too large for the profile chart"),
         # <T,T> = 1 of the parabola's tangent sits inside the null band REL_TOL*|T|^2
         (["curve", "--kind", "parabola", "--a", "1e8"], "causal type of T not resolved"),
         # the Jacobian's perturbation rounds away against the residual -2H

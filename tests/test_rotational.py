@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -161,6 +162,29 @@ class TestRotationalIntegration:
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match="interpolant overflows"):
                 profile_chart(sol)
+
+    def test_interpolant_step_overflow_is_refused(self, monkeypatch):
+        # the power sum forms (u - s_k)^3, which overflows for a sample spacing
+        # above about 5.6e102: refused, naming the step, before any interpolant
+        # or chart value is formed
+        sol = integrate_rotational(ProfileODEParams(r0=1e104, rp0=-2.0, s1=1e104, h=2.5e103))
+        assert np.isfinite(sol.r).all()
+
+        def no_interpolant(*args):
+            raise AssertionError("interpolant formed before the step check")
+
+        with monkeypatch.context() as m:
+            m.setattr(rotational, "_hermite", no_interpolant)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(GeometryError, match=r"step h = 2\.5e\+103 too large"):
+                    profile_chart(sol)
+        # at a step of 1e102 the cube is finite, and so are the chart's values
+        chart = profile_chart(integrate_rotational(
+            ProfileODEParams(r0=1e104, rp0=-2.0, s1=1e104, h=1e102)))
+        with np.errstate(over="raise", invalid="raise"):
+            assert np.isfinite(chart.position(2.55e103, 0.3)).all()
+            assert np.isfinite(chart.duu(2.55e103, 0.3)).all()
 
     @pytest.mark.parametrize("kwargs", [
         # r rises to 2.7e76 and r' to 2.7e79
@@ -346,6 +370,10 @@ class TestFloatLoopOracle:
         # blow-ups: a stage overflows (c = 1), an end slope overflows (c = 10)
         (integrate_riemann, ProfileODEParams(c=1.0), True),
         (integrate_riemann, ProfileODEParams(c=10.0), True),
+        # c^2 underflows to 0, yet the centers drift: the loop's gate is c or d
+        (integrate_riemann, ProfileODEParams(c=1e-200), False),
+        # -0.0 is no drift: a and b are not stepped and stay 0.0
+        (integrate_riemann, ProfileODEParams(c=-0.0), False),
     ])
     def test_bit_identical_to_the_numpy_loop(self, integrate, params, truncated):
         expected = numpy_integrate(params)
@@ -360,6 +388,40 @@ class TestFloatLoopOracle:
         assert got.truncated is expected.truncated
         assert got.blew_up is expected.blew_up
         assert got.diagnostics == expected.diagnostics
+
+    def test_rpp_clamp_is_the_max_form(self):
+        # the numpy loop calls `_rpp` itself, so it cannot see a change inside
+        # it: the comparison clamp must give what `max` gave, for every input
+        from minkowski3.rotational import _rpp
+
+        def rpp_with_max(r, rp, H, c, d):
+            q = max(rp * rp - 1.0, 0.0)
+            drift = (c * c + d * d) * r ** 4 if c or d else 0.0
+            return (-1.0 + drift + rp * rp - 2.0 * H * r * q ** 1.5) / r
+
+        def value(f, *args):
+            try:
+                return f(*args)
+            except ArithmeticError as exc:
+                return type(exc)
+
+        rps = (0.0, -0.0, 0.5, 1.0, -1.0, 1.0 + 2.0 ** -52, 1.5, 1e154, math.inf, -math.inf,
+               math.nan)
+        seen = set()
+        for r, rp, H, (c, d) in itertools.product((1e-300, 1.0, 1e77, 1e80), rps, (0.0, 0.7),
+                                                  ((0.0, 0.0), (0.3, -0.1), (1e-200, 0.0))):
+            args = r, rp, H, c, d
+            want, got = value(rpp_with_max, *args), value(_rpp, *args)
+            if isinstance(want, type):
+                assert got is want, args
+                seen.add(want)
+            elif math.isnan(want):
+                assert math.isnan(got), args
+                seen.add("nan")
+            else:
+                assert got.hex() == want.hex(), args  # -0.0 told from 0.0
+                seen.add("number")
+        assert seen == {OverflowError, "nan", "number"}
 
     @pytest.mark.parametrize("integrate, params, blew_up", [
         (integrate_rotational, ProfileODEParams(H=-2.0), True),

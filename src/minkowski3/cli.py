@@ -6,13 +6,16 @@ significant digits so regression diffs are exact; identical invocations
 produce byte-identical output.
 
 Exit status: 0 on success, 1 on domain errors (bad causal type, Newton
-non-convergence, unsatisfiable preconditions), 2 on usage errors.
+non-convergence, unsatisfiable preconditions) and on a stdout closed before
+the report is written, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
+import os
 import sys
 
 import numpy as np
@@ -23,15 +26,11 @@ from . import core, curves, dirichlet, isometry, meshing, rotational, surfaces
 # deterministic JSON with 17-significant-digit floats
 
 
-def _fmt_float(x: float) -> str:
-    if np.isnan(x):
-        return "NaN"
-    if np.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(float(x), ".17g")
-
-
 def dump_json(obj, indent: int = 0) -> str:
+    """`obj` as JSON text: keys sorted, two-space indents, floats with 17
+    significant digits.  JSON has no NaN or infinity: a report that holds
+    one raises GeometryError where the number is formatted, so every text
+    it returns is finite."""
     pad = "  " * indent
     pad1 = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -53,19 +52,10 @@ def dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        if not math.isfinite(obj):
+            raise core.GeometryError("the report holds a non-finite number")
+        return format(float(obj), ".17g")
     return '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _non_finite(obj) -> bool:
-    """True if a NaN or an infinity sits anywhere in a report."""
-    if isinstance(obj, dict):
-        return any(_non_finite(v) for v in obj.values())
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return any(_non_finite(v) for v in obj)
-    if isinstance(obj, (float, np.floating)):
-        return not np.isfinite(obj)
-    return False
 
 
 def _digest(args: argparse.Namespace) -> str:
@@ -161,7 +151,8 @@ def _export_mesh(mesh, path: str, out: dict) -> str:
 def _export_profile(args, sol, chart, out: dict) -> None:
     """The --csv profile table and --mesh surface of a rotational or riemann run."""
     if args.csv:
-        core.write_csv(args.csv, "s,r,rp,a,b", zip(sol.s, sol.r, sol.rp, sol.a, sol.b))
+        table = np.column_stack([sol.s, sol.r, sol.rp, sol.a, sol.b])
+        core.write_csv(args.csv, "s,r,rp,a,b", table)
         out["csv"] = args.csv
     if args.mesh:
         _export_mesh(meshing.triangulate_chart(chart, args.nu, args.nv, wrap_v=True), args.mesh, out)
@@ -181,13 +172,11 @@ def cmd_classify(args) -> dict:
         out["lorentz_norm"] = core.lorentz_norm(v)
         if cc is not core.CausalClass.SPACELIKE:
             out["future_directed"] = core.future_directed(v)
-    elif args.plane is not None:
+    else:
         gens = [_vec(p) for p in args.plane.split(";")]
         sub = core.Subspace(tuple(gens))
         out["generators"] = [list(g) for g in gens]
         out["causal_class"] = str(core.causal_class_subspace(sub))
-    else:
-        raise core.GeometryError("classify needs --vec or --plane")
     return _report(args, "classify", out)
 
 
@@ -199,7 +188,7 @@ def cmd_orbit(args) -> dict:
     conic, resid = isometry.conic_residual(axis, p0, pts)
     out = {"n_samples": len(pts), "conic": conic, "conic_residual_max": resid}
     if args.out:
-        core.write_csv(args.out, "t,x,y,z", [(t, *p) for t, p in zip(ts, pts)])
+        core.write_csv(args.out, "t,x,y,z", np.column_stack([ts, pts]))
         out["csv"] = args.out
     return _report(args, "orbit", out)
 
@@ -244,9 +233,7 @@ def _surface_chart(args):
         return surfaces.hyperbolic_plane_chart(args.r, center)
     if args.kind == "desitter":
         return surfaces.de_sitter_chart(args.r, center)
-    if args.kind == "catenoid":
-        return rotational.catenoid_chart()
-    raise core.GeometryError(f"unknown surface kind {args.kind}")
+    return rotational.catenoid_chart()
 
 
 def cmd_surface(args) -> dict:
@@ -410,12 +397,12 @@ def cmd_cap(args) -> dict:
     if args.mesh:
         _export_mesh(meshing.disk_graph_mesh(chart, args.R, args.nu, args.nv), args.mesh, out)
     if args.csv:
-        rows = []
-        for x in np.linspace(-args.R, args.R, 41):
-            for y in np.linspace(-args.R, args.R, 41):
-                if x * x + y * y <= args.R ** 2:
-                    rows.append((x, y, float(chart.position(x, y)[2])))
-        core.write_csv(args.csv, "x,y,z", rows)
+        side = np.linspace(-args.R, args.R, 41)
+        xs, ys = np.repeat(side, 41), np.tile(side, 41)
+        inside = xs * xs + ys * ys <= args.R ** 2
+        xs, ys = xs[inside], ys[inside]
+        zs = [chart.position(x, y)[2] for x, y in zip(xs, ys)]
+        core.write_csv(args.csv, "x,y,z", np.column_stack([xs, ys, zs]))
         out["csv"] = args.csv
     return _report(args, "cap", out)
 
@@ -423,10 +410,8 @@ def cmd_cap(args) -> dict:
 def cmd_dirichlet(args) -> dict:
     if args.disk is not None:
         shape = dirichlet.Disk(args.disk)
-    elif args.polygon is not None:
-        shape = dirichlet.ConvexPolygon(_polygon(args.polygon))
     else:
-        raise core.GeometryError("dirichlet needs --disk R or --polygon FILE")
+        shape = dirichlet.ConvexPolygon(_polygon(args.polygon))
     eps = -1 if args.ambient == "lorentz" else 1
     dom = dirichlet.GridDomain(shape, args.h)
     cfg = dirichlet.SolverConfig(
@@ -453,7 +438,7 @@ def cmd_dirichlet(args) -> dict:
         cols = {"x": dom.xy[:, 0], "y": dom.xy[:, 1], "u": sol.u, "|Du|": sol.gradient_magnitude()}
         if cap_err is not None:
             cols["err_cap"] = cap_err
-        core.write_csv(args.out, ",".join(cols), zip(*cols.values()))
+        core.write_csv(args.out, ",".join(cols), np.column_stack(list(cols.values())))
         out["csv"] = args.out
     return _report(args, "dirichlet", out)
 
@@ -541,8 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     c = sub.add_parser("classify", help="causal class of a vector or plane")
-    c.add_argument("--vec", type=_VEC, help="x,y,z")
-    c.add_argument("--plane", type=_PLANE, help="two generators 'x,y,z;x,y,z'")
+    g = c.add_mutually_exclusive_group(required=True)
+    g.add_argument("--vec", type=_VEC, help="x,y,z")
+    g.add_argument("--plane", type=_PLANE, help="two generators 'x,y,z;x,y,z'")
     c.set_defaults(func=cmd_classify)
 
     c = sub.add_parser("orbit", help="boost orbit of a point")
@@ -611,8 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_cap)
 
     c = sub.add_parser("dirichlet", help="CMC graph Dirichlet solve")
-    c.add_argument("--disk", type=float, help="disk radius")
-    c.add_argument("--polygon", type=_POLYGON, help="vertex file, one 'x,y' per line")
+    g = c.add_mutually_exclusive_group(required=True)
+    g.add_argument("--disk", type=float, help="disk radius")
+    g.add_argument("--polygon", type=_POLYGON, help="vertex file, one 'x,y' per line")
     c.add_argument("--H", type=float, required=True)
     c.add_argument("--ambient", choices=["lorentz", "euclid"], default="lorentz")
     c.add_argument("--h", type=float, default=0.05)
@@ -638,16 +625,23 @@ def main(argv=None) -> int:
         # divide-by-zero operation is a domain error; underflow is harmless
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             report = args.func(args)
+        text = dump_json(report)
     except core.GeometryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FloatingPointError as exc:
         print(f"error: numeric overflow in {args.subcommand}: {exc}", file=sys.stderr)
         return 1
-    if _non_finite(report):
-        print("error: the report holds a non-finite number", file=sys.stderr)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit finds nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the report was written", file=sys.stderr)
         return 1
-    print(dump_json(report))
     return 0
 
 

@@ -331,23 +331,15 @@ def _write_rows(fh, row_format: str, table: np.ndarray, shift: int = 0) -> None:
         fh.write(row_format * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
-def write_csv(path, header: str, rows) -> None:
-    """CSV file of `header` and one line per row of numbers, each printed with
-    17 significant digits (`'%.17g' % x`, which is `format(float(x), '.17g')`;
-    NaN as `nan`), so identical runs write identical bytes.
+def write_csv(path, header: str, table: np.ndarray) -> None:
+    """CSV file of `header` and one line per row of the 2-D array `table`,
+    each entry printed with 17 significant digits (`'%.17g' % x`, which is
+    `format(float(x), '.17g')`; NaN as `nan`), so identical runs write
+    identical bytes.  A table of no rows writes the header alone.
 
-    A 2-D array goes through `_write_rows`: ROW_CHUNK = 1024 rows per
-    `tolist()` and `%`, so a table of MAX_POINTS rows is never held whole as
-    Python numbers or as text.  Any other iterable is written a row at a
-    time, each row by one `%`."""
+    Rows go through `_write_rows`: ROW_CHUNK = 1024 rows per `tolist()` and
+    `%`, so a table of MAX_POINTS rows is never held whole as Python numbers
+    or as text."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        if isinstance(rows, np.ndarray):
-            _write_rows(fh, ",".join(["%.17g"] * rows.shape[1]) + "\n", rows)
-            return
-        width, row_format = -1, ""
-        for row in rows:
-            row = tuple(row.tolist() if isinstance(row, np.ndarray) else row)
-            if len(row) != width:
-                width, row_format = len(row), ",".join(["%.17g"] * len(row)) + "\n"
-            fh.write(row_format % row)
+        _write_rows(fh, ",".join(["%.17g"] * table.shape[1]) + "\n", table)

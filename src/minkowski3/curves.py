@@ -699,10 +699,12 @@ def bertrand_fit(kappa_tau_samples) -> Optional[BertrandFit]:
 def export_curve_csv(jet: CurveJet, ts, path, kappa_tau=None) -> None:
     """Write a polyline CSV with columns t,x,y,z[,kappa,tau]; a missing kappa is nan."""
     ts = np.asarray(ts, dtype=float)
-    if kappa_tau is None:
-        write_csv(path, "t,x,y,z", ((t, *jet.position(t)) for t in ts))
-    else:
-        write_csv(path, "t,x,y,z,kappa,tau", (
-            (t, *jet.position(t), np.nan if k is None else k, tau)
-            for t, (k, tau) in zip(ts, kappa_tau)
-        ))
+    pos = np.empty((len(ts), 3))
+    for i, t in enumerate(ts):
+        pos[i] = jet.position(t)
+    cols, header = [ts, pos], "t,x,y,z"
+    if kappa_tau is not None:
+        cols.append(np.reshape([(np.nan if k is None else k, tau) for k, tau in kappa_tau],
+                               (len(ts), 2)))
+        header += ",kappa,tau"
+    write_csv(path, header, np.column_stack(cols))

@@ -338,6 +338,9 @@ RECTANGLE = str(POLYGONS / "rectangle.txt")
     # by zero, below its rolling-disc bound
     (["dirichlet", "--polygon", RECTANGLE, "--ambient", "euclid", "--H", "0.9", "--h", "0.05"],
      {"nodes": 247}),
+    # H = 0 needs no solvability check, and u = 0 solves it before any Newton step
+    (["dirichlet", "--disk", "1", "--H", "0", "--ambient", "euclid", "--h", "0.25"],
+     {"newton_iters": 0, "max_abs_u": 0}),
 ])
 def test_report_outputs(capsys, argv, outputs):
     code, out, _ = run(capsys, *argv)
@@ -408,7 +411,8 @@ class TestBadInput:
         assert not list(tmp_path.iterdir())
 
     def test_non_finite_report_is_one_error_line(self, capsys, monkeypatch):
-        # the last check of main: no handler reaches it today, so one is made to
+        # dump_json refuses it as it formats the report: no handler reaches it
+        # today, so one is made to
         monkeypatch.setattr(minkowski3.cli, "cmd_classify", lambda args: {"x": [1.0, float("nan")]})
         code, out, err = run(capsys, "classify", "--vec", "0,1,1")
         assert (code, out, err) == (1, "", "error: the report holds a non-finite number\n")
@@ -430,6 +434,12 @@ class TestBadInput:
         # as at 1e20: no r^4 is formed, so at 1e80 too the step is what is refused
         (["rotational", "--r0", "1e80", "--rp0", "1.5", "--span", "0:1", "--csv", "p.csv"],
          "step h does not move r"),
+        (["rotational", "--catenoid", "--step", "0", "--csv", "p.csv"], "step h must be positive"),
+        (["dirichlet", "--disk", "1", "--H", "1", "--delta-guard", "0.5", "--out", "d.csv"],
+         "delta_guard must lie in (0, 0.5)"),
+        # no grid node lies inside the disk
+        (["dirichlet", "--disk", "1", "--H", "1", "--h", "5", "--out", "d.csv"],
+         "grid spacing too coarse for the domain"),
     ])
     def test_stop_names_its_cause(self, capsys, monkeypatch, tmp_path, argv, cause):
         monkeypatch.chdir(tmp_path)
@@ -515,6 +525,25 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert "error: argument" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classify"], "one of the arguments --vec --plane is required"),
+        (["classify", "--vec", "0,1,1", "--plane", "1,0,0;0,1,1"],
+         "argument --plane: not allowed with argument --vec"),
+        (["dirichlet", "--H", "1", "--out", "d.csv"],
+         "one of the arguments --disk --polygon is required"),
+        (["dirichlet", "--disk", "1", "--polygon", RECTANGLE, "--H", "1", "--out", "d.csv"],
+         "argument --polygon: not allowed with argument --disk"),
+    ], ids=["classify-neither", "classify-both", "dirichlet-neither", "dirichlet-both"])
+    def test_input_choice_is_usage_error(self, capsys, monkeypatch, tmp_path, argv, message):
+        # exactly one of --vec/--plane and of --disk/--polygon: argparse refuses
+        # neither and both alike, before any handler runs
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: mink3 ") and err.endswith(f"error: {message}\n")
+        assert sum("error:" in line for line in err.splitlines()) == 1
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
@@ -640,6 +669,18 @@ class TestDeterminism:
         assert {p.name: p.read_bytes() for p in fresh.iterdir()} == written
 
 
+def test_closed_stdout_is_one_error_line(tmp_path):
+    # stdout is a pipe whose read end is closed before the report is written
+    read, write = os.pipe()
+    os.close(read)
+    with os.fdopen(write, "wb") as closed:
+        proc = subprocess.run(
+            [sys.executable, "-m", "minkowski3.cli", "surface", "--kind", "hyperbolic"],
+            cwd=tmp_path, env=_fresh_env(), stdout=closed, stderr=subprocess.PIPE, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: stdout was closed before the report was written\n"
+
+
 def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
@@ -648,10 +689,14 @@ def test_verify_suite(capsys):
 
 def _fresh(args: list, cwd) -> subprocess.CompletedProcess:
     """`python *args` in a fresh interpreter that imports this checkout's package."""
-    src = str(Path(minkowski3.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=_fresh_env(), capture_output=True,
                           timeout=120)
+
+
+def _fresh_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(minkowski3.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def _fresh_interpreter(script: str, cwd) -> list:

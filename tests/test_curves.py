@@ -788,6 +788,17 @@ class TestHelixAndBertrand:
         samples = [(1 + s * s, s) for s in np.linspace(0, 1, 9)]
         assert bertrand_fit(samples) is None
 
+    @pytest.mark.parametrize("fit, samples, message", [
+        (is_helix, [(1.0, 0.5)], "need at least two (kappa, tau) samples"),
+        (is_helix, [(1.0, 0.5), (0.0, 0.5)], "helix test requires kappa > 0 on all samples"),
+        (is_helix, [(1.0, 0.5), (-1.0, 0.5)], "helix test requires kappa > 0 on all samples"),
+        (bertrand_fit, [(1.0, 0.5)] * 2, "need at least three (kappa, tau) samples"),
+    ], ids=["helix-one-sample", "helix-zero-kappa", "helix-negative-kappa", "bertrand-two-samples"])
+    def test_refusal_names_the_samples_fault(self, fit, samples, message):
+        with pytest.raises(GeometryError) as info:
+            fit(samples)
+        assert str(info.value) == message
+
 
 class TestIsometryInvariance:
     def test_kappa_tau_under_pp_motions(self, rng):
@@ -842,6 +853,14 @@ def test_csv_export_text(tmp_path):
         "0.10000000000000001,0.10000000000000001,0.010000000000000002,-0,nan,0.33333333333333331\n"
         "-0.5,-0.5,0.25,-0,2,-1e-300\n"
     )
+
+
+@pytest.mark.parametrize("kappa_tau, header", [(None, "t,x,y,z\n"), ([], "t,x,y,z,kappa,tau\n")],
+                         ids=["positions", "with-kappa-tau"])
+def test_csv_export_of_no_samples_is_the_header(tmp_path, kappa_tau, header):
+    path = tmp_path / "curve.csv"
+    export_curve_csv(timelike_hyperbola_jet(1.0), [], path, kappa_tau=kappa_tau)
+    assert path.read_text() == header
 
 
 def test_csv_export(tmp_path):

@@ -670,6 +670,24 @@ class TestSolveDirichlet:
             with pytest.raises(GeometryError, match="H too large: 2H overflows"):
                 SolverConfig(H=np.float64(value))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eps": 0}, "eps must be +1 (Euclidean) or -1 (Lorentzian)"),
+        ({"delta_guard": 0.0}, "delta_guard must lie in (0, 0.5)"),
+    ])
+    def test_config_refusal_names_the_field(self, kwargs, message):
+        with pytest.raises(GeometryError) as info:
+            SolverConfig(**kwargs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("shape, H, message", [
+        (square(0.8), 1.0, "the exact cap solution lives on a disk domain"),
+        (Disk(1.0), 0.0, "cap comparison requires H > 0"),
+    ])
+    def test_exact_cap_values_refusal(self, shape, H, message):
+        with pytest.raises(GeometryError) as info:
+            exact_cap_values(GridDomain(shape, 0.1), H)
+        assert str(info.value) == message
+
     def test_config_accepts_H_whose_2H_is_finite(self):
         assert SolverConfig(H=8.9e307).H == 8.9e307
 

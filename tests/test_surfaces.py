@@ -32,7 +32,7 @@ from minkowski3.surfaces import (
     shape_and_curvatures,
 )
 from minkowski3.curves import PlaneCase, frenet, generate_constant_curvature
-from minkowski3 import rotational
+from minkowski3 import rotational, surfaces
 from minkowski3.meshing import triangulate_chart
 from minkowski3.rotational import (
     ProfileODEParams,
@@ -170,6 +170,13 @@ class TestSecondForm:
         chart = plane_chart([1, 2, 3], E1, E2 + 0.3 * E1)
         npt.assert_allclose(second_form(chart, 0.5, 0.5), (0.0, 0.0, 0.0), atol=1e-15)
 
+    def test_arrays_give_each_points_coefficients(self):
+        chart = hyperbolic_plane_chart(1.5, (0.1, 0.2, 0.3))
+        us, vs = np.array([0.0, 0.3, -0.7]), np.array([0.2, -0.4, 0.6])
+        e, f, g = second_form(chart, us, vs)
+        assert e.shape == f.shape == g.shape == (3,)
+        assert list(zip(e, f, g)) == [second_form(chart, u, v) for u, v in zip(us, vs)]
+
     def test_hyperbolic_graph_symmetry_at_apex(self):
         e, f, g = second_form(hyperbolic_plane_chart(1.0), 0.0, 0.0)
         npt.assert_allclose(e, g, rtol=1e-12)
@@ -303,6 +310,23 @@ class TestShapeAndCurvatures:
             shape_and_curvatures(light_cone_chart(), 1.0, 0.3)
 
 
+def test_memo_exact_starts_over_after_4096_keys():
+    calls = []
+
+    def sinh(x):
+        calls.append(x)
+        return np.sinh(x)
+
+    memo = surfaces._memo_exact(sinh)
+    keys = np.linspace(-1.0, 1.0, 4096)
+    before = [memo(x) for x in keys]
+    assert [memo(x) for x in keys] == before and len(calls) == 4096  # all held
+    memo(2.0)  # the 4097th key empties the cache first
+    assert len(calls) == 4097
+    after = [memo(x) for x in keys]
+    assert len(calls) == 4097 + 4096 and after == before
+
+
 class TestUmbilicalClassification:
     def test_plane(self):
         kind = classify_totally_umbilical(plane_chart([0, 0, 1], E1, E2), SAMPLES)
@@ -329,6 +353,10 @@ class TestUmbilicalClassification:
     def test_non_umbilic_rejected(self):
         with pytest.raises(GeometryError):
             classify_totally_umbilical(catenoid_chart(), [(1.0, 0.5), (1.5, 1.0)])
+
+    def test_no_samples_rejected(self):
+        with pytest.raises(GeometryError, match="needs at least one sample"):
+            classify_totally_umbilical(plane_chart([0, 0, 1], E1, E2), [])
 
 
 class TestFoliatedMeanCurvature:

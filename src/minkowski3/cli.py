@@ -401,7 +401,7 @@ def cmd_cap(args) -> dict:
         xs, ys = np.repeat(side, 41), np.tile(side, 41)
         inside = xs * xs + ys * ys <= args.R ** 2
         xs, ys = xs[inside], ys[inside]
-        zs = [chart.position(x, y)[2] for x, y in zip(xs, ys)]
+        zs = surfaces._values(chart.position, xs, ys)[:, 2]
         core.write_csv(args.csv, "x,y,z", np.column_stack([xs, ys, zs]))
         out["csv"] = args.csv
     return _report(args, "cap", out)
@@ -435,7 +435,7 @@ def cmd_dirichlet(args) -> dict:
         cap_err = np.abs(sol.u - u_exact)
         out["error_vs_cap_max"] = float(cap_err.max())
     if args.out:
-        cols = {"x": dom.xy[:, 0], "y": dom.xy[:, 1], "u": sol.u, "|Du|": sol.gradient_magnitude()}
+        cols = {"x": dom.xy[:, 0], "y": dom.xy[:, 1], "u": sol.u, "|Du|": sol.Du_norm}
         if cap_err is not None:
             cols["err_cap"] = cap_err
         core.write_csv(args.out, ",".join(cols), np.column_stack(list(cols.values())))
@@ -453,7 +453,7 @@ def _verify_checks():
         vs = np.linspace(-0.8, 0.8, n)
         pu, pv = np.repeat(us, n), np.tile(vs, n)
         if which == "x":
-            field = np.array([chart.position(u, v) for u, v in zip(pu, pv)])
+            field = surfaces._values(chart.position, pu, pv)
         else:
             field = surfaces.gauss_map(chart, pu, pv)
         fgrid = core.lorentz_dot(field, a).reshape(n, n)
@@ -521,8 +521,23 @@ def cmd_verify(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Help(Exception):
+    """The text of a --help, raised for `main` to write as it writes a report."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, save that --help hands its text to `main`:
+    argparse's own write drops an OSError, so a closed stdout would end a
+    --help as a success."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        raise _Help(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="mink3", description=__doc__)
+    p = _Parser(prog="mink3", description=__doc__)
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     c = sub.add_parser("classify", help="causal class of a vector or plane")
@@ -620,6 +635,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except _Help as text:
+        return _write_stdout(str(text), end="")
     try:
         # one numeric policy for every subcommand: an overflow, invalid or
         # divide-by-zero operation is a domain error; underflow is harmless
@@ -632,8 +649,15 @@ def main(argv=None) -> int:
     except FloatingPointError as exc:
         print(f"error: numeric overflow in {args.subcommand}: {exc}", file=sys.stderr)
         return 1
+    return _write_stdout(text)
+
+
+def _write_stdout(text: str, end: str = "\n") -> int:
+    """Print `text` to stdout and flush it: exit 0, or 1 with one error line
+    where stdout is closed.  `end` is written on its own, so a large report
+    is not copied to append it."""
     try:
-        print(text)
+        print(text, end=end)
         sys.stdout.flush()
     except BrokenPipeError:
         # point stdout at devnull, so the flush at exit finds nothing to fail on

@@ -640,10 +640,8 @@ def theorem_angle_check(jet: CurveJet, v, s: float) -> tuple[float, float]:
     if _parallel3(_edot3(vel, a), e, _edot3(a, a)):
         kappa = 0.0  # straight line: zero curvature, constant angle
     else:
-        fr = frenet(jet, s)
-        if fr.case is not FrenetCase.TIMELIKE:
-            raise CausalTypeError("angle/curvature comparison is for timelike curves")
-        kappa = fr.kappa
+        # T is timelike here, and frenet reads the same T: its case is TIMELIKE
+        kappa = frenet(jet, s).kappa
     h = jet.h_fd
 
     def phi(u: float) -> float:

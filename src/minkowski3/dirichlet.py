@@ -15,8 +15,10 @@ boundary trace.  The nonlinear system is solved by damped Newton steps with
 a finite-difference Jacobian (9-point stencil coloring, from one residual
 call on the stack of the nine perturbed vectors), run once from u = 0 at
 the target H, with no continuation in H.  Each trial step is one stencil
-pass, whose half-point slopes the spacelike guard reads before the light
-cone and the node slopes.  In every failure measured the discrete solution
+pass, which gathers the arm values once and forms the node gradient from
+them; the spacelike guard reads its half-point slopes, then the light cone,
+then that node gradient.  The solution's node |Du| is formed once, after
+the solve, and stored on it.  In every failure measured the discrete solution
 had reached the guard band (the Lorentzian cap's slope meets 1 - delta near
 R H = 7), which no path in H gets past.  Nodes are numbered column by
 column, so the Jacobian is block tridiagonal over the grid columns, and
@@ -331,7 +333,11 @@ class GridDomain:
     def node_gradient(self, u: np.ndarray):
         """Unequal-arm O(h^2) central derivatives (ux, uy) at every node."""
         u = np.asarray(u, dtype=float)
-        uE, uW, uN, uS = np.moveaxis(self._arm_values(u), -2, 0)
+        return self._gradient(u, self._arm_values(u))
+
+    def _gradient(self, u: np.ndarray, vals: np.ndarray):
+        """node_gradient of u from its arm values `vals`, already gathered."""
+        uE, uW, uN, uS = np.moveaxis(vals, -2, 0)
         wx, ex, cx, dx = self._x_coef
         wy, ey, cy, dy = self._y_coef
         ux = wx * uE  # (wx uE - ex uW + cx u) / dx, in place
@@ -373,6 +379,8 @@ class GraphSolution:
     u: np.ndarray
     H: float
     eps: int
+    #: |Du| at every node, from the node gradient; Du_max is its maximum
+    Du_norm: np.ndarray
     Du_max: float
     residual_max: float
     newton_iters: int
@@ -381,21 +389,20 @@ class GraphSolution:
     continuation_steps: int
     delta_guard: float
 
-    def gradient_magnitude(self) -> np.ndarray:
-        ux, uy = self.domain.node_gradient(self.u)
-        return np.hypot(ux, uy)
-
 
 def _half_data(dom: GridDomain, u: np.ndarray):
-    """Primary and transverse derivative per arm half-point, shape u.shape + (4,).
+    """Primary and transverse derivative per arm half-point, shape u.shape + (4,),
+    and the node gradient (ux, uy) they are formed from.
 
     On full arms the transverse derivative is the average of the two node
     gradients.  On boundary-terminated arms it is extrapolated linearly to
     the half point from the node and its opposite neighbor, which keeps the
-    half-point value second-order accurate at the boundary ring.
+    half-point value second-order accurate at the boundary ring.  The arm
+    values are gathered once, for the node gradient and the primary
+    derivatives both.
     """
     vals = dom._arm_values(u)
-    ux, uy = dom.node_gradient(u)
+    ux, uy = dom._gradient(u, vals)
     # the passes run in place: each fresh stack-sized array costs page
     # faults on every call, more than the arithmetic on it
     # prim = sign * (vals - u) / (theta h)
@@ -413,12 +420,15 @@ def _half_data(dom: GridDomain, u: np.ndarray):
     extrap *= dom._half_theta_h
     extrap += own
     np.copyto(avg, extrap, where=dom._boundary_arm)
-    return _arms(prim), _arms(avg)
+    return _arms(prim), _arms(avg), (ux, uy)
 
 
 def _stencil(dom: GridDomain, u: np.ndarray, H: float, eps: int):
-    """Residual at u and, for eps = -1, its largest squared half-point slope (else None)."""
-    prim, trans = (_arms(a) for a in _half_data(dom, u))
+    """Residual at u, for eps = -1 its largest squared half-point slope (else
+    None), and the node gradient (ux, uy) the pass formed: one stencil pass
+    gives the line search every quantity its guards read."""
+    prim, trans, grad = _half_data(dom, u)
+    prim, trans = _arms(prim), _arms(trans)
     # flux = prim / sqrt(1 - min(m, _SLOPE2_MAX)) for eps = -1, where
     # m = prim^2 + trans^2, and prim / sqrt(1 + prim^2 + trans^2) for eps = +1
     m = prim * prim
@@ -437,7 +447,7 @@ def _stencil(dom: GridDomain, u: np.ndarray, H: float, eps: int):
     den_x, den_y = dom._div_den
     div_x = (flux[..., 0, :] - flux[..., 1, :]) / den_x
     div_y = (flux[..., 2, :] - flux[..., 3, :]) / den_y
-    return div_x + div_y - 2.0 * H, m_max
+    return div_x + div_y - 2.0 * H, m_max, grad
 
 
 def cmc_operator_residual(dom: GridDomain, u: np.ndarray, H: float, eps: int,
@@ -453,7 +463,7 @@ def cmc_operator_residual(dom: GridDomain, u: np.ndarray, H: float, eps: int,
     u = np.asarray(u, dtype=float)
     if u.ndim not in (1, 2) or u.shape[-1] != dom.n:
         raise GeometryError(f"expected {dom.n} interior node values, or a stack of them")
-    r, m_max = _stencil(dom, u, H, eps)
+    r, m_max, _ = _stencil(dom, u, H, eps)
     if check_spacelike and eps == -1 and m_max >= _SLOPE2_MAX:
         raise SpacelikeViolationError("stencil gradient reached the light cone")
     return r
@@ -570,7 +580,8 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
     Each trial is one stencil pass.  A Lorentzian trial must pass, in this
     order, the half-point guard sqrt(max m) < 1 - delta/2 (m the squared
     half-point slopes), the light cone max m < _SLOPE2_MAX (which only a
-    delta below ~2e-12 leaves to it) and the node guard max|Du| <= 1 - delta.
+    delta below ~2e-12 leaves to it) and the node guard max|Du| <= 1 - delta,
+    on the node gradient the pass formed.
     A Jacobian whose diagonal lost an entry in rounding (at a large |H| the
     perturbation does not move the residual), a singular diagonal block of
     its block LU, a line search that finds no such trial, or
@@ -615,9 +626,9 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
         lam = 1.0
         for _ in range(12):
             trial = u + lam * du
-            rt, m_max = _stencil(dom, trial, H, cfg.eps)
+            rt, m_max, grad = _stencil(dom, trial, H, cfg.eps)
             if cfg.eps == 1 or (np.sqrt(m_max) < guard_half and m_max < _SLOPE2_MAX and
-                                np.max(np.hypot(*dom.node_gradient(trial))) <= guard_node):
+                                np.max(np.hypot(*grad)) <= guard_node):
                 tnorm = float(np.max(np.abs(rt)))
                 if tnorm < rnorm or tnorm <= cfg.newton_tol:
                     break
@@ -662,10 +673,10 @@ def solve_dirichlet(dom: GridDomain, cfg: SolverConfig) -> GraphSolution:
     u, iters, rnorm = _newton(dom, cfg)
     if cfg.H < 0:
         u = -u
-    ux, uy = dom.node_gradient(u)
+    Du_norm = np.hypot(*dom.node_gradient(u))
     return GraphSolution(
         domain=dom, u=u, H=cfg.H, eps=cfg.eps,
-        Du_max=float(np.max(np.hypot(ux, uy))), residual_max=rnorm,
+        Du_norm=Du_norm, Du_max=float(np.max(Du_norm)), residual_max=rnorm,
         newton_iters=iters, continuation_steps=0 if cfg.H == 0 else 1,
         delta_guard=cfg.delta_guard,
     )
@@ -730,7 +741,7 @@ def gradient_boundary_check(sol: GraphSolution) -> dict:
     the boundary ring up to O(h); on convex domains the report also states
     whether the maximum slope stays below sqrt(2)/2 (up to O(h) slack).
     """
-    g = sol.gradient_magnitude()
+    g = sol.Du_norm
     ring = sol.domain.ring
     ring_max = float(g[ring].max())
     inner = ~ring

@@ -70,8 +70,10 @@ def is_lorentz(a, tol: float = 1e-9) -> bool:
 def component(a) -> IsometryComponent:
     """Connected component of an isometry, by (sign det, sign a33).
 
-    Raises GeometryError for non-members and for inputs whose det or a33 is
-    too close to the decision boundary to classify.
+    Raises GeometryError for non-members and for inputs whose det is not
+    within tolerance of +-1.  a33 needs no such test: the (3, 3) entry of
+    A^t G A is a13^2 + a23^2 - a33^2, so a member within tolerance has
+    a33^2 >= 1 - _COMPONENT_TOL.
     """
     m = _as_mat3(a)
     if not is_lorentz(m, _COMPONENT_TOL):
@@ -80,8 +82,6 @@ def component(a) -> IsometryComponent:
     if abs(abs(det) - 1.0) > _COMPONENT_TOL:
         raise GeometryError(f"determinant {det} is not within tolerance of +-1")
     a33 = float(m[2, 2])
-    if abs(a33) <= _COMPONENT_TOL:
-        raise GeometryError("a33 is too close to zero to classify the component")
     if det > 0:
         return IsometryComponent.PP if a33 > 0 else IsometryComponent.PM
     return IsometryComponent.MP if a33 > 0 else IsometryComponent.MM

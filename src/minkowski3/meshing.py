@@ -102,12 +102,10 @@ def disk_graph_mesh(chart: SurfaceChart, radius: float, n_r: int,
     """
     if n_r * n_theta > MAX_POINTS:
         raise GeometryError(f"mesh of {n_r} x {n_theta} points exceeds MAX_POINTS = {MAX_POINTS}")
-    uv = [(0.0, 0.0)]  # vertex 0 is the center
-    for i in range(1, n_r + 1):
-        rho = radius * i / n_r
-        for j in range(n_theta):
-            th = 2 * np.pi * j / n_theta
-            uv.append((rho * np.cos(th), rho * np.sin(th)))
+    # vertex 0 is the center, then ring i = 1..n_r at angles j = 0..n_theta-1
+    rho = np.repeat(radius * np.arange(1, n_r + 1) / n_r, n_theta)
+    th = np.tile(2 * np.pi * np.arange(n_theta) / n_theta, n_r)
+    uv = np.concatenate([np.zeros((1, 2)), np.column_stack([rho * np.cos(th), rho * np.sin(th)])])
     # ring i holds vertices 1 + i * n_theta + j; column n_theta closes it
     rings = 1 + np.arange(n_r * n_theta).reshape(n_r, n_theta)
     rings = np.concatenate([rings, rings[:, :1]], axis=1)
@@ -115,7 +113,7 @@ def disk_graph_mesh(chart: SurfaceChart, radius: float, n_r: int,
     faces = np.concatenate([fan, _quads(rings[:-1], rings[1:])])
     boundary = np.zeros(len(uv), dtype=bool)
     boundary[rings[-1]] = True
-    return _chart_mesh(chart, np.asarray(uv), faces, boundary)
+    return _chart_mesh(chart, uv, faces, boundary)
 
 
 def _face_geometry(mesh: SurfaceMesh):

@@ -45,6 +45,9 @@ class TestJsonDump:
         assert parsed["x"] == 0.1 + 0.2
         assert parsed["y"][0] == 1e-300
 
+    def test_empty_containers(self):
+        assert dump_json({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}'
+
 
 class TestClassify:
     def test_lightlike_vector(self, capsys):
@@ -669,14 +672,21 @@ class TestDeterminism:
         assert {p.name: p.read_bytes() for p in fresh.iterdir()} == written
 
 
-def test_closed_stdout_is_one_error_line(tmp_path):
-    # stdout is a pipe whose read end is closed before the report is written
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["surface", "--kind", "hyperbolic"],
+    ["--help"],
+    ["surface", "--help"],
+], ids=["report", "help", "subcommand-help"])
+def test_closed_stdout_is_one_error_line(tmp_path, argv, unbuffered):
+    # stdout is a pipe whose read end is closed before the report (or the
+    # help) is written; unbuffered, the first write fails, buffered, the flush
     read, write = os.pipe()
     os.close(read)
+    env = dict(_fresh_env(), PYTHONUNBUFFERED=unbuffered)
     with os.fdopen(write, "wb") as closed:
-        proc = subprocess.run(
-            [sys.executable, "-m", "minkowski3.cli", "surface", "--kind", "hyperbolic"],
-            cwd=tmp_path, env=_fresh_env(), stdout=closed, stderr=subprocess.PIPE, timeout=120)
+        proc = subprocess.run([sys.executable, "-m", "minkowski3.cli", *argv],
+                              cwd=tmp_path, env=env, stdout=closed, stderr=subprocess.PIPE, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr == b"error: stdout was closed before the report was written\n"
 
@@ -685,6 +695,21 @@ def test_verify_suite(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_failed_verify_check_is_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(minkowski3.cli, "_verify_checks", lambda: iter([("a check", False, {})]))
+    assert run(capsys, "verify") == (1, "[FAIL] a check\n", "error: verification suite failed\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["dirichlet", "--help"], ["surface", "-h"]])
+def test_help_is_the_parsers_text(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv == ["--help"]:
+        assert out == minkowski3.cli.build_parser().format_help()
+    else:
+        assert out.startswith(f"usage: mink3 {argv[0]} [-h]")
 
 
 def _fresh(args: list, cwd) -> subprocess.CompletedProcess:

@@ -92,6 +92,10 @@ class TestCausalClass:
         v = 1e8 * (E2 + E3)
         assert causal_class(v) is CausalClass.LIGHTLIKE
 
+    def test_stack_of_vectors_rejected(self):
+        with pytest.raises(GeometryError, match="^causal_class expects a single vector$"):
+            causal_class(np.zeros((2, 3)))
+
     @pytest.mark.parametrize("v", [[0.0, 0.0, 1e308], [1e200, 0.0, 1e200], [1.3e154, 0.0, 1.3e154]])
     def test_overflowing_square_rejected(self, v):
         with warnings.catch_warnings():
@@ -125,6 +129,13 @@ class TestSubspaces:
     def test_dependent_generators_rejected(self):
         with pytest.raises(GeometryError):
             Subspace((E1, 2 * E1))
+
+    @pytest.mark.parametrize("gens", [(E1, E2, E3), (np.zeros((2, 3)),)],
+                             ids=["three-generators", "stacked-generator"])
+    def test_generator_count_and_shape_rejected(self, gens):
+        with pytest.raises(GeometryError,
+                           match="^a Subspace needs 1 or 2 generators, each one vector$"):
+            Subspace(gens)
 
     def test_plane_class_matches_euclidean_normal(self, rng):
         # a plane is spacelike/timelike/lightlike iff its Euclidean normal

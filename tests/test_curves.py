@@ -1279,3 +1279,36 @@ def test_subnormal_null_acceleration_is_refused():
     # |alpha''|^2 of the null helix scaled by 1e-160 is subnormal
     with pytest.raises(GeometryError, match=r"\|alpha''\|\^2 a normal float"):
         reparam_pseudo_arclength(scaled_helix_jet("null", 1e-160, np.eye(3)), 0.2)
+
+
+def constant_jet(t, tp):
+    """A jet whose T and T' are the constant triples t and tp."""
+    t, tp = np.array(t, dtype=float), np.array(tp, dtype=float)
+    return CurveJet(lambda s: s * t, lambda s: t, lambda s: tp, lambda s: np.zeros(3),
+                    domain=(-1.0, 1.0))
+
+
+#: a unit spacelike T, y^2 - z^2 = 1 exactly, with |T_z| about 2048
+_WIDE_T = [0.0, (2 ** 24 + 1) / 2 ** 13, (2 ** 24 - 1) / 2 ** 13]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    # a lightlike T' whose square is just a normal float: the null partner's
+    # coefficient 1/<e3, T'> is near 6e153, and its square times T_z overflows
+    (lambda: frenet(constant_jet(_WIDE_T, [1.6e-154, 0.0, 1.6e-154]), 0.0),
+     GeometryError, "B overflows: the Frenet frame is not finite"),
+    # a timelike T with a lightlike T' (the jet is not arc-length consistent)
+    (lambda: frenet(constant_jet([0.0, 0.0, 1.0], [1.0, 0.0, 1.0]), 0.0),
+     GeometryError, "T' is lightlike: no unit normal N = T'/kappa"),
+    # a spacelike T whose T' has <T', T'> / |T'|^2 near -1e-10: outside the
+    # null band (REL_TOL) but inside the case band (CASE_TOL)
+    (lambda: frenet(constant_jet([1.0, 0.0, 0.0], [0.0, 1.0, 1.0 + 1e-10]), 0.0),
+     AmbiguousCaseError, "T' sits within tolerance of the light cone; causal case is ambiguous"),
+    (lambda: theorem_angle_check(generate_constant_curvature(PlaneCase.SPACELIKE_PLANE, 1.0),
+                                 [0.0, 0.0, 1.0], 0.0),
+     CausalTypeError, "angle/curvature comparison is for timelike curves"),
+], ids=["null-partner-overflow", "timelike-T-null-T'", "ambiguous-T'", "angle-check-spacelike"])
+def test_frame_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -48,6 +48,33 @@ def record_passes(monkeypatch):
     return passes
 
 
+def count_calls(monkeypatch, owner, name, per=None):
+    """Calls of `owner.name` from here on.  Without `per`, one entry per call;
+    with `per` = (owner2, name2), one entry per call of `owner2.name2`: the
+    number of calls of `owner.name` made inside it."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    if per is None:
+        return calls
+    counts = []
+    outer = getattr(*per)
+
+    def counting_outer(*args, **kwargs):
+        before = len(calls)
+        out = outer(*args, **kwargs)
+        counts.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(*per, counting_outer)
+    return counts
+
+
 def square(half=0.9):
     return ConvexPolygon(np.array([[half, 0.0], [0.0, half], [-half, 0.0], [0.0, -half]]))
 
@@ -160,7 +187,8 @@ def loop_node_gradient(dom, u):
 
 
 def loop_half_data(dom, u):
-    """Half-point derivatives arm by arm, with the neighbor masks made per call."""
+    """Half-point derivatives arm by arm, with the neighbor masks made per
+    call, and the node gradient they are formed from."""
     vals = loop_values_with_boundary(dom, u)
     h = dom.h
     ux, uy = loop_node_gradient(dom, u)
@@ -176,12 +204,12 @@ def loop_half_data(dom, u):
         slope = np.where(opp >= 0, (own - own[opp]) / (dom.theta[:, _OPP[d]] * h), 0.0)
         extrap = own + 0.5 * dom.theta[:, d] * h * slope
         trans[:, d] = np.where(nb >= 0, avg, extrap)
-    return prim, trans
+    return prim, trans, (ux, uy)
 
 
 def loop_residual(dom, u, H, eps):
     """The operator residual from the per-arm loop, each factor formed per call."""
-    prim, trans = loop_half_data(dom, u)
+    prim, trans, _ = loop_half_data(dom, u)
     if eps == -1:
         m = np.minimum(prim * prim + trans * trans, 1.0 - 1e-12)
         flux = prim / np.sqrt(1.0 - m)
@@ -773,21 +801,44 @@ class TestSolveDirichlet:
     def test_guard_soundness(self):
         dom = GridDomain(Disk(1.0), 0.04)
         sol = solve_dirichlet(dom, SolverConfig(eps=-1, H=5.0))
-        _, m_max = dirichlet._stencil(dom, sol.u, sol.H, sol.eps)
+        _, m_max, _ = dirichlet._stencil(dom, sol.u, sol.H, sol.eps)
         assert np.sqrt(m_max) < 1.0 - 0.5 * sol.delta_guard
 
-    @pytest.mark.parametrize("cfg", [
+    GUARD_CONFIGS = pytest.mark.parametrize("cfg", [
         SolverConfig(eps=-1, H=5.0),
         SolverConfig(eps=1, H=0.5),
         SolverConfig(eps=-1, H=5.0, delta_guard=1e-13),
     ], ids=["lorentz", "euclid", "delta-1e-13"])
+
+    @GUARD_CONFIGS
+    def test_one_gather_per_pass_and_one_node_gradient_per_solve(self, monkeypatch, cfg):
+        # each stencil pass gathers the arm values once, for its node
+        # gradient and its half-point slopes both; the line search's node
+        # guard reads that gradient, so node_gradient runs once per solve,
+        # for Du_norm, and never inside Newton
+        dom = GridDomain(Disk(1.0), 0.04)
+        passes = record_passes(monkeypatch)
+        gathers = count_calls(monkeypatch, GridDomain, "_arm_values", per=(dirichlet, "_stencil"))
+        in_newton = count_calls(monkeypatch, GridDomain, "node_gradient", per=(dirichlet, "_newton"))
+        gradients = count_calls(monkeypatch, GridDomain, "node_gradient")
+        sol = solve_dirichlet(dom, cfg)
+        one_d = sum(len(trials) for trials in passes)
+        assert one_d > sol.newton_iters > 0
+        # the 1-D passes, and the Jacobian's one stacked pass per iteration
+        assert gathers == [1] * (one_d + sol.newton_iters)
+        assert in_newton == [0]
+        assert len(gradients) == 1
+        assert np.array_equal(sol.Du_norm, np.hypot(*dom.node_gradient(sol.u)))
+        assert sol.Du_max == np.max(sol.Du_norm)
+
+    @GUARD_CONFIGS
     def test_one_pass_trials_match_the_two_pass_guard(self, monkeypatch, cfg):
         # oracle: the guard as a second pass before the residual, with the
         # residual's light-cone error refusing the trial behind it
         guard_half = 1.0 - 0.5 * cfg.delta_guard
 
         def half_gradient_max(dom, u):
-            prim, trans = dirichlet._half_data(dom, u)
+            prim, trans, _ = dirichlet._half_data(dom, u)
             return float(np.sqrt(np.max(prim * prim + trans * trans)))
 
         def admissible(dom, v):
@@ -832,6 +883,16 @@ class TestSolveDirichlet:
         monkeypatch.setattr(dirichlet, "MAX_NEWTON_ITERS", 0)
         dom = GridDomain(Disk(1.0), 0.1)
         with pytest.raises(ConvergenceError, match=r"at H=1 after 0 iterations .*: the iteration budget"):
+            solve_dirichlet(dom, SolverConfig(eps=-1, H=1.0))
+
+    def test_singular_block_is_convergence_error(self, monkeypatch):
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(dirichlet, "_inv", singular)
+        dom = GridDomain(Disk(1.0), 0.1)
+        with pytest.raises(ConvergenceError, match=r"at H=1 after 0 iterations .*: the Jacobian's "
+                                                   r"LU factorization is singular$"):
             solve_dirichlet(dom, SolverConfig(eps=-1, H=1.0))
 
     def test_failure_past_the_guard_limit_is_one_bounded_run(self, monkeypatch):

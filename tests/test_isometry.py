@@ -70,6 +70,21 @@ class TestComponents:
         with pytest.raises(GeometryError):
             component(np.diag([2.0, 1.0, 1.0]))
 
+    # s I with s^2 = 1 + 0.9e-9 passes the membership test, whose entries
+    # deviate by 0.9e-9, but its det s^3 is 1 + 1.35e-9
+    _NEAR = np.sqrt(1.0 + 0.9e-9) * np.eye(3)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: is_lorentz(np.eye(2)), "expected a 3x3 matrix, got shape (2, 2)"),
+        (lambda: is_lorentz(np.full((3, 3), np.nan)), "matrix entries must be finite"),
+        (lambda: component(TestComponents._NEAR),
+         "determinant 1.0000000013500001 is not within tolerance of +-1"),
+    ], ids=["shape", "non-finite", "det"])
+    def test_refusal_names_its_cause(self, call, message):
+        with pytest.raises(GeometryError) as info:
+            call()
+        assert str(info.value) == message
+
 
 class TestBoostFamilies:
     def test_zero_parameter_is_identity(self):

@@ -102,6 +102,20 @@ class TestFirstVariation:
         with pytest.raises(GeometryError):
             first_variation_check(mesh, np.ones(len(mesh.vertices)), 1e-4)
 
+    def test_field_of_the_wrong_shape_rejected(self):
+        chart, _ = hyperbolic_cap_chart(1.0, 1.0)
+        mesh = disk_graph_mesh(chart, 1.0, 4, 8)
+        with pytest.raises(GeometryError, match="^f must be a per-vertex scalar$"):
+            first_variation_check(mesh, np.zeros(len(mesh.vertices) - 1), 1e-4)
+
+    def test_timelike_triangle_rejected(self):
+        # the edge from vertex 0 to vertex 2 is timelike
+        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        mesh = SurfaceMesh(verts, np.array([[0, 1, 2]]), np.zeros((3, 2)), np.zeros((3, 3)),
+                           np.zeros(3), np.zeros(3), np.zeros(3, dtype=bool), np.zeros(3, dtype=bool))
+        with pytest.raises(GeometryError, match="^mesh contains non-spacelike triangles$"):
+            lorentz_area(mesh)
+
 
 class TestExport:
     def test_sidecar_text(self, tmp_path):

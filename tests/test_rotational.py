@@ -252,6 +252,17 @@ class TestRiemannFamily:
         assert sol.truncated and len(sol.s) == 146
         assert np.isfinite(sol.residual_max)
 
+    def test_blow_up_is_truncated_where_the_drift_is_not_finite(self):
+        # r'^2 of the second stage overflows, so r'' goes NaN without an
+        # OverflowError, and every stage radius stays below the r^4 overflow:
+        # the first step's center drift a is NaN, and that stop ends the run
+        params = ProfileODEParams(c=1.0, r0=1e-70, rp0=2e82, s0=0.0, s1=1e-79, h=1e-80)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = integrate_riemann(params)
+        assert sol.truncated and sol.blew_up and len(sol.s) == 1
+        assert sol.a.tolist() == [0.0] and sol.r.tolist() == [1e-70]
+
     def test_degenerates_to_catenoid(self):
         sol = integrate_riemann(catenoid_params())
         assert np.max(np.abs(sol.r - np.sinh(sol.s))) <= 1e-6

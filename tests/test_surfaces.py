@@ -358,6 +358,47 @@ class TestUmbilicalClassification:
         with pytest.raises(GeometryError, match="needs at least one sample"):
             classify_totally_umbilical(plane_chart([0, 0, 1], E1, E2), [])
 
+    @staticmethod
+    def spliced(a, b):
+        """The chart `a` for u < 0 and `b` for u >= 0: every sample is
+        umbilic, and the fit across the seam is inconsistent."""
+        def pick(name):
+            return lambda u, v: getattr(a if u < 0 else b, name)(u, v)
+        return SurfaceChart(*map(pick, ("position", "du", "dv", "duu", "duv", "dvv")),
+                            domain=a.domain)
+
+    @pytest.mark.parametrize("a, b, message", [
+        (plane_chart([0, 0, 0], E1, E2), plane_chart([0, 0, 0], E1, E2 + 0.5 * E3),
+         "umbilic factor is zero but the normal is not constant"),
+        (hyperbolic_plane_chart(1.0), hyperbolic_plane_chart(1.0, p0=(0.0, 0.0, 1.0)),
+         "umbilic samples do not share a center point"),
+        (hyperbolic_plane_chart(1.0), hyperbolic_plane_chart(2.0),
+         "inconsistent Lorentzian distance to the fitted center"),
+    ], ids=["two-planes", "two-centers", "two-radii"])
+    def test_inconsistent_fit_rejected(self, a, b, message):
+        samples = [(-0.5, 0.0), (-0.5, 0.3), (0.5, 0.0), (0.5, 0.3)]
+        with pytest.raises(GeometryError) as info:
+            classify_totally_umbilical(self.spliced(a, b), samples)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SurfaceChart(lambda u, v: np.zeros(3), domain=((1.0, 0.0), (0.0, 1.0))),
+     "parameter rectangle must be nondegenerate"),
+    (lambda: shape_and_curvatures(hyperbolic_plane_chart(1.0), np.zeros((2, 2)), np.zeros((2, 2))),
+     "chart parameters must be scalars or 1-D arrays"),
+    (lambda: laplace_beltrami(plane_chart([0, 0, 0], E1, E2 + E3), np.zeros((5, 5)),
+                              np.linspace(-0.5, 0.5, 5), np.linspace(-0.5, 0.5, 5), 2, 2),
+     "degenerate metric in Laplace-Beltrami stencil"),
+    (lambda: hyperbolic_plane_chart(0.0), "radius must be positive"),
+    (lambda: de_sitter_chart(-1.0), "radius must be positive"),
+], ids=["empty-rectangle", "2-D-parameters", "lightlike-plane-laplacian", "hyperbolic-r-0",
+        "de-sitter-r-negative"])
+def test_refusal_names_its_cause(call, message):
+    with pytest.raises(GeometryError) as info:
+        call()
+    assert str(info.value) == message
+
 
 class TestFoliatedMeanCurvature:
     def test_plane(self):

@@ -425,6 +425,7 @@ def cmd_dirichlet(args) -> dict:
         "residual_max": sol.residual_max,
         "Du_max": sol.Du_max,
         "newton_iters": sol.newton_iters,
+        "chord_steps": sol.chord_steps,
         "max_abs_u": float(np.max(np.abs(sol.u))),
         "bounds": bounds,
         "gradient_check": grad,

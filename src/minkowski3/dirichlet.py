@@ -22,10 +22,11 @@ the solve, and stored on it.  In every failure measured the discrete solution
 had reached the guard band (the Lorentzian cap's slope meets 1 - delta near
 R H = 7), which no path in H gets past.  Nodes are numbered column by
 column, so the Jacobian is block tridiagonal over the grid columns, and
-each step is solved by one block LU of that iteration's Jacobian (Golub &
-Van Loan, Matrix Computations, 4.5), in dense numpy per column; no factor
-is kept from one iteration to the next.  Its work grows as the sum of the
-cubed column lengths, about (2R/h)^4, where a sparse minimum-degree
+each Newton step is solved by one block LU of its Jacobian (Golub & Van
+Loan, Matrix Computations, 4.5), in dense numpy per column.  A full step
+that cuts max|r| to 0.3x keeps its LU for the chord steps after it, each
+one block solve and one stencil pass.  The factor's work grows as the sum
+of the cubed column lengths, about (2R/h)^4, where a sparse minimum-degree
 ordering grows as n^1.5: at R = 1, h = 0.01 it is the larger cost.
 
 Solvability differs sharply by ambient: the Lorentzian problem is solvable
@@ -67,9 +68,14 @@ _THETA_MIN = 1e-3
 #: largest grid, in points of the bounding box, that GridDomain builds
 MAX_GRID_POINTS = MAX_POINTS
 
-#: Newton iterations of one solve before it fails; successful solves were
-#: measured to take at most 11
+#: Newton steps of one solve before it fails (chord steps do not count);
+#: successful solves were measured to take at most 9, in the tests and
+#: the benchmark's dirichlet-solve and cli-cold inputs
 MAX_NEWTON_ITERS = 40
+
+#: a full step that cuts max|r| to at most this fraction of its old value
+#: keeps its block LU for the chord steps after it
+_CHORD_RATE = 0.3
 
 #: rows of the largest block that _inv hands to np.linalg.inv whole
 _INV_SPLIT = 48
@@ -383,7 +389,10 @@ class GraphSolution:
     Du_norm: np.ndarray
     Du_max: float
     residual_max: float
+    #: Newton steps, each one Jacobian and one block LU
     newton_iters: int
+    #: steps that reused the last Newton step's block LU (see _newton)
+    chord_steps: int
     #: 0 for H = 0, else 1: one Newton run, with no continuation in H; kept
     #: because perfbench's solver trace (spans.py) still sums it
     continuation_steps: int
@@ -546,8 +555,8 @@ class _BlockLU:
 
 def splu(jac: _BlockTridiagonal) -> _BlockLU:
     """The block LU of the Jacobian `jac`: the solver's one factorization,
-    called once per Newton iteration.  A singular diagonal block raises
-    numpy.linalg.LinAlgError."""
+    called once per Newton step; chord steps reuse its factor.  A singular
+    diagonal block raises numpy.linalg.LinAlgError."""
     return _BlockLU(jac)
 
 
@@ -573,27 +582,44 @@ def _jacobian(dom: GridDomain, u: np.ndarray, H: float, eps: int, base: np.ndarr
 
 
 def _newton(dom: GridDomain, cfg: SolverConfig):
-    """Damped Newton from u = 0 at curvature |cfg.H|; (u, iterations, max|r|).
+    """Damped Newton from u = 0 at curvature |cfg.H|, with chord steps;
+    (u, Newton steps, chord steps, max|r|).
 
-    Each iteration factors a fresh Jacobian and halves the step length lam
+    A Newton step factors a fresh Jacobian and halves the step length lam
     (at most 12 times) until the trial is admissible and lowers max|r|.
     Each trial is one stencil pass.  A Lorentzian trial must pass, in this
     order, the half-point guard sqrt(max m) < 1 - delta/2 (m the squared
     half-point slopes), the light cone max m < _SLOPE2_MAX (which only a
     delta below ~2e-12 leaves to it) and the node guard max|Du| <= 1 - delta,
     on the node gradient the pass formed.
+
+    Chord steps (Kelley, Solving Nonlinear Equations with Newton's Method,
+    SIAM 2003, ch. 2): a Newton step taken whole (lam = 1) that cuts max|r|
+    to at most _CHORD_RATE = 0.3 times its old value keeps its block LU.
+    While the LU is kept, the next step solves with it, du = LU^-1 (-r), and
+    tries u + du once, under the same guards; it is taken if it is
+    admissible and cuts max|r| to _CHORD_RATE times or reaches newton_tol.
+    Otherwise the LU is dropped, before the next Jacobian is built, and a
+    Newton step is taken from the same u.  Only Newton steps count against
+    MAX_NEWTON_ITERS; each chord step taken cuts max|r| by 0.3x at least,
+    which bounds them.
+
     A Jacobian whose diagonal lost an entry in rounding (at a large |H| the
     perturbation does not move the residual), a singular diagonal block of
     its block LU, a line search that finds no such trial, or
-    MAX_NEWTON_ITERS iterations without max|r| <= newton_tol raise
-    ConvergenceError.  At H = 0 the
-    first residual is exactly 0, so u = 0 returns after no iteration.
+    MAX_NEWTON_ITERS Newton steps without max|r| <= newton_tol raise
+    ConvergenceError.  At H = 0 the first residual is exactly 0, so u = 0
+    returns after no step.
 
     Rate: the Jacobian is a forward difference with delta = 1e-7 (1 + max|u|),
-    so it is exact only to O(delta), and the tail is superlinear rather
-    than cleanly quadratic.  Full steps are taken there; on the R = 1,
-    H = 1 cap at h = 0.02, max|r| goes 5.6e-3, 5.6e-5, 1.6e-8, 1.2e-11,
-    each of the last two iterations cutting it by more than 1000x.
+    so it is exact only to O(delta), and the Newton tail is superlinear
+    rather than cleanly quadratic.  Chord steps converge linearly, at a
+    rate proportional to the error where their factor was formed (Kelley,
+    ch. 2), each for one block solve and one stencil pass, where a Newton
+    step also builds and factors a Jacobian.  On the R = 1, H = 1 cap at h = 0.02 the full
+    Newton steps cut max|r| by 0.75x, 0.20x and 0.038x (to 5.6e-3), and
+    the seven chord steps after the last one by 0.062x down to 0.049x (to
+    6.7e-12).
     """
     H = abs(cfg.H)
     u = np.zeros(dom.n)
@@ -606,10 +632,25 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
             f"(max|r| = {rnorm:.3g}): {stop}"
         )
 
+    def admissible(m_max, grad):
+        return cfg.eps == 1 or (np.sqrt(m_max) < guard_half and m_max < _SLOPE2_MAX and
+                                np.max(np.hypot(*grad)) <= guard_node)
+
     r = cmc_operator_residual(dom, u, H, cfg.eps)
     rnorm = float(np.max(np.abs(r)))
-    iters = 0
+    iters = chords = 0
+    lu = None
     while rnorm > cfg.newton_tol:
+        if lu is not None:
+            trial = u + lu.solve(-r)
+            rt, m_max, grad = _stencil(dom, trial, H, cfg.eps)
+            if admissible(m_max, grad):
+                tnorm = float(np.max(np.abs(rt)))
+                if tnorm <= _CHORD_RATE * rnorm or tnorm <= cfg.newton_tol:
+                    u, r, rnorm = trial, rt, tnorm
+                    chords += 1
+                    continue
+            lu = None  # its blocks are not kept alive while the next Jacobian is built
         if iters >= MAX_NEWTON_ITERS:
             raise fail(f"the iteration budget MAX_NEWTON_ITERS = {MAX_NEWTON_ITERS} is spent")
         jac = _jacobian(dom, u, H, cfg.eps, r)
@@ -619,16 +660,16 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
             raise fail("a diagonal entry of the finite-difference Jacobian was lost "
                        "in rounding against the residual")
         try:
-            du = splu(jac).solve(-r)
+            lu = splu(jac)
+            du = lu.solve(-r)
         except np.linalg.LinAlgError:
             raise fail("the Jacobian's LU factorization is singular") from None
-        del jac  # its dense blocks are not kept alive while the next one is built
+        del jac  # the LU holds its blocks only while the LU is kept
         lam = 1.0
         for _ in range(12):
             trial = u + lam * du
             rt, m_max, grad = _stencil(dom, trial, H, cfg.eps)
-            if cfg.eps == 1 or (np.sqrt(m_max) < guard_half and m_max < _SLOPE2_MAX and
-                                np.max(np.hypot(*grad)) <= guard_node):
+            if admissible(m_max, grad):
                 tnorm = float(np.max(np.abs(rt)))
                 if tnorm < rnorm or tnorm <= cfg.newton_tol:
                     break
@@ -636,9 +677,11 @@ def _newton(dom: GridDomain, cfg: SolverConfig):
         else:
             iters += 1
             raise fail("the line search found no admissible trial that lowers max|r|")
+        if lam < 1.0 or tnorm > _CHORD_RATE * rnorm:
+            lu = None
         u, r, rnorm = trial, rt, tnorm
         iters += 1
-    return u, iters, rnorm
+    return u, iters, chords, rnorm
 
 
 def _check_euclid_solvable(dom: GridDomain, H: float) -> None:
@@ -670,14 +713,14 @@ def solve_dirichlet(dom: GridDomain, cfg: SolverConfig) -> GraphSolution:
     """
     if cfg.eps == 1:
         _check_euclid_solvable(dom, cfg.H)
-    u, iters, rnorm = _newton(dom, cfg)
+    u, iters, chords, rnorm = _newton(dom, cfg)
     if cfg.H < 0:
         u = -u
     Du_norm = np.hypot(*dom.node_gradient(u))
     return GraphSolution(
         domain=dom, u=u, H=cfg.H, eps=cfg.eps,
         Du_norm=Du_norm, Du_max=float(np.max(Du_norm)), residual_max=rnorm,
-        newton_iters=iters, continuation_steps=0 if cfg.H == 0 else 1,
+        newton_iters=iters, chord_steps=chords, continuation_steps=0 if cfg.H == 0 else 1,
         delta_guard=cfg.delta_guard,
     )
 

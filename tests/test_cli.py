@@ -343,7 +343,9 @@ RECTANGLE = str(POLYGONS / "rectangle.txt")
      {"nodes": 247}),
     # H = 0 needs no solvability check, and u = 0 solves it before any Newton step
     (["dirichlet", "--disk", "1", "--H", "0", "--ambient", "euclid", "--h", "0.25"],
-     {"newton_iters": 0, "max_abs_u": 0}),
+     {"newton_iters": 0, "chord_steps": 0, "max_abs_u": 0}),
+    # a cap's last full Newton steps keep their block LU for chord steps
+    (["dirichlet", "--disk", "1", "--H", "1", "--h", "0.1"], {"newton_iters": 4, "chord_steps": 6}),
 ])
 def test_report_outputs(capsys, argv, outputs):
     code, out, _ = run(capsys, *argv)

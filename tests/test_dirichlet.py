@@ -1,4 +1,7 @@
+import gc
 import warnings
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -28,24 +31,54 @@ from minkowski3.dirichlet import (
 
 
 def record_passes(monkeypatch):
-    """The 1-D stencil passes of the solves to come, as (u, residual): the
-    start, then one list of line-search trials per Newton iteration."""
-    passes = [[]]
-    stencil, jacobian = dirichlet._stencil, dirichlet._jacobian
+    """The steps of the solves to come, one group per step.  Each group is a
+    SimpleNamespace whose `kind` is "start" (a solve's first residual),
+    "newton" or "chord", and whose `trials` are its 1-D stencil passes as
+    (u, residual), in the order tried: a Newton step's line search, or a
+    chord step's one trial.  A step also holds the Jacobian `jac` that its
+    block LU factors and its solve (`b`, `du`), where b = -r at the point the
+    step starts from; a Newton step also holds that point, `u`."""
+    groups = []
+    residual, stencil = dirichlet.cmc_operator_residual, dirichlet._stencil
+    jacobian, factor = dirichlet._jacobian, dirichlet.splu
+
+    def group(kind, u=None):
+        groups.append(SimpleNamespace(kind=kind, trials=[], u=u, jac=None, b=None, du=None))
+
+    def recording_residual(dom, u, *args, **kwargs):
+        if np.ndim(u) == 1:  # not the Jacobian's stack of perturbed vectors
+            group("start")
+        return residual(dom, u, *args, **kwargs)
 
     def recording_stencil(dom, u, *args):
         out = stencil(dom, u, *args)
-        if u.ndim == 1:  # not the Jacobian's stack of perturbed vectors
-            passes[-1].append((u.copy(), out[0]))
+        if u.ndim == 1:
+            groups[-1].trials.append((u.copy(), out[0]))
         return out
 
-    def recording_jacobian(*args):
-        passes.append([])
-        return jacobian(*args)
+    def recording_jacobian(dom, u, *args):
+        group("newton", u.copy())
+        return jacobian(dom, u, *args)
 
+    def recording_splu(jac):
+        lu = factor(jac)
+        solve = lu.solve
+
+        def recording_solve(b):
+            if groups[-1].kind != "newton" or groups[-1].b is not None:
+                group("chord")  # a solve with no Jacobian of its own
+            du = solve(b)
+            groups[-1].jac, groups[-1].b, groups[-1].du = jac, b.copy(), du.copy()
+            return du
+
+        lu.solve = recording_solve
+        return lu
+
+    monkeypatch.setattr(dirichlet, "cmc_operator_residual", recording_residual)
     monkeypatch.setattr(dirichlet, "_stencil", recording_stencil)
     monkeypatch.setattr(dirichlet, "_jacobian", recording_jacobian)
-    return passes
+    monkeypatch.setattr(dirichlet, "splu", recording_splu)
+    return groups
 
 
 def count_calls(monkeypatch, owner, name, per=None):
@@ -73,6 +106,38 @@ def count_calls(monkeypatch, owner, name, per=None):
 
     monkeypatch.setattr(*per, counting_outer)
     return counts
+
+
+def guard_half(cfg):
+    return 1.0 - 0.5 * cfg.delta_guard
+
+
+def half_gradient_max(dom, u):
+    prim, trans, _ = dirichlet._half_data(dom, u)
+    return float(np.sqrt(np.max(prim * prim + trans * trans)))
+
+
+def two_pass_admissible(dom, v, cfg):
+    """The Lorentzian guard as a pass of its own: the half-point slopes, then
+    the node gradient (the light cone is left to the residual)."""
+    if cfg.eps != -1:
+        return True
+    if half_gradient_max(dom, v) >= guard_half(cfg):
+        return False
+    ux, uy = dom.node_gradient(v)
+    return bool(np.max(np.hypot(ux, uy)) <= 1.0 - cfg.delta_guard)
+
+
+def taken(steps):
+    """The steps whose last trial a converged solve took: every Newton step,
+    and every chord step but those a Newton step follows."""
+    return [step for step, after in zip(steps[1:], steps[2:] + [None])
+            if step.kind == "newton" or after is None or after.kind != "newton"]
+
+
+def rate(step):
+    """max|r| after a taken step over max|r| before it."""
+    return float(np.max(np.abs(step.trials[-1][1])) / np.max(np.abs(step.b)))
 
 
 def square(half=0.9):
@@ -572,9 +637,15 @@ class TestBlockFactor:
     ], ids=["disk", "pentagon", "euclid", "one-step"])
     def test_one_factor_per_newton_iteration(self, monkeypatch, shape, H, eps):
         factors = record_factors(monkeypatch)
-        passes = record_passes(monkeypatch)
+        steps = record_passes(monkeypatch)
         sol = solve_dirichlet(GridDomain(shape, 0.1), SolverConfig(eps=eps, H=H))
-        assert len(factors) == len(passes) - 1 == sol.newton_iters > 0
+        newton = [step for step in steps if step.kind == "newton"]
+        assert len(factors) == len(newton) == sol.newton_iters > 0
+        # a chord step solves with the factor of the last Newton step
+        factored = None
+        for step in steps[1:]:
+            factored = step.jac if step.kind == "newton" else factored
+            assert step.jac is factored is not None
 
     @pytest.mark.parametrize("shape,h,cfg", [
         (Disk(1.0), 0.1, SolverConfig(eps=-1, H=7.05)),
@@ -586,31 +657,20 @@ class TestBlockFactor:
     def test_guard_edge_factors_solve_with_small_backward_error(self, monkeypatch, shape, h, cfg, split):
         # the block LU pivots only inside the blocks that np.linalg.inv
         # inverts; near the guard limit, where a pivot is likeliest to be
-        # small, every Newton step still solves J du = -r to a backward error
-        # of 1e-12
+        # small, every solve, Newton or chord, still solves J du = -r to a
+        # backward error of 1e-12, J the Jacobian that was factored
         monkeypatch.setattr(dirichlet, "_INV_SPLIT", split)
-        factor, solves = dirichlet.splu, []
-
-        def recording_splu(jac):
-            lu = factor(jac)
-            solve = lu.solve
-
-            def recording_solve(b):
-                du = solve(b)
-                solves.append((jac.toarray(), b, du))
-                return du
-
-            lu.solve = recording_solve
-            return lu
-
-        monkeypatch.setattr(dirichlet, "splu", recording_splu)
+        steps = record_passes(monkeypatch)
         sol = solve_dirichlet(GridDomain(shape, h), cfg)
         assert sol.residual_max <= cfg.newton_tol and sol.Du_max < 1.0 - cfg.delta_guard
-        assert len(solves) == sol.newton_iters > 0
-        for J, b, du in solves:
+        solves = steps[1:]
+        assert sum(step.kind == "newton" for step in solves) == sol.newton_iters > 0
+        assert sum(step.kind == "chord" for step in solves) >= sol.chord_steps > 0
+        for step in solves:
+            J = step.jac.toarray()
             # b = -r: |J du + r| <= 1e-12 |J| |du|, infinity norms
-            bound = 1e-12 * np.max(np.sum(np.abs(J), axis=1)) * np.max(np.abs(du))
-            assert np.max(np.abs(J @ du - b)) <= bound
+            bound = 1e-12 * np.max(np.sum(np.abs(J), axis=1)) * np.max(np.abs(step.du))
+            assert np.max(np.abs(J @ step.du - step.b)) <= bound
 
     def test_no_state_outlives_a_solve(self, monkeypatch):
         factors = record_factors(monkeypatch)
@@ -726,18 +786,25 @@ class TestSolveDirichlet:
         assert sol.residual_max <= 1e-10
 
     def test_newton_tail_rate(self, monkeypatch):
-        # the forward-difference Jacobian makes the tail superlinear, not
-        # cleanly quadratic: each of the last two iterations still cuts
-        # max|r| by more than 1000x (measured 2.9e-4 and 7.3e-4)
-        passes = record_passes(monkeypatch)
+        # the forward-difference Jacobian makes the Newton tail superlinear,
+        # not cleanly quadratic: each full Newton step cuts max|r| by more
+        # than the one before it (measured 0.75x, 0.20x, 0.038x).  The chord
+        # steps that reuse the last factor converge linearly: each cuts
+        # max|r| by more than 10x, at a rate that drifts by less than 2x
+        # (measured 0.062x down to 0.049x)
+        steps = record_passes(monkeypatch)
         sol = solve_dirichlet(GridDomain(Disk(1.0), 0.02), SolverConfig(eps=-1, H=1.0))
-        # each iteration accepts its last trial (the first full step leaves
-        # the guard band and is halved); the report is Newton's last
-        # residual, with no further pass
-        norms = [float(np.max(np.abs(p[-1][1]))) for p in passes]
-        assert len(norms) == sol.newton_iters + 1
-        assert norms[-1] == sol.residual_max
-        assert norms[-1] <= 1e-3 * norms[-2] and norms[-2] <= 1e-3 * norms[-3]
+        kept = taken(steps)
+        kinds = [step.kind for step in kept]
+        assert kinds.count("newton") == sol.newton_iters and kinds.count("chord") == sol.chord_steps
+        # the report is the last step's residual, with no further pass
+        assert float(np.max(np.abs(kept[-1].trials[-1][1]))) == sol.residual_max
+        # the first step leaves the guard band and is halved
+        full = [rate(step) for step in kept if step.kind == "newton" and len(step.trials) == 1]
+        assert len(full) >= 2 and all(a > b for a, b in zip(full, full[1:]))
+        last_newton = len(kinds) - 1 - kinds[::-1].index("newton")
+        chords = [rate(step) for step in kept[last_newton + 1:]]
+        assert len(chords) >= 2 and max(chords) <= 0.1 and max(chords) <= 2.0 * min(chords)
 
     def test_zero_target_returns_zero(self):
         dom = GridDomain(Disk(1.0), 0.05)
@@ -817,12 +884,12 @@ class TestSolveDirichlet:
         # guard reads that gradient, so node_gradient runs once per solve,
         # for Du_norm, and never inside Newton
         dom = GridDomain(Disk(1.0), 0.04)
-        passes = record_passes(monkeypatch)
+        steps = record_passes(monkeypatch)
         gathers = count_calls(monkeypatch, GridDomain, "_arm_values", per=(dirichlet, "_stencil"))
         in_newton = count_calls(monkeypatch, GridDomain, "node_gradient", per=(dirichlet, "_newton"))
         gradients = count_calls(monkeypatch, GridDomain, "node_gradient")
         sol = solve_dirichlet(dom, cfg)
-        one_d = sum(len(trials) for trials in passes)
+        one_d = sum(len(step.trials) for step in steps)
         assert one_d > sol.newton_iters > 0
         # the 1-D passes, and the Jacobian's one stacked pass per iteration
         assert gathers == [1] * (one_d + sol.newton_iters)
@@ -835,49 +902,150 @@ class TestSolveDirichlet:
     def test_one_pass_trials_match_the_two_pass_guard(self, monkeypatch, cfg):
         # oracle: the guard as a second pass before the residual, with the
         # residual's light-cone error refusing the trial behind it
-        guard_half = 1.0 - 0.5 * cfg.delta_guard
-
-        def half_gradient_max(dom, u):
-            prim, trans, _ = dirichlet._half_data(dom, u)
-            return float(np.sqrt(np.max(prim * prim + trans * trans)))
-
-        def admissible(dom, v):
-            if cfg.eps != -1:
-                return True
-            if half_gradient_max(dom, v) >= guard_half:
-                return False
-            ux, uy = dom.node_gradient(v)
-            return bool(np.max(np.hypot(ux, uy)) <= 1.0 - cfg.delta_guard)
-
         dom = GridDomain(Disk(1.0), 0.04)
-        passes = record_passes(monkeypatch)
+        steps = record_passes(monkeypatch)
         sol = solve_dirichlet(dom, cfg)
         monkeypatch.undo()
 
-        (start,), iterations = passes[0], passes[1:]
-        rnorm = float(np.max(np.abs(start[1])))
-        half_point_rejects = 0
-        for trials in iterations:
-            for k, (v, rt) in enumerate(trials):
-                ok = admissible(dom, v)
-                half_point_rejects += cfg.eps == -1 and half_gradient_max(dom, v) >= guard_half
+        (u, r), = steps[0].trials
+        rnorm = float(np.max(np.abs(r)))
+        keep = False  # whether the solve holds a block LU for a chord step
+        half_point_rejects = chords = 0
+        for step in steps[1:]:
+            # a chord step follows exactly a kept LU, and tries u + LU^-1 (-r)
+            assert (step.kind == "chord") == keep
+            assert step.b.tobytes() == (-r).tobytes()
+            if step.kind == "chord":
+                assert step.trials[0][0].tobytes() == (u + step.du).tobytes()
+            for k, (v, rt) in enumerate(step.trials):
+                ok = two_pass_admissible(dom, v, cfg)
+                half_point_rejects += cfg.eps == -1 and half_gradient_max(dom, v) >= guard_half(cfg)
                 if ok:
                     try:
-                        r = cmc_operator_residual(dom, v, cfg.H, cfg.eps)
+                        rv = cmc_operator_residual(dom, v, cfg.H, cfg.eps)
                     except SpacelikeViolationError:
                         ok = False
                 if ok:
-                    tnorm = float(np.max(np.abs(r)))
-                    ok = tnorm < rnorm or tnorm <= cfg.newton_tol
-                # the solve accepted the last trial of each iteration, and only it
-                assert ok == (k == len(trials) - 1)
+                    tnorm = float(np.max(np.abs(rv)))
+                    lowers = (tnorm <= dirichlet._CHORD_RATE * rnorm if step.kind == "chord"
+                              else tnorm < rnorm)
+                    ok = lowers or tnorm <= cfg.newton_tol
+                # a Newton step accepted its last trial and only it; whether a
+                # chord trial was taken shows in the kind of the next step
+                if step.kind == "newton":
+                    assert ok == (k == len(step.trials) - 1)
                 if ok:
-                    assert r.tobytes() == rt.tobytes()
-                    rnorm = tnorm
-        assert len(iterations) == sol.newton_iters > 0
+                    assert rv.tobytes() == rt.tobytes()
+                    keep = k == 0 and tnorm <= dirichlet._CHORD_RATE * rnorm
+                    chords += step.kind == "chord"
+                    u, r, rnorm = v, rv, tnorm
+                else:
+                    keep = False
+        assert sum(step.kind == "newton" for step in steps) == sol.newton_iters > 0
+        assert chords == sol.chord_steps > 0
         assert rnorm == sol.residual_max <= cfg.newton_tol
         if cfg.delta_guard == 0.01 and cfg.eps == -1:
             assert half_point_rejects > 0
+
+    @GUARD_CONFIGS
+    def test_taken_chord_steps_are_admissible_and_cut_max_r(self, monkeypatch, cfg):
+        dom = GridDomain(Disk(1.0), 0.04)
+        steps = record_passes(monkeypatch)
+        sol = solve_dirichlet(dom, cfg)
+        monkeypatch.undo()
+        chords = [step for step in taken(steps) if step.kind == "chord"]
+        assert len(chords) == sol.chord_steps > 0
+        for step in chords:
+            (v, rt), = step.trials
+            assert two_pass_admissible(dom, v, cfg)
+            assert cmc_operator_residual(dom, v, cfg.H, cfg.eps).tobytes() == rt.tobytes()
+            assert rate(step) <= dirichlet._CHORD_RATE or np.max(np.abs(rt)) <= cfg.newton_tol
+
+    def test_refused_chord_trial_is_followed_by_a_fresh_jacobian_at_the_same_u(self, monkeypatch):
+        # the refused step's LU is dropped before the next Jacobian is built,
+        # so at most one set of dense blocks is alive at a time
+        steps = record_passes(monkeypatch)
+        factor, jacobian, factors, alive = dirichlet.splu, dirichlet._jacobian, [], []
+
+        def recording_splu(jac):
+            lu = factor(jac)
+            factors.append(weakref.ref(lu))
+            return lu
+
+        def recording_jacobian(*args):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in factors))
+            return jacobian(*args)
+
+        monkeypatch.setattr(dirichlet, "splu", recording_splu)
+        monkeypatch.setattr(dirichlet, "_jacobian", recording_jacobian)
+        sol = solve_dirichlet(GridDomain(Disk(1.0), 0.02), SolverConfig(eps=-1, H=1.0))
+        refused = [k for k in range(1, len(steps) - 1)
+                   if steps[k].kind == "chord" and steps[k + 1].kind == "newton"]
+        assert refused and sol.chord_steps > 0
+        for k in refused:
+            before, chord, newton = steps[k - 1:k + 2]
+            assert newton.u.tobytes() == before.trials[-1][0].tobytes()
+            assert newton.b.tobytes() == chord.b.tobytes()
+        assert alive == [0] * sol.newton_iters
+
+    def test_only_a_whole_step_keeps_its_lu(self, monkeypatch):
+        # at a _CHORD_RATE of 0.6 the cap's first step, halved once, cuts
+        # max|r| enough (to 0.5x), but it was not taken whole, so a Newton
+        # step follows it
+        monkeypatch.setattr(dirichlet, "_CHORD_RATE", 0.6)
+        steps = record_passes(monkeypatch)
+        sol = solve_dirichlet(GridDomain(Disk(1.0), 0.1), SolverConfig(eps=-1, H=1.0))
+        halved = [k for k, step in enumerate(steps) if step.kind == "newton" and len(step.trials) > 1]
+        assert sol.chord_steps > 0 and any(rate(steps[k]) <= 0.6 for k in halved)
+        assert all(steps[k + 1].kind == "newton" for k in halved)
+
+    def test_chord_rate_0_is_newton_only(self, monkeypatch):
+        monkeypatch.setattr(dirichlet, "_CHORD_RATE", 0.0)
+        factors = record_factors(monkeypatch)
+        steps = record_passes(monkeypatch)
+        sol = solve_dirichlet(GridDomain(Disk(1.0), 0.04), SolverConfig(eps=-1, H=5.0))
+        assert sol.chord_steps == 0 and sol.residual_max <= 1e-10
+        # each factor has one group of passes, its line search
+        assert [step.kind for step in steps] == ["start"] + ["newton"] * sol.newton_iters
+        assert len(factors) == sol.newton_iters
+
+    @pytest.mark.parametrize("shape,h,cfg", [
+        (Disk(1.0), 0.04, SolverConfig(eps=-1, H=5.0)),
+        (Disk(1.0), 0.04, SolverConfig(eps=1, H=0.5)),
+        (pentagon(), 0.05, SolverConfig(eps=-1, H=0.8)),
+        (square(0.9), 0.05, SolverConfig(eps=-1, H=2.0)),
+    ], ids=["lorentz", "euclid", "pentagon", "square"])
+    def test_chord_solve_agrees_with_newton_only(self, monkeypatch, shape, h, cfg):
+        dom = GridDomain(shape, h)
+        chord = solve_dirichlet(dom, cfg)
+        monkeypatch.setattr(dirichlet, "_CHORD_RATE", 0.0)
+        newton = solve_dirichlet(dom, cfg)
+        assert chord.chord_steps > 0 and chord.newton_iters < newton.newton_iters
+        assert np.max(np.abs(chord.u - newton.u)) <= 1e-9 * np.max(np.abs(newton.u))
+
+    def test_budget_counts_newton_steps_only(self, monkeypatch):
+        dom = GridDomain(Disk(1.0), 0.1)
+        cfg = SolverConfig(eps=-1, H=1.0)
+        sol = solve_dirichlet(dom, cfg)
+        assert sol.chord_steps > 0
+        monkeypatch.setattr(dirichlet, "MAX_NEWTON_ITERS", sol.newton_iters)
+        assert solve_dirichlet(dom, cfg).u.tobytes() == sol.u.tobytes()
+        monkeypatch.setattr(dirichlet, "MAX_NEWTON_ITERS", sol.newton_iters - 1)
+        with pytest.raises(ConvergenceError, match=rf"after {sol.newton_iters - 1} iterations .*: "
+                                                   "the iteration budget"):
+            solve_dirichlet(dom, cfg)
+        monkeypatch.undo()
+        # past the guard limit no full step cuts max|r| to _CHORD_RATE x, so
+        # the failure takes Newton steps only and stops as without chord steps
+        steps = record_passes(monkeypatch)
+        with pytest.raises(ConvergenceError) as chord:
+            solve_dirichlet(dom, SolverConfig(eps=-1, H=7.1))
+        assert {step.kind for step in steps} == {"start", "newton"}
+        monkeypatch.setattr(dirichlet, "_CHORD_RATE", 0.0)
+        with pytest.raises(ConvergenceError) as newton_only:
+            solve_dirichlet(dom, SolverConfig(eps=-1, H=7.1))
+        assert str(chord.value) == str(newton_only.value)
 
     def test_spent_iteration_budget_is_convergence_error(self, monkeypatch):
         monkeypatch.setattr(dirichlet, "MAX_NEWTON_ITERS", 0)
